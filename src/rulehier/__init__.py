@@ -7,7 +7,7 @@ from .rules import (Atom, Path, Rule, Term, format_rule, generalize,
 from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
                           sa_subsumes_complete, theta_subsumes)
 from .hierarchy import (Hierarchy, bfs_with_pruning, build_a_hierarchy,
-                        build_i_hierarchy, is_proper, union)
+                        build_i_hierarchy, union)
 from .miner import (LearnResult, Measures, MinerConfig, evaluate,
                     generalization, is_relevant, learn, post_pruning,
                     prior_pruning, specialization)

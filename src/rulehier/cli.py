@@ -220,16 +220,12 @@ def cmd_learn(args) -> int:
         write_rules(out_dir / f"rules_{name}.txt", res.rules,
                     store.entities, store.relations)
     _write_run_record(out_dir / "run_record.txt", cfg, store, results)
-    if args.emit_hierarchy:
-        merged = None
-        for res in results.values():
-            if res.hierarchy is not None:
-                merged = res.hierarchy if merged is None \
-                    else hmod.union(merged, res.hierarchy)
-        if merged is not None:
-            hmod.write_dot(merged, args.emit_hierarchy,
-                           lambda r: format_rule(r, store.entities,
-                                                 store.relations))
+    hierarchies = [res.hierarchy for res in results.values()
+                   if res.hierarchy is not None]
+    if hierarchies:
+        hmod.write_dot(hmod.union(*hierarchies), args.emit_hierarchy,
+                       lambda r: format_rule(r, store.entities,
+                                             store.relations))
     total = sum(len(r.rules) for r in results.values())
     print(f"learned {total} rules for {len(targets)} targets -> {out_dir}")
     return 0

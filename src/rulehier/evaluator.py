@@ -104,21 +104,6 @@ def rank(candidates: dict[int, list[float]],
     return PredictionRanking(items)
 
 
-def filter_set(query: Query, store: TripleStore) -> set[int]:
-    """True triples to drop before ranking, minus the query's own answer."""
-    out: set[int] = set()
-    for split in ("train", "valid", "test"):
-        for rel, subj, obj in store.splits[split]:
-            if rel != query.rel:
-                continue
-            if query.slot == "head" and subj == query.known:
-                out.add(obj)
-            elif query.slot == "tail" and obj == query.known:
-                out.add(subj)
-    out.discard(query.answer)
-    return out
-
-
 def mrr(ranks: list[int | None]) -> float:
     """Mean reciprocal rank; an unsuggested answer contributes 0."""
     if not ranks:

@@ -1,5 +1,5 @@
 """Proper rule hierarchies: addition edges, instantiation edges, their
-union, properness checking and breadth-first traversal with subtree pruning.
+union and breadth-first traversal with subtree pruning.
 """
 
 from __future__ import annotations
@@ -7,8 +7,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
-
-import networkx as nx
 
 from .rules import Rule, body_length, kind_of
 from .subsumption import a_subsumes, i_subsumes
@@ -23,10 +21,6 @@ class SubsumptionEdge:
     parent: Rule
     child: Rule
     kind: str
-
-
-class CyclicHierarchyError(ValueError):
-    pass
 
 
 @dataclass
@@ -124,28 +118,15 @@ def build_i_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
     return Hierarchy(nodes, edges)
 
 
-def union(ha: Hierarchy, hi: Hierarchy) -> Hierarchy:
-    return Hierarchy(ha.nodes | hi.nodes, ha.edges | hi.edges,
-                     orphan_count=ha.orphan_count + hi.orphan_count)
-
-
-def _digraph(nodes, pairs) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(pairs)
-    return g
-
-
-def is_proper(h: Hierarchy, decider: Callable[[Rule, Rule], bool]) -> bool:
-    """Edge set equals the transitive reduction of the decider relation."""
-    nodes = sorted(h.nodes, key=Rule.sort_key)
-    relation = {(p, q) for p in nodes for q in nodes
-                if p != q and decider(p, q)}
-    g = _digraph(nodes, relation)
-    if not nx.is_directed_acyclic_graph(g):
-        return False
-    reduced = set(nx.transitive_reduction(g).edges())
-    return h.edge_pairs() == reduced
+def union(*hierarchies: Hierarchy) -> Hierarchy:
+    """One hierarchy over the nodes and edges of all the given ones."""
+    nodes: set[Rule] = set()
+    edges: set[SubsumptionEdge] = set()
+    for h in hierarchies:
+        nodes |= h.nodes
+        edges |= h.edges
+    return Hierarchy(nodes, edges,
+                     orphan_count=sum(h.orphan_count for h in hierarchies))
 
 
 def bfs_with_pruning(h: Hierarchy,
@@ -155,9 +136,12 @@ def bfs_with_pruning(h: Hierarchy,
     visit(rule) returns True to keep the rule. A node is visited iff at
     least one of its parents was kept, and at most once. Returns the kept
     node set.
+
+    The builders' hierarchies are acyclic by construction: every edge
+    strictly raises (body length, deduction level). A-edges add one body
+    atom, orphan edges leave the body-less top rule and I-edges add one
+    constant. The `seen` set ends the traversal on any input regardless.
     """
-    if not nx.is_directed_acyclic_graph(_digraph(h.nodes, h.edge_pairs())):
-        raise CyclicHierarchyError("hierarchy contains a cycle")
     kept: set[Rule] = set()
     seen: set[Rule] = set()
     frontier = list(h.roots)

@@ -87,10 +87,6 @@ class LearnResult:
     truncated: bool = False
     hierarchy: Hierarchy | None = None
 
-    def oar_counts(self) -> dict[str, int]:
-        return {"P-OAR": self.p_oars, "I-OAR": self.i_oars,
-                "U-OAR": self.u_oars}
-
 
 # ---------------------------------------------------------------------------
 # grounding
@@ -414,14 +410,16 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             cache[rule] = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
         return cache[rule]
 
-    result = LearnResult(target=rt, rules=[])
-    phi_all: Hierarchy | None = None
+    result = LearnResult(target=rt, rules=[], gen_seconds=gen_seconds)
+    # when collecting: the A-hierarchy, then every I-hierarchy, unioned once
+    # at the end
+    collected: list[Hierarchy] = []
 
     if cfg.enable_prior_pruning:
         phi_a = build_a_hierarchy(abstract)
         result.orphan_count = phi_a.orphan_count
         if collect_hierarchy:
-            phi_all = phi_a
+            collected.append(phi_a)
 
         def visitor(rule: Rule) -> bool:
             if not cfg.prior_prune_cars and kind_of(rule) == "CAR":
@@ -441,12 +439,9 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     t1 = time.monotonic()
     deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
     mined: list[tuple[Rule, Measures]] = []
-    pending = list(work)
-    for rule in work:
-        pending.pop(0)
+    for i, rule in enumerate(work):
         if deadline and time.monotonic() > deadline:
-            result.skipped_oars = sum(kind_of(r) == "OAR" for r in pending) \
-                + (1 if kind_of(rule) == "OAR" else 0)
+            result.skipped_oars = sum(kind_of(r) == "OAR" for r in work[i:])
             result.truncated = True
             break
         k = kind_of(rule)
@@ -468,8 +463,8 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             phi_i = build_i_hierarchy([r for r, _ in relevant])
             keep = post_pruning(phi_i, {r: m.sc for r, m in relevant})
             relevant = [(r, m) for r, m in relevant if r in keep]
-            if phi_all is not None:
-                phi_all = union(phi_all, phi_i)
+            if collected:
+                collected.append(phi_i)
         mined.extend(relevant)
     result.spec_seconds = time.monotonic() - t1
 
@@ -478,12 +473,9 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         uniq.setdefault(rule, m)
     result.rules = sorted(uniq.items(),
                           key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
-    result.hierarchy = phi_all
+    if collected:
+        result.hierarchy = union(*collected)
     return result
-
-
-def classify_oars(result: LearnResult) -> dict[str, int]:
-    return result.oar_counts()
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,23 @@
 The random-rule generator produces connected, straight chain rules over a
 small vocabulary (5 predicates, 6 constants, body length 0-4), matching the
 corpus the property suites run on. The random-KG generator produces small
-dense graphs where mining finds a non-trivial mix of rule kinds.
+dense graphs where mining finds a non-trivial mix of rule kinds. The
+hierarchy oracles check properness and the edge invariant that keeps the
+builders' hierarchies acyclic.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable
 
+import networkx as nx
+
+from rulehier.hierarchy import Hierarchy
 from rulehier.kgstore import TripleStore
-from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, const, constants,
-                            is_connected, is_straight, parse_rule, var)
+from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, body_length, const,
+                            constants, deduction_level, is_connected,
+                            is_straight, parse_rule, var)
 
 N_PREDS = 5
 N_CONSTS = 6
@@ -176,6 +183,28 @@ def generalization_closure(seeds, limit: int = 0) -> set[Rule] | None:
                 if limit and len(seen) > limit:
                     return None
     return seen
+
+
+# ---------------------------------------------------------------------------
+# hierarchy oracles
+
+def is_proper(h: Hierarchy, decider: Callable[[Rule, Rule], bool]) -> bool:
+    """Edge set equals the transitive reduction of the decider relation."""
+    nodes = sorted(h.nodes, key=Rule.sort_key)
+    g = nx.DiGraph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from((p, q) for p in nodes for q in nodes
+                     if p != q and decider(p, q))
+    if not nx.is_directed_acyclic_graph(g):
+        return False
+    return h.edge_pairs() == set(nx.transitive_reduction(g).edges())
+
+
+def edges_climb(h: Hierarchy) -> bool:
+    """Every edge strictly raises (body length, deduction level)."""
+    def level(rule: Rule) -> tuple[int, int]:
+        return body_length(rule), deduction_level(rule)
+    return all(level(e.parent) < level(e.child) for e in h.edges)
 
 
 # ---------------------------------------------------------------------------

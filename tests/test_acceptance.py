@@ -19,8 +19,8 @@ from rulehier.rules import kind_of, parse_rule
 from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
 
-from helpers import (R, generalization_closure, random_generalization,
-                     random_kg, random_rule, toy_store)
+from helpers import (R, generalization_closure, is_proper,
+                     random_generalization, random_kg, random_rule, toy_store)
 
 
 def _report(n: int, ok: bool, desc: str) -> None:
@@ -106,17 +106,12 @@ def test_criterion_3_properness():
         checked += 1
         h = union(build_a_hierarchy(closed, attach_orphans=False),
                   build_i_hierarchy(closed))
-        if not is_proper_oracle(h):
+        if not is_proper(h, sa_subsumes):
             failures += 1
     elapsed = time.monotonic() - t0
     ok = failures == 0 and elapsed < 120.0
     _report(3, ok, f"{checked} continuity-closed rule sets, "
                    f"{failures} improper hierarchies, {elapsed:.1f}s (< 120s)")
-
-
-def is_proper_oracle(h) -> bool:
-    from rulehier.hierarchy import is_proper
-    return is_proper(h, sa_subsumes)
 
 
 def _kg_corpus(seed: int, count: int, max_triples: int):

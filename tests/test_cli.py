@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rulehier import hierarchy
 from rulehier.cli import (RunConfig, config_echo, load_config, main,
                           select_targets, _workers)
 from rulehier.kgstore import TripleStore
@@ -157,7 +158,11 @@ def test_learn_and_eval_commands(tmp_path, capsys):
     assert "MRR" in capsys.readouterr().out
 
 
-def test_learn_emit_hierarchy(tmp_path):
+def test_learn_emit_hierarchy(tmp_path, monkeypatch):
+    calls = []
+    union = hierarchy.union
+    monkeypatch.setattr(hierarchy, "union",
+                        lambda *hs: calls.append(hs) or union(*hs))
     ds = write_dataset(tmp_path, toy_store())
     out = tmp_path / "out"
     cfg = write_config(tmp_path, ds, out)
@@ -167,6 +172,8 @@ def test_learn_emit_hierarchy(tmp_path):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert "style=solid" in text
+    # one merge over the three targets' hierarchies
+    assert [len(hs) for hs in calls] == [3]
 
 
 def test_learn_set_override_changes_output(tmp_path):

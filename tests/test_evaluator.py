@@ -1,7 +1,7 @@
 import pytest
 
-from rulehier.evaluator import (Query, evaluate_kgc, filter_set, hits_at, mrr,
-                                queries_for, rank, suggest)
+from rulehier.evaluator import (Query, evaluate_kgc, hits_at, mrr, queries_for,
+                                rank, suggest)
 from rulehier.kgstore import TripleStore
 from rulehier.miner import Measures
 
@@ -104,15 +104,6 @@ def test_rank_filters_known_truths():
     ranking = rank({1: [0.9], 2: [0.5]}, known_truths={1})
     assert ranking.rank_of(1) is None
     assert ranking.rank_of(2) == 1
-
-
-def test_filter_set_spares_own_answer():
-    store, (rt, _), (a, b, c, _) = triangle_with_test()
-    store.add_triple(rt, a, c, "train")
-    q = Query(rt, a, "head", b)
-    assert filter_set(q, store) == {c}
-    q2 = Query(rt, a, "head", c)
-    assert filter_set(q2, store) == {b}
 
 
 # ---------------------------------------------------------------------------

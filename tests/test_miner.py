@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rulehier.miner as miner_mod
 from rulehier.hierarchy import (A_EDGE, Hierarchy, SubsumptionEdge,
                                 build_a_hierarchy, build_i_hierarchy)
 from rulehier.kgstore import Interner, TripleStore
@@ -12,7 +13,7 @@ from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             write_rules)
 from rulehier.rules import (constants, format_rule, kind_of, parse_rule)
 
-from helpers import R, random_kg, toy_store
+from helpers import R, edges_climb, random_kg, toy_store
 
 
 def cfg(**kw):
@@ -378,13 +379,23 @@ def test_learn_spec_time_budget_reports_skips():
     assert res.skipped_oars > 0
 
 
+def test_learn_records_generalization_time():
+    rng = random.Random(6)
+    store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
+    assert learn(store, 0, cfg()).gen_seconds > 0
+
+
 def test_learn_empty_target():
     store = toy_store()
     with pytest.raises(EmptyTargetError):
         learn(store, 99, cfg())
 
 
-def test_learn_collects_hierarchy():
+def test_learn_collects_hierarchy(monkeypatch):
+    calls = []
+    union = miner_mod.union
+    monkeypatch.setattr(miner_mod, "union",
+                        lambda *hs: calls.append(hs) or union(*hs))
     store = toy_store()
     rt = store.relations.get("Advises")
     res = learn(store, rt, cfg(), collect_hierarchy=True)
@@ -392,6 +403,9 @@ def test_learn_collects_hierarchy():
     assert R("Advises(X,Y) <-", store) in res.hierarchy.nodes
     kinds = {e.kind for e in res.hierarchy.edges}
     assert "A" in kinds and "I" in kinds
+    assert edges_climb(res.hierarchy)
+    # the A-hierarchy and one I-hierarchy per I-OAR, merged in one call
+    assert len(calls) == 1 and len(calls[0]) == 1 + res.i_oars
 
 
 # ---------------------------------------------------------------------------
