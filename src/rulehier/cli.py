@@ -51,9 +51,16 @@ class RunConfig:
 _MINER_FIELDS = {f.name: f.type for f in fields(MinerConfig)}
 
 
-def _coerce(value: str, like):
+def _coerce(key: str, value: str, like):
+    """Parse a config value as the type of the current value `like`."""
     if isinstance(like, bool):
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        word = value.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{key}: expected a boolean "
+                             f"(1/yes/true/on, 0/no/false/off), got {value!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
+    if isinstance(like, tuple):
+        return tuple(p.strip() for p in value.split(",") if p.strip())
     return type(like)(value)
 
 
@@ -72,8 +79,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         cfg.target_k = int(t.get("k", cfg.target_k))
         cfg.target_seed = int(t.get("seed", cfg.target_seed))
         if t.get("predicates"):
-            cfg.target_list = tuple(p.strip() for p in
-                                    t["predicates"].split(",") if p.strip())
+            cfg.target_list = _coerce("predicates", t["predicates"], ())
     if parser.has_section("run"):
         cfg.workers = int(parser["run"].get("workers", cfg.workers))
     if parser.has_section("evaluator"):
@@ -82,15 +88,16 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         for key, value in parser["miner"].items():
             if key not in _MINER_FIELDS:
                 raise KeyError(f"unknown miner option {key!r}")
-            cur = getattr(cfg.miner, key)
-            setattr(cfg.miner, key, _coerce(value, cur))
+            setattr(cfg.miner, key,
+                    _coerce(key, value, getattr(cfg.miner, key)))
     for item in overrides or []:
         key, _, value = item.partition("=")
         key = key.strip()
         if key in _MINER_FIELDS:
-            setattr(cfg.miner, key, _coerce(value, getattr(cfg.miner, key)))
+            setattr(cfg.miner, key,
+                    _coerce(key, value, getattr(cfg.miner, key)))
         elif hasattr(cfg, key):
-            setattr(cfg, key, _coerce(value, getattr(cfg, key)))
+            setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
         else:
             raise KeyError(f"unknown override {key!r}")
     return cfg
@@ -226,6 +233,10 @@ def cmd_learn(args) -> int:
         hmod.write_dot(hmod.union(*hierarchies), args.emit_hierarchy,
                        lambda r: format_rule(r, store.entities,
                                              store.relations))
+    elif args.emit_hierarchy:
+        print(f"warning: no hierarchy was built (prior and post pruning "
+              f"off, or no rule specialized); {args.emit_hierarchy} "
+              f"not written", file=sys.stderr)
     total = sum(len(r.rules) for r in results.values())
     print(f"learned {total} rules for {len(targets)} targets -> {out_dir}")
     return 0

@@ -177,6 +177,8 @@ class TripleStore:
 
     def instances_of(self, rel: int, split: str = "train") -> set[tuple[int, int]]:
         """All (subject, object) pairs of a relation within one split."""
+        if split == "train":
+            return set(self.by_relation.get(rel, ()))
         return {(s, o) for r, s, o in self.splits[split] if r == rel}
 
     def neighbors(self, entity: int, direction: str = "both"):

@@ -2,9 +2,10 @@
 
 Pipeline per target predicate: sample walks and generalize them into
 abstract rules, build the atom-addition hierarchy, prune low-support
-subtrees, specialize surviving open rules into head/both-anchored rules,
-filter by relevance and overfitting, build the instantiation hierarchy and
-drop anchored rules dominated in confidence by their parents.
+subtrees, measure the head/both-anchored specializations of surviving
+open rules and instantiate only those that pass the relevance and
+overfitting filters, build the instantiation hierarchy and drop anchored
+rules dominated in confidence by their parents.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import logging
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Callable
 
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
     bfs_with_pruning, union
@@ -319,11 +321,22 @@ def specialization(oar: Rule, store: TripleStore,
                    rt_pairs: set[tuple[int, int]],
                    valid_pairs: set[tuple[int, int]],
                    instances: list[tuple[int, int]],
-                   cfg: MinerConfig) -> tuple[list[tuple[Rule, Measures]], bool]:
+                   cfg: MinerConfig,
+                   keep: Callable[[Measures], bool] | None = None,
+                   ) -> tuple[list[tuple[Rule, Measures]], bool]:
     """Instantiate an OAR into HARs and BARs anchored at train instances.
 
-    One shared body-grounding pass populates measures for every emitted
-    rule. Returns (rules with measures, truncated flag).
+    Candidates are measured before they are instantiated. One shared
+    body-grounding pass records, for each x and for each (x, tail value t),
+    the entities that all of its groundings use. Some grounding of x avoids
+    c, and so puts (x, c) in g, exactly when c is outside that
+    intersection. Counting, per anchor c and per (t, c), the x whose
+    intersection holds c gives every candidate's |g| by one subtraction,
+    and its support looks only at the train and valid pairs with object c.
+
+    A rule is built only for a candidate whose measures pass `keep`
+    (every candidate when `keep` is None). Returns (rules with measures,
+    truncated flag).
     """
     har_tpl, bar_tpl = specialize_templates(oar)
     tail = dangling_term(oar)
@@ -336,11 +349,23 @@ def specialization(oar: Rule, store: TripleStore,
     except CapExceeded:
         approx = True
 
+    # the entities used by every grounding of x (key (x, None)) and by
+    # every grounding of x whose tail value is t (key (x, t))
+    common: dict[tuple[int, int | None], frozenset[int]] = {}
+    for x, gs in by_x.items():
+        common[(x, None)] = frozenset.intersection(*(ents for _, ents in gs))
+        for t, ents in gs:
+            prev = common.get((x, t))
+            common[(x, t)] = ents if prev is None else prev & ents
+
     hars: list[int] = []
     bars: list[tuple[int, int]] = []
     seen_h, seen_b = set(), set()
     for x, y in sorted(instances):
-        for t, ents in by_x.get(x, []):
+        ents_x = common.get((x, None))
+        if ents_x is None or y in ents_x:
+            continue  # no grounding of x avoids y
+        for t, ents in by_x[x]:
             if y in ents:
                 continue
             if y not in seen_h:
@@ -358,24 +383,40 @@ def specialization(oar: Rule, store: TripleStore,
         hars = hars[:cap]
         kept = set(hars)
         bars = [cb for cb in bars if cb[0] in kept][:cap]
-    out: list[tuple[Rule, Measures]] = []
 
-    def measures(xs: set[int], c: int) -> Measures:
-        supp = sum((x, c) in rt_pairs for x in xs)
-        vsupp = sum((x, c) in valid_pairs for x in xs)
+    # n_xs[t]: how many x have a grounding with tail value t (any tail
+    # value for t None); blocked[(t, c)]: how many of them use c in every
+    # such grounding. Only instance objects can be anchors.
+    anchors = {y for _, y in instances}
+    n_xs = Counter(t for _, t in common)
+    blocked = Counter((t, c) for (_, t), ents in common.items()
+                      for c in ents if c in anchors)
+    rt_by_c: dict[int, list[int]] = defaultdict(list)
+    for x, c in rt_pairs:
+        rt_by_c[c].append(x)
+    valid_by_c: dict[int, list[int]] = defaultdict(list)
+    for x, c in valid_pairs:
+        valid_by_c[c].append(x)
+
+    def measure(c: int, t: int | None = None) -> Measures:
+        def reached(x: int) -> bool:
+            ents = common.get((x, t))
+            return ents is not None and c not in ents
+        n_g = n_xs[t] - blocked[(t, c)]
+        supp = sum(map(reached, rt_by_c.get(c, ())))
+        vsupp = sum(map(reached, valid_by_c.get(c, ())))
         hc = supp / n_rt if n_rt else 0.0
-        return Measures(supp, hc, supp / (cfg.eta + len(xs)), len(xs),
-                        vsupp, approx)
+        return Measures(supp, hc, supp / (cfg.eta + n_g), n_g, vsupp, approx)
 
+    out: list[tuple[Rule, Measures]] = []
     for c in hars:
-        xs = {x for x, gs in by_x.items()
-              if any(c not in ents for _, ents in gs)}
-        out.append((instantiate(har_tpl, {VAR_Y: c}), measures(xs, c)))
+        m = measure(c)
+        if keep is None or keep(m):
+            out.append((instantiate(har_tpl, {VAR_Y: c}), m))
     for c, t in bars:
-        xs = {x for x, gs in by_x.items()
-              if any(bt == t and c not in ents for bt, ents in gs)}
-        out.append((instantiate(bar_tpl, {VAR_Y: c, tail: t}),
-                    measures(xs, c)))
+        m = measure(c, t)
+        if keep is None or keep(m):
+            out.append((instantiate(bar_tpl, {VAR_Y: c, tail: t}), m))
     return out, truncated
 
 
@@ -411,8 +452,8 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         return cache[rule]
 
     result = LearnResult(target=rt, rules=[], gen_seconds=gen_seconds)
-    # when collecting: the A-hierarchy, then every I-hierarchy, unioned once
-    # at the end
+    # when collecting: the A-hierarchy (if built), then every I-hierarchy,
+    # unioned once at the end
     collected: list[Hierarchy] = []
 
     if cfg.enable_prior_pruning:
@@ -436,6 +477,11 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     work = [r for r in survivors if r.body]
     work.sort(key=lambda r: (-measure(r).supp, r.sort_key()))
 
+    def relevant_spec(m: Measures) -> bool:
+        # overfit_keep treats only CARs and OARs by kind, so the default
+        # kind stands for both HARs and BARs
+        return is_relevant(m, cfg) and overfit_keep(m, cfg)
+
     t1 = time.monotonic()
     deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
     mined: list[tuple[Rule, Measures]] = []
@@ -450,11 +496,10 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             if is_relevant(m, cfg) and overfit_keep(m, cfg, k):
                 mined.append((rule, m))
             continue
-        specs, truncated = specialization(rule, store, rt_pairs, valid_pairs,
-                                          instances, cfg)
+        relevant, truncated = specialization(rule, store, rt_pairs,
+                                             valid_pairs, instances, cfg,
+                                             keep=relevant_spec)
         result.truncated = result.truncated or truncated
-        relevant = [(r, m) for r, m in specs
-                    if is_relevant(m, cfg) and overfit_keep(m, cfg, kind_of(r))]
         if not relevant:
             result.u_oars += 1
             continue
@@ -463,7 +508,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             phi_i = build_i_hierarchy([r for r, _ in relevant])
             keep = post_pruning(phi_i, {r: m.sc for r, m in relevant})
             relevant = [(r, m) for r, m in relevant if r in keep]
-            if collected:
+            if collect_hierarchy:
                 collected.append(phi_i)
         mined.extend(relevant)
     result.spec_seconds = time.monotonic() - t1

@@ -74,6 +74,38 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(cfg_path2, ["nope=1"])
 
 
+@pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
+def test_load_config_rejects_non_boolean_words(tmp_path, word):
+    cfg_path = write_config(tmp_path, ".", ".",
+                            extra=f"enable_post_pruning = {word}\n")
+    with pytest.raises(ValueError, match="enable_post_pruning"):
+        load_config(cfg_path)
+    with pytest.raises(ValueError, match="enable_prior_pruning"):
+        load_config(write_config(tmp_path, ".", "."),
+                    [f"enable_prior_pruning={word}"])
+
+
+def test_load_config_accepts_configparser_boolean_words(tmp_path):
+    for word, want in (("1", True), ("YES", True), ("True", True),
+                       ("on", True), ("0", False), ("no", False),
+                       ("FALSE", False), ("Off", False)):
+        cfg_path = write_config(tmp_path, ".", ".",
+                                extra=f"enable_post_pruning = {word}\n")
+        cfg = load_config(cfg_path, [f"prior_prune_cars={word}"])
+        assert cfg.miner.enable_post_pruning is want
+        assert cfg.miner.prior_prune_cars is want
+
+
+def test_set_target_list_splits_like_the_ini_key(tmp_path):
+    cfg_path = write_config(tmp_path, ".", ".")
+    cfg = load_config(cfg_path, ["target_list= r0, r1 ,"])
+    assert cfg.target_list == ("r0", "r1")
+    ini = cfg_path.read_text().replace("mode = all",
+                                       "mode = list\npredicates = r0, r1 ,")
+    cfg_path.write_text(ini)
+    assert load_config(cfg_path).target_list == ("r0", "r1")
+
+
 def test_config_echo_lists_every_miner_field():
     echo = "\n".join(config_echo(RunConfig()))
     from dataclasses import fields
@@ -174,6 +206,31 @@ def test_learn_emit_hierarchy(tmp_path, monkeypatch):
     assert "style=solid" in text
     # one merge over the three targets' hierarchies
     assert [len(hs) for hs in calls] == [3]
+
+
+def test_learn_emit_hierarchy_without_prior_pruning(tmp_path, capsys):
+    ds = write_dataset(tmp_path, toy_store())
+    cfg = write_config(tmp_path, ds, tmp_path / "out",
+                       extra="enable_prior_pruning = false\n")
+    dot = tmp_path / "h.dot"
+    assert main(["learn", "--config", str(cfg),
+                 "--emit-hierarchy", str(dot)]) == 0
+    text = dot.read_text()
+    assert "style=dashed" in text  # the I-edges of post pruning
+    assert "style=solid" not in text  # no A-hierarchy was built
+    assert capsys.readouterr().err == ""
+
+
+def test_learn_emit_hierarchy_warns_when_none_is_built(tmp_path, capsys):
+    ds = write_dataset(tmp_path, toy_store())
+    cfg = write_config(tmp_path, ds, tmp_path / "out",
+                       extra="enable_prior_pruning = false\n"
+                             "enable_post_pruning = false\n")
+    dot = tmp_path / "h.dot"
+    assert main(["learn", "--config", str(cfg),
+                 "--emit-hierarchy", str(dot)]) == 0
+    assert not dot.exists()
+    assert "no hierarchy" in capsys.readouterr().err
 
 
 def test_learn_set_override_changes_output(tmp_path):

@@ -34,6 +34,9 @@ def test_load_triples_and_indices(tmp_path):
     assert store.has_train(r, a, b)
     assert not store.has_train(s, a, b)
     assert store.instances_of(r, "train") == {(a, b), (b, c)}
+    for rel in (r, s, 99):
+        assert store.instances_of(rel, "train") == \
+            {(h, t) for q, h, t in store.splits["train"] if q == rel}
     assert (r, b, "out") in store.neighbors(a)
     assert (r, a, "in") in store.neighbors(b)
     assert store.neighbors(a, "out") == [(r, b, "out"), (s, c, "out")]

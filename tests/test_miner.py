@@ -263,25 +263,78 @@ def test_specialization_toy():
         assert m.sc == pytest.approx(1 / 6)
 
 
+def hub_kg(rng: random.Random) -> TripleStore:
+    """A random graph plus one hub linked to most entities by r1 and r2."""
+    store = random_kg(rng, n_entities=16, n_relations=3, n_train=40,
+                      n_valid=20)
+    hub = 0
+    for e in range(1, 16):
+        for rel in (1, 2):
+            if rng.random() < 0.7:
+                store.add_triple(rel, hub if rel == 1 else e,
+                                 e if rel == 1 else hub, "train")
+    return store
+
+
+def oars_of(store, rt, config):
+    return [r for r in generalization(store, rt, config)
+            if r.body and kind_of(r) == "OAR"]
+
+
 def test_specialization_measures_match_evaluate():
     rng = random.Random(9)
     config = cfg()
+    valid_hits = 0
     for _ in range(6):
-        store = random_kg(rng, n_entities=12, n_relations=3, n_train=45)
+        store = random_kg(rng, n_entities=12, n_relations=3, n_train=45,
+                          n_valid=25)
         for rt in range(3):
             rt_pairs = store.instances_of(rt)
+            valid_pairs = store.instances_of(rt, "valid")
             if not rt_pairs:
                 continue
-            for oar in generalization(store, rt, config):
-                if not oar.body or kind_of(oar) != "OAR":
-                    continue
-                specs, _ = specialization(oar, store, rt_pairs, set(),
+            for oar in oars_of(store, rt, config):
+                specs, _ = specialization(oar, store, rt_pairs, valid_pairs,
                                           sorted(rt_pairs), config)
                 for rule, m in specs:
-                    ref = evaluate(rule, store, rt_pairs, config)
+                    ref = evaluate(rule, store, rt_pairs, config, valid_pairs)
                     assert (m.supp, m.groundings, m.valid_supp) == \
                         (ref.supp, ref.groundings, ref.valid_supp)
                     assert m.sc == pytest.approx(ref.sc)
+                    valid_hits += m.valid_supp > 0
+    assert valid_hits > 0
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_specialization_keep_equals_filtering_every_candidate(cap):
+    rng = random.Random(31)
+    config = cfg(max_specs_per_oar=cap)
+    predicates = [
+        lambda m: m.supp > 1,
+        lambda m: m.valid_supp > 0,
+        lambda m: m.groundings % 2 == 0,
+        lambda m: is_relevant(m, cfg(supp_f=1, sc_f=0.05))
+        and overfit_keep(m, cfg(overfit_threshold=0.2)),
+    ]
+    stores = [random_kg(rng, n_entities=12, n_relations=3, n_train=50,
+                        n_valid=20) for _ in range(3)] + [hub_kg(rng)]
+    compared = kept = 0
+    for store in stores:
+        for rt in range(3):
+            rt_pairs = store.instances_of(rt)
+            valid_pairs = store.instances_of(rt, "valid")
+            if not rt_pairs:
+                continue
+            args = (store, rt_pairs, valid_pairs, sorted(rt_pairs), config)
+            for oar in oars_of(store, rt, config):
+                every, truncated = specialization(oar, *args)
+                for p in predicates:
+                    got, got_truncated = specialization(oar, *args, keep=p)
+                    assert got == [(r, m) for r, m in every if p(m)]
+                    assert got_truncated == truncated
+                    compared += len(every)
+                    kept += len(got)
+    assert 0 < kept < compared
 
 
 def test_specialization_cap_limits_hars_and_bars_separately():
@@ -377,6 +430,31 @@ def test_learn_spec_time_budget_reports_skips():
     res = learn(store, 0, cfg(max_len=3, spec_time_budget=1e-9))
     assert res.truncated
     assert res.skipped_oars > 0
+
+
+def test_learn_instantiates_only_relevant_specializations(monkeypatch):
+    rng = random.Random(5)
+    store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
+    config = cfg(supp_f=1, enable_post_pruning=False)
+    built, oars = [], []
+    instantiate, specialize = miner_mod.instantiate, miner_mod.specialization
+    monkeypatch.setattr(miner_mod, "instantiate",
+                        lambda *a: built.append(a) or instantiate(*a))
+    monkeypatch.setattr(miner_mod, "specialization",
+                        lambda oar, *a, **kw: oars.append(oar)
+                        or specialize(oar, *a, **kw))
+    res = learn(store, 0, config)
+    monkeypatch.undo()
+    rt_pairs = store.instances_of(0)
+    candidates = relevant = 0
+    for oar in oars:
+        specs, _ = specialization(oar, store, rt_pairs, set(),
+                                  sorted(rt_pairs), config)
+        candidates += len(specs)
+        relevant += sum(is_relevant(m, config) for _, m in specs)
+    assert len(built) == relevant
+    assert 0 < relevant < candidates
+    assert res.i_oars > 0
 
 
 def test_learn_records_generalization_time():
