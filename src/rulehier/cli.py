@@ -11,12 +11,10 @@ import argparse
 import configparser
 import csv
 import logging
-import os
 import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,7 +37,6 @@ class RunConfig:
     target_k: int = 20
     target_seed: int = 0
     target_list: tuple[str, ...] = ()
-    workers: int = 1
     eval_cap: int = 0
     miner: MinerConfig = None
 
@@ -48,7 +45,18 @@ class RunConfig:
             self.miner = MinerConfig()
 
 
-_MINER_FIELDS = {f.name: f.type for f in fields(MinerConfig)}
+# (section, key) -> RunConfig field (MinerConfig field in [miner]), in
+# config_echo order
+_KEYS = {("dataset", "dir"): "dataset_dir",
+         ("output", "dir"): "output_dir",
+         ("targets", "mode"): "target_mode",
+         ("targets", "k"): "target_k",
+         ("targets", "seed"): "target_seed",
+         ("targets", "predicates"): "target_list",
+         ("evaluator", "cap"): "eval_cap",
+         **{("miner", f.name): f.name for f in fields(MinerConfig)}}
+# --set key -> its section
+_OVERRIDES = {name: section for (section, _), name in _KEYS.items()}
 
 
 def _coerce(key: str, value: str, like):
@@ -64,56 +72,47 @@ def _coerce(key: str, value: str, like):
     return type(like)(value)
 
 
+def _owner(cfg: RunConfig, section: str):
+    return cfg.miner if section == "miner" else cfg
+
+
+def _set(owner, name: str, key: str, value: str) -> None:
+    setattr(owner, name, _coerce(key, value, getattr(owner, name)))
+
+
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     cfg = RunConfig()
-    ds = parser["dataset"] if parser.has_section("dataset") else {}
-    cfg.dataset_dir = ds.get("dir", cfg.dataset_dir)
-    out = parser["output"] if parser.has_section("output") else {}
-    cfg.output_dir = out.get("dir", cfg.output_dir)
-    if parser.has_section("targets"):
-        t = parser["targets"]
-        cfg.target_mode = t.get("mode", cfg.target_mode)
-        cfg.target_k = int(t.get("k", cfg.target_k))
-        cfg.target_seed = int(t.get("seed", cfg.target_seed))
-        if t.get("predicates"):
-            cfg.target_list = _coerce("predicates", t["predicates"], ())
-    if parser.has_section("run"):
-        cfg.workers = int(parser["run"].get("workers", cfg.workers))
-    if parser.has_section("evaluator"):
-        cfg.eval_cap = int(parser["evaluator"].get("cap", cfg.eval_cap))
-    if parser.has_section("miner"):
-        for key, value in parser["miner"].items():
-            if key not in _MINER_FIELDS:
-                raise KeyError(f"unknown miner option {key!r}")
-            setattr(cfg.miner, key,
-                    _coerce(key, value, getattr(cfg.miner, key)))
+    for section in parser.sections():
+        for key, value in parser[section].items():
+            if (section, key) == ("run", "workers"):
+                # the one value kept loading for configs that still set it
+                if value.strip() != "1":
+                    raise ValueError(f"run.workers: mining is "
+                                     f"single-threaded, got {value!r}")
+                continue
+            name = _KEYS.get((section, key))
+            if name is None:
+                raise KeyError(f"unknown config option {section}.{key}")
+            _set(_owner(cfg, section), name, f"{section}.{key}", value)
     for item in overrides or []:
         key, _, value = item.partition("=")
         key = key.strip()
-        if key in _MINER_FIELDS:
-            setattr(cfg.miner, key,
-                    _coerce(key, value, getattr(cfg.miner, key)))
-        elif hasattr(cfg, key):
-            setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
-        else:
+        if key not in _OVERRIDES:
             raise KeyError(f"unknown override {key!r}")
+        _set(_owner(cfg, _OVERRIDES[key]), key, key, value)
     return cfg
 
 
 def config_echo(cfg: RunConfig) -> list[str]:
-    lines = [f"dataset.dir = {cfg.dataset_dir}",
-             f"output.dir = {cfg.output_dir}",
-             f"targets.mode = {cfg.target_mode}",
-             f"targets.k = {cfg.target_k}",
-             f"targets.seed = {cfg.target_seed}",
-             f"targets.predicates = {','.join(cfg.target_list)}",
-             f"run.workers = {cfg.workers}",
-             f"evaluator.cap = {cfg.eval_cap}"]
-    for f in fields(MinerConfig):
-        lines.append(f"miner.{f.name} = {getattr(cfg.miner, f.name)}")
+    lines = []
+    for (section, key), name in _KEYS.items():
+        value = getattr(_owner(cfg, section), name)
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        lines.append(f"{section}.{key} = {value}")
     return lines
 
 
@@ -143,29 +142,15 @@ def select_targets(store: TripleStore, cfg: RunConfig) -> list[int]:
     raise ValueError(f"unknown target mode {cfg.target_mode!r}")
 
 
-def _workers(cfg: RunConfig) -> int:
-    env = os.environ.get("RULEHIER_THREADS")
-    n = cfg.workers
-    if env:
-        n = min(n, int(env))
-    return max(1, n)
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
 
 def _learn_all(store: TripleStore, cfg: RunConfig, targets: list[int],
                collect_hierarchy: bool = False):
-    def one(rt):
-        return learn(store, rt, cfg.miner,
-                     collect_hierarchy=collect_hierarchy)
-    if _workers(cfg) > 1:
-        with ThreadPoolExecutor(max_workers=_workers(cfg)) as pool:
-            results = list(pool.map(one, targets))
-    else:
-        results = [one(rt) for rt in targets]
-    return dict(zip(targets, results))
+    return {rt: learn(store, rt, cfg.miner,
+                      collect_hierarchy=collect_hierarchy)
+            for rt in targets}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +193,6 @@ def _write_run_record(path, cfg: RunConfig, store: TripleStore,
             fh.write(f"target.{name}.i_oars = {res.i_oars}\n")
             fh.write(f"target.{name}.u_oars = {res.u_oars}\n")
             fh.write(f"target.{name}.skipped_oars = {res.skipped_oars}\n")
-            fh.write(f"target.{name}.orphans = {res.orphan_count}\n")
             fh.write(f"target.{name}.truncated = {res.truncated}\n")
             fh.write(f"target.{name}.gen_seconds = {res.gen_seconds:.3f}\n")
             fh.write(f"target.{name}.spec_seconds = {res.spec_seconds:.3f}\n")

@@ -13,7 +13,6 @@ from .subsumption import a_subsumes, i_subsumes
 
 A_EDGE = "A"
 I_EDGE = "I"
-ORPHAN_EDGE = "orphan"
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class Hierarchy:
 
     nodes: set[Rule] = field(default_factory=set)
     edges: set[SubsumptionEdge] = field(default_factory=set)
-    orphan_count: int = 0
 
     def __post_init__(self):
         self._children: dict[Rule, list[Rule]] = defaultdict(list)
@@ -54,13 +52,14 @@ class Hierarchy:
         return {(e.parent, e.child) for e in self.edges}
 
 
-def build_a_hierarchy(rules: Iterable[Rule], attach_orphans: bool = True) -> Hierarchy:
+def build_a_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
     """All single atom-addition edges over a set of abstract rules.
 
     Rules are bucketed by body length so only adjacent buckets are
     compared; the length-gap-1 restriction makes the result proper by
-    construction. Non-root rules whose generalization was never sampled
-    are attached to the top rule when one exists (continuity repair).
+    construction. A rule whose one-atom-shorter generalization is not in
+    the set is a root; `generalization` samples every walk prefix, so on
+    its output the top rule is the only root.
     """
     buckets: dict[int, list[Rule]] = defaultdict(list)
     nodes = set(rules)
@@ -72,16 +71,7 @@ def build_a_hierarchy(rules: Iterable[Rule], attach_orphans: bool = True) -> Hie
             for q in buckets.get(length + 1, []):
                 if a_subsumes(p, q):
                     edges.add(SubsumptionEdge(p, q, A_EDGE))
-    h = Hierarchy(nodes, edges)
-    if attach_orphans:
-        tops = [r for r in buckets.get(0, []) if kind_of(r) == "OAR"]
-        top = tops[0] if tops else None
-        orphans = [n for n in h.roots if body_length(n) > 0]
-        if top is not None and orphans:
-            for n in orphans:
-                edges.add(SubsumptionEdge(top, n, ORPHAN_EDGE))
-            h = Hierarchy(nodes, edges, orphan_count=len(orphans))
-    return h
+    return Hierarchy(nodes, edges)
 
 
 def build_i_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
@@ -125,8 +115,7 @@ def union(*hierarchies: Hierarchy) -> Hierarchy:
     for h in hierarchies:
         nodes |= h.nodes
         edges |= h.edges
-    return Hierarchy(nodes, edges,
-                     orphan_count=sum(h.orphan_count for h in hierarchies))
+    return Hierarchy(nodes, edges)
 
 
 def bfs_with_pruning(h: Hierarchy,
@@ -139,8 +128,8 @@ def bfs_with_pruning(h: Hierarchy,
 
     The builders' hierarchies are acyclic by construction: every edge
     strictly raises (body length, deduction level). A-edges add one body
-    atom, orphan edges leave the body-less top rule and I-edges add one
-    constant. The `seen` set ends the traversal on any input regardless.
+    atom and I-edges add one constant. The `seen` set ends the traversal
+    on any input regardless.
     """
     kept: set[Rule] = set()
     seen: set[Rule] = set()
@@ -161,7 +150,7 @@ def bfs_with_pruning(h: Hierarchy,
 
 def write_dot(h: Hierarchy, path, namer: Callable[[Rule], str]) -> None:
     """DOT export: solid A-edges, dashed I-edges."""
-    styles = {A_EDGE: "solid", I_EDGE: "dashed", ORPHAN_EDGE: "dotted"}
+    styles = {A_EDGE: "solid", I_EDGE: "dashed"}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("digraph rules {\n")
         names = {n: f"r{i}" for i, n in

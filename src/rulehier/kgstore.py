@@ -74,8 +74,7 @@ class SplitConfig:
 class TripleStore:
     """Indexed, split-partitioned triple set.
 
-    After loading the store is treated as immutable and may be shared
-    across mining workers.
+    After loading the store is treated as immutable.
     """
 
     entities: Interner = field(default_factory=Interner)

@@ -64,7 +64,6 @@ class MinerConfig:
     seed: int = 0
     enable_prior_pruning: bool = True
     enable_post_pruning: bool = True
-    prior_prune_cars: bool = True
     overfit_instantiated_only: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,6 @@ class LearnResult:
     i_oars: int = 0
     u_oars: int = 0
     skipped_oars: int = 0
-    orphan_count: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
     truncated: bool = False
@@ -458,16 +456,10 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
 
     if cfg.enable_prior_pruning:
         phi_a = build_a_hierarchy(abstract)
-        result.orphan_count = phi_a.orphan_count
         if collect_hierarchy:
             collected.append(phi_a)
-
-        def visitor(rule: Rule) -> bool:
-            if not cfg.prior_prune_cars and kind_of(rule) == "CAR":
-                return True
-            return measure(rule).supp >= cfg.supp_h
-
-        survivors = bfs_with_pruning(phi_a, visitor)
+        survivors = prior_pruning(phi_a, cfg.supp_h,
+                                  lambda r: measure(r).supp)
     else:
         survivors = set(abstract)
 

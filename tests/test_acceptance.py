@@ -104,7 +104,7 @@ def test_criterion_3_properness():
         if closed is None:
             continue
         checked += 1
-        h = union(build_a_hierarchy(closed, attach_orphans=False),
+        h = union(build_a_hierarchy(closed),
                   build_i_hierarchy(closed))
         if not is_proper(h, sa_subsumes):
             failures += 1

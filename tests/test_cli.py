@@ -1,12 +1,12 @@
 import csv
-import os
 import random
+import re
 
 import pytest
 
 from rulehier import hierarchy
 from rulehier.cli import (RunConfig, config_echo, load_config, main,
-                          select_targets, _workers)
+                          select_targets)
 from rulehier.kgstore import TripleStore
 from rulehier.miner import MinerConfig
 
@@ -55,23 +55,44 @@ def test_load_config_sections_and_overrides(tmp_path):
     ds = tmp_path / "d"
     cfg_path = write_config(tmp_path, ds, tmp_path / "o",
                             extra="supp_h = 2\nenable_post_pruning = off\n")
-    cfg = load_config(cfg_path, ["eta=7.5", "workers=3", "target_mode=random"])
+    cfg = load_config(cfg_path, ["eta=7.5", "eval_cap=3", "target_mode=random"])
     assert cfg.dataset_dir == str(ds)
     assert cfg.miner.supp_f == 0
     assert cfg.miner.supp_h == 2
     assert cfg.miner.enable_post_pruning is False
     assert cfg.miner.eta == 7.5
-    assert cfg.workers == 3
+    assert cfg.eval_cap == 3
     assert cfg.target_mode == "random"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
-    cfg_path = write_config(tmp_path, ".", ".", extra="bogus = 1\n")
-    with pytest.raises(KeyError):
+    for old, new, name in (
+            ("seed = 0", "bogus = 1", "miner.bogus"),
+            ("mode = all", "modee = list", "targets.modee"),
+            ("[output]", "[evaluatr]\ncap = 3\n\n[output]", "evaluatr.cap"),
+            ("[output]", "[run]\nworkerz = 8\n\n[output]", "run.workerz")):
+        cfg_path = write_config(tmp_path, ".", ".")
+        cfg_path.write_text(cfg_path.read_text().replace(old, new, 1))
+        with pytest.raises(KeyError, match=re.escape(name)):
+            load_config(cfg_path)
+    cfg_path = write_config(tmp_path, ".", ".")
+    # --set takes the scalar run fields and the miner fields, not a section
+    for key in ("nope", "miner"):
+        with pytest.raises(KeyError, match=key):
+            load_config(cfg_path, [f"{key}=1"])
+
+
+def test_run_workers_accepts_only_one(tmp_path):
+    text = write_config(tmp_path, ".", ".").read_text()
+    cfg_path = tmp_path / "workers.ini"
+    cfg_path.write_text(text.replace("[miner]", "[run]\nworkers = 1\n\n[miner]"))
+    assert config_echo(load_config(cfg_path)) == config_echo(
+        load_config(write_config(tmp_path, ".", ".")))
+    cfg_path.write_text(text.replace("[miner]", "[run]\nworkers = 4\n\n[miner]"))
+    with pytest.raises(ValueError, match=r"run\.workers.*single-threaded"):
         load_config(cfg_path)
-    cfg_path2 = write_config(tmp_path, ".", ".")
-    with pytest.raises(KeyError):
-        load_config(cfg_path2, ["nope=1"])
+    with pytest.raises(KeyError, match="workers"):
+        load_config(write_config(tmp_path, ".", "."), ["workers=4"])
 
 
 @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
@@ -91,9 +112,9 @@ def test_load_config_accepts_configparser_boolean_words(tmp_path):
                        ("FALSE", False), ("Off", False)):
         cfg_path = write_config(tmp_path, ".", ".",
                                 extra=f"enable_post_pruning = {word}\n")
-        cfg = load_config(cfg_path, [f"prior_prune_cars={word}"])
+        cfg = load_config(cfg_path, [f"enable_prior_pruning={word}"])
         assert cfg.miner.enable_post_pruning is want
-        assert cfg.miner.prior_prune_cars is want
+        assert cfg.miner.enable_prior_pruning is want
 
 
 def test_set_target_list_splits_like_the_ini_key(tmp_path):
@@ -106,11 +127,21 @@ def test_set_target_list_splits_like_the_ini_key(tmp_path):
     assert load_config(cfg_path).target_list == ("r0", "r1")
 
 
-def test_config_echo_lists_every_miner_field():
-    echo = "\n".join(config_echo(RunConfig()))
+def test_config_echo_lists_every_miner_field(tmp_path):
+    echo = config_echo(RunConfig())
     from dataclasses import fields
     for f in fields(MinerConfig):
-        assert f"miner.{f.name} = " in echo
+        assert f"miner.{f.name} = " in "\n".join(echo)
+    # the echo names the keys load_config reads: it loads back unchanged
+    sections = {}
+    for line in echo:
+        key, _, value = line.partition(" = ")
+        section, _, name = key.partition(".")
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    ini = tmp_path / "echo.ini"
+    ini.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n"
+                           for s, lines in sections.items()))
+    assert config_echo(load_config(ini)) == echo
 
 
 def test_select_targets_modes():
@@ -130,15 +161,6 @@ def test_select_targets_modes():
     picked = select_targets(store, cfg)
     assert len(picked) == 2
     assert picked == select_targets(store, cfg)  # seeded
-
-
-def test_workers_env_cap(monkeypatch):
-    cfg = RunConfig()
-    cfg.workers = 8
-    monkeypatch.setenv("RULEHIER_THREADS", "2")
-    assert _workers(cfg) == 2
-    monkeypatch.delenv("RULEHIER_THREADS")
-    assert _workers(cfg) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +305,7 @@ def test_main_reports_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, tmp_path / "missing", tmp_path / "o")
     assert main(["learn", "--config", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+    # a config error is an error line, not a traceback
+    assert main(["learn", "--config", str(cfg), "--set", "miner=1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
-
-def test_learn_parallel_matches_serial(tmp_path):
-    ds = write_dataset(tmp_path, full_store())
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    cfg1 = write_config(tmp_path, ds, out1)
-    main(["learn", "--config", str(cfg1)])
-    cfg2 = write_config(tmp_path, ds, out2, extra="")
-    main(["learn", "--config", str(cfg2), "--set", "workers=4"])
-    files1 = sorted(out1.glob("rules_*.txt"))
-    files2 = sorted(out2.glob("rules_*.txt"))
-    assert [f.name for f in files1] == [f.name for f in files2]
-    for f1, f2 in zip(files1, files2):
-        assert f1.read_bytes() == f2.read_bytes()

@@ -1,9 +1,8 @@
 import random
 
-from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, ORPHAN_EDGE,
-                                SubsumptionEdge, bfs_with_pruning,
-                                build_a_hierarchy, build_i_hierarchy, union,
-                                write_dot)
+from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
+                                bfs_with_pruning, build_a_hierarchy,
+                                build_i_hierarchy, union, write_dot)
 from rulehier.kgstore import Interner
 from rulehier.rules import Rule, format_rule, parse_rule
 from rulehier.subsumption import sa_subsumes
@@ -28,18 +27,8 @@ def test_a_hierarchy_skips_transitive_pair():
     assert h.roots == [p7]
     assert h.children(p7) == [p8]
     assert h.parents(p4) == [p8]
-    assert h.orphan_count == 0
-
-
-def test_a_hierarchy_attaches_orphans_to_top():
-    _, p4, p7, _ = _family()
-    # p8 was never sampled: p4 has no gap-one parent left
-    h = build_a_hierarchy([p4, p7])
-    assert h.orphan_count == 1
-    assert h.edge_pairs() == {(p7, p4)}
-    assert {e.kind for e in h.edges} == {ORPHAN_EDGE}
-    assert h.roots == [p7]
-    assert edges_climb(h)
+    # without p8, p7 -> p4 is still no single addition step
+    assert build_a_hierarchy([p4, p7]).edges == set()
 
 
 def test_a_hierarchy_without_top_rule_leaves_orphans():
@@ -87,7 +76,7 @@ def test_is_proper_on_random_closed_sets():
         closed = generalization_closure(seeds, limit=50)
         if closed is None:
             continue
-        h = union(build_a_hierarchy(closed, attach_orphans=False),
+        h = union(build_a_hierarchy(closed),
                   build_i_hierarchy(closed))
         assert is_proper(h, sa_subsumes)
         assert edges_climb(h)

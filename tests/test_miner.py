@@ -11,7 +11,8 @@ from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             is_relevant, learn, overfit_keep, post_pruning,
                             prior_pruning, read_rules, specialization,
                             write_rules)
-from rulehier.rules import (constants, format_rule, kind_of, parse_rule)
+from rulehier.rules import (Atom, Rule, VAR_X, VAR_Y, constants, format_rule,
+                            kind_of, parse_rule)
 
 from helpers import R, edges_climb, random_kg, toy_store
 
@@ -177,6 +178,27 @@ def test_generalization_prefix_closed_and_deterministic():
         if rule.body:
             from rulehier.rules import Rule
             assert Rule(rule.head, rule.body[:-1]) in ruleset
+
+
+def test_sampled_rules_keep_their_parent_so_the_top_is_the_only_root():
+    # every walk prefix is generalized and straightness is monotone in
+    # length, so each rule's one-atom-shorter parent was sampled too
+    rng = random.Random(21)
+    graphs = [(random_kg(rng, n_entities=15, n_relations=3, n_train=60), 2),
+              (random_kg(rng, n_entities=15, n_relations=3, n_train=60), 3),
+              (hub_kg(rng), 3)]
+    for store, max_len in graphs:
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            rules = generalization(store, rt, cfg(max_len=max_len))
+            ruleset = set(rules)
+            assert len(rules) > 1
+            for rule in rules:
+                if rule.body:
+                    assert Rule(rule.head, rule.body[:-1]) in ruleset
+            top = Rule(Atom(rt, VAR_X, VAR_Y))
+            assert build_a_hierarchy(rules).roots == [top]
 
 
 def test_generalization_never_walks_originating_triple():
@@ -455,6 +477,20 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     assert len(built) == relevant
     assert 0 < relevant < candidates
     assert res.i_oars > 0
+
+
+def test_learn_prunes_through_prior_pruning(monkeypatch):
+    calls = []
+    prune = miner_mod.prior_pruning
+    monkeypatch.setattr(miner_mod, "prior_pruning",
+                        lambda *a: calls.append(a) or prune(*a))
+    store = toy_store()
+    rt = store.relations.get("Advises")
+    assert learn(store, rt, cfg(supp_h=2)).p_oars == 2
+    assert len(calls) == 1
+    calls.clear()
+    learn(store, rt, cfg(supp_h=2, enable_prior_pruning=False))
+    assert calls == []
 
 
 def test_learn_records_generalization_time():
