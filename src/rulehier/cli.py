@@ -15,7 +15,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import hierarchy as hmod
@@ -43,6 +43,10 @@ class RunConfig:
     def __post_init__(self):
         if self.miner is None:
             self.miner = MinerConfig()
+        for name in ("target_k", "eval_cap"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 # (section, key) -> RunConfig field (MinerConfig field in [miner]), in
@@ -103,7 +107,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         if key not in _OVERRIDES:
             raise KeyError(f"unknown override {key!r}")
         _set(_owner(cfg, _OVERRIDES[key]), key, key, value)
-    return cfg
+    # values were set field by field: check the ranges again
+    return replace(cfg, miner=replace(cfg.miner))
 
 
 def config_echo(cfg: RunConfig) -> list[str]:
@@ -295,8 +300,8 @@ def cmd_bench(args) -> int:
         writer.writerow(["supp_h", "post_prune", "runtime_s", "mrr",
                          "n_rules", "p_oars", "i_oars", "u_oars"])
         for supp_h in thresholds:
-            cfg.miner.supp_h = supp_h
-            cfg.miner.enable_post_pruning = post
+            cfg.miner = replace(cfg.miner, supp_h=supp_h,
+                                enable_post_pruning=post)
             t0 = time.monotonic()
             results = _learn_all(store, cfg, targets)
             runtime = time.monotonic() - t0

@@ -126,15 +126,15 @@ class KgcSummary:
 
 
 def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
-                 rels: set[int] | None = None, cap: int = 0,
-                 top_n: int = 10) -> KgcSummary:
-    """Answer all head and tail test queries and aggregate metrics.
+                 cap: int = 0) -> KgcSummary:
+    """Answer the head and tail test queries of every relation in
+    rules_by_rel and aggregate metrics; each record keeps the query's top
+    10 candidates.
 
     Rule application time covers suggestion, filtering and ranking over
     the full query set.
     """
-    if rels is None:
-        rels = set(rules_by_rel)
+    rels = set(rules_by_rel)
     queries = queries_for(store, rels)
     # pre-index known truths per (rel, known, slot)
     truths: dict[tuple[int, int, str], set[int]] = {}
@@ -155,7 +155,7 @@ def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
         ranking = rank(vectors, known)
         r = ranking.rank_of(q.answer)
         ranks.append(r)
-        top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:top_n]]
+        top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
         records.append((q, r, top))
     rat = time.monotonic() - t0
     return KgcSummary(mrr=mrr(ranks),

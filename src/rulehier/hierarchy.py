@@ -8,7 +8,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .rules import Rule, body_length, kind_of
+from .rules import Rule
 from .subsumption import a_subsumes, i_subsumes
 
 A_EDGE = "A"
@@ -52,60 +52,48 @@ class Hierarchy:
         return {(e.parent, e.child) for e in self.edges}
 
 
-def build_a_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
-    """All single atom-addition edges over a set of abstract rules.
+def _build(rules: Iterable[Rule], kind: str) -> Hierarchy:
+    """Single-step edges of one kind, decided only between rules that have
+    the parent's shape: the predicates and the constants (None for a
+    variable) by position, head first.
 
-    Rules are bucketed by body length so only adjacent buckets are
-    compared; the length-gap-1 restriction makes the result proper by
-    construction. A rule whose one-atom-shorter generalization is not in
-    the set is a root; `generalization` samples every walk prefix, so on
-    its output the top rule is the only root.
+    SA-subsumption matches atoms by position and constants exactly, and
+    object identity keeps a variable off the subsumer's constants. So an
+    A-parent's shape is the child's minus the last atom, and an I-parent's
+    the child's with one constant lifted to None wherever it occurs.
     """
-    buckets: dict[int, list[Rule]] = defaultdict(list)
     nodes = set(rules)
+    by_shape: dict[tuple, list[Rule]] = defaultdict(list)
     for r in nodes:
-        buckets[body_length(r)].append(r)
+        by_shape[tuple(a.pred for a in r.atoms),
+                 tuple(None if t.is_var else t.idx
+                       for a in r.atoms for t in a.terms)].append(r)
+    decides = a_subsumes if kind == A_EDGE else i_subsumes
     edges = set()
-    for length, parents in buckets.items():
-        for p in parents:
-            for q in buckets.get(length + 1, []):
-                if a_subsumes(p, q):
-                    edges.add(SubsumptionEdge(p, q, A_EDGE))
+    for (preds, terms), children in by_shape.items():
+        keys = ([(preds[:-1], terms[:-2])] if kind == A_EDGE
+                else [(preds, tuple(None if t == c else t for t in terms))
+                      for c in set(terms) - {None}])
+        # several rules of one shape (alpha-variants) are all tested
+        parents = [p for key in keys for p in by_shape.get(key, ())]
+        edges.update(SubsumptionEdge(p, q, kind) for q in children
+                     for p in parents if decides(p, q))
     return Hierarchy(nodes, edges)
+
+
+def build_a_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
+    """All single atom-addition edges over a set of rules.
+
+    A rule whose one-atom-shorter generalization is not in the set is a
+    root; `generalization` samples every walk prefix, so on its output the
+    top rule is the only root.
+    """
+    return _build(rules, A_EDGE)
 
 
 def build_i_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
-    """Single variable-instantiation edges within one specialization set.
-
-    BARs are grouped on their head constant so only the HAR sharing that
-    constant is tested against them.
-    """
-    nodes = set(rules)
-    hars: dict[int, list[Rule]] = defaultdict(list)
-    bars: dict[int, list[Rule]] = defaultdict(list)
-    others: list[Rule] = []
-    for r in nodes:
-        k = kind_of(r)
-        if k == "HAR":
-            hars[r.head.obj.idx].append(r)
-        elif k == "BAR":
-            bars[r.head.obj.idx].append(r)
-        else:
-            others.append(r)
-    edges = set()
-    for head_const, har_list in hars.items():
-        for h in har_list:
-            for b in bars.get(head_const, []):
-                if i_subsumes(h, b):
-                    edges.add(SubsumptionEdge(h, b, I_EDGE))
-    # generic rules (test corpora) fall back to pairwise checks
-    if others:
-        all_rules = sorted(nodes, key=Rule.sort_key)
-        for p in all_rules:
-            for q in all_rules:
-                if p is not q and i_subsumes(p, q):
-                    edges.add(SubsumptionEdge(p, q, I_EDGE))
-    return Hierarchy(nodes, edges)
+    """All single variable-instantiation edges over a set of rules."""
+    return _build(rules, I_EDGE)
 
 
 def union(*hierarchies: Hierarchy) -> Hierarchy:

@@ -64,6 +64,9 @@ class SplitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise ValueError(f"expected three split ratios, "
+                             f"got {len(self.ratios)}")
         if any(r < 0 for r in self.ratios):
             raise ValueError("split ratios must be non-negative")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -180,12 +183,9 @@ class TripleStore:
             return set(self.by_relation.get(rel, ()))
         return {(s, o) for r, s, o in self.splits[split] if r == rel}
 
-    def neighbors(self, entity: int, direction: str = "both"):
-        """Incident train edges as (relation, other-entity, direction)."""
-        edges = self.by_entity.get(entity, [])
-        if direction == "both":
-            return list(edges)
-        return [e for e in edges if e[2] == direction]
+    def neighbors(self, entity: int):
+        """Incident train edges (relation, other, direction), not a copy."""
+        return self.by_entity.get(entity, ())
 
     def objects(self, rel: int, subj: int) -> list[int]:
         return self.fwd_index.get((rel, subj), [])

@@ -14,7 +14,7 @@ import logging
 import random
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
@@ -67,11 +67,13 @@ class MinerConfig:
     overfit_instantiated_only: bool = False
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        for name in ("supp_f", "hc_f", "sc_f", "supp_h"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                continue
+            low = 1 if f.name in ("max_len", "walks_per_instance") else 0
+            if not value >= low:   # also rejects NaN
+                raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
 
 
 @dataclass

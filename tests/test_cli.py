@@ -95,6 +95,28 @@ def test_run_workers_accepts_only_one(tmp_path):
         load_config(write_config(tmp_path, ".", "."), ["workers=4"])
 
 
+def test_load_config_range_checks_values(tmp_path):
+    # an INI value and a --set override are checked after they are applied
+    cfg_path = write_config(tmp_path, ".", ".")
+    cfg_path.write_text(cfg_path.read_text().replace("max_len = 2",
+                                                     "max_len = 0"))
+    with pytest.raises(ValueError, match="max_len"):
+        load_config(cfg_path)
+    cfg_path = write_config(tmp_path, ".", ".")
+    for item, name in (("eta=-1", "eta"), ("walks_per_instance=0",
+                                            "walks_per_instance"),
+                       ("grounding_cap=-1", "grounding_cap"),
+                       ("max_specs_per_oar=-1", "max_specs_per_oar"),
+                       ("eval_cap=-1", "eval_cap"),
+                       ("target_k=-1", "target_k")):
+        with pytest.raises(ValueError, match=name):
+            load_config(cfg_path, [item])
+    for name in ("eval_cap", "target_k"):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: -1})
+    assert load_config(cfg_path, ["eval_cap=0", "eta=0"]).miner.eta == 0
+
+
 @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
 def test_load_config_rejects_non_boolean_words(tmp_path, word):
     cfg_path = write_config(tmp_path, ".", ".",
@@ -189,6 +211,17 @@ def test_split_command_no_files(tmp_path, capsys):
     empty.mkdir()
     assert main(["split", str(empty), str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_split_command_rejects_wrong_ratio_count(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "all.txt").write_text("".join(f"a{i}\tr\tb{i}\n" for i in range(9)))
+    for ratios in ("0.5,0.5", "0.5,0.25,0.25,0"):
+        out = tmp_path / ratios
+        assert main(["split", str(src), str(out), "--ratios", ratios]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_learn_and_eval_commands(tmp_path, capsys):
@@ -308,4 +341,12 @@ def test_main_reports_errors(tmp_path, capsys):
     # a config error is an error line, not a traceback
     assert main(["learn", "--config", str(cfg), "--set", "miner=1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # so is an out-of-range value, before any mining starts
+    cfg = write_config(tmp_path, write_dataset(tmp_path, full_store()),
+                       tmp_path / "o")
+    for item in ("eta=-1", "max_len=0", "eval_cap=-1"):
+        assert main(["learn", "--config", str(cfg), "--set", item]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["bench", "--config", str(cfg), "--thresholds", "0,-1"]) == 1
+    assert "supp_h" in capsys.readouterr().err
 

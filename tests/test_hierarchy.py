@@ -1,14 +1,17 @@
 import random
 
+from rulehier import hierarchy
 from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union, write_dot)
 from rulehier.kgstore import Interner
-from rulehier.rules import Rule, format_rule, parse_rule
-from rulehier.subsumption import sa_subsumes
+from rulehier.miner import (MinerConfig, generalization, is_relevant,
+                            specialization)
+from rulehier.rules import Rule, format_rule, kind_of, parse_rule
+from rulehier.subsumption import a_subsumes, i_subsumes, sa_subsumes
 
 from helpers import (R, edges_climb, generalization_closure, is_proper,
-                     random_rule, toy_store)
+                     random_kg, random_rule, toy_store)
 
 
 def _family():
@@ -80,6 +83,95 @@ def test_is_proper_on_random_closed_sets():
                   build_i_hierarchy(closed))
         assert is_proper(h, sa_subsumes)
         assert edges_climb(h)
+
+
+# ---------------------------------------------------------------------------
+# the builders decide exactly the single-step relations
+
+def _rule_sets():
+    """Closed sets, non-closed random sets, and mined abstract rules and
+    relevant specialization sets."""
+    rng = random.Random(3)
+    for _ in range(40):
+        seeds = [random_rule(rng, max_len=3) for _ in range(3)]
+        closed = generalization_closure(seeds, limit=60)
+        if closed is not None:
+            yield closed
+    for _ in range(20):
+        yield {random_rule(rng, max_len=3) for _ in range(40)}
+    cfg = MinerConfig(max_len=3, supp_f=1, hc_f=0.0, sc_f=0.0,
+                      overfit_threshold=0.0, walks_per_instance=4)
+    for _ in range(2):
+        store = random_kg(rng, n_entities=12, n_relations=3, n_train=50,
+                          n_valid=20)
+        for rt in range(3):
+            rt_pairs = store.instances_of(rt)
+            if not rt_pairs:
+                continue
+            abstract = generalization(store, rt, cfg)
+            yield abstract
+            for oar in abstract:
+                if oar.body and kind_of(oar) == "OAR":
+                    specs, _ = specialization(
+                        oar, store, rt_pairs, store.instances_of(rt, "valid"),
+                        sorted(rt_pairs), cfg,
+                        keep=lambda m: is_relevant(m, cfg))
+                    yield [r for r, _ in specs]
+
+
+def test_builders_equal_the_deciders_and_test_only_the_parents_shape(
+        monkeypatch):
+    def shape(rule):
+        return [(a.pred, *(None if t.is_var else t.idx for t in a.terms))
+                for a in rule.atoms]
+
+    def lifted(q, c):
+        return [tuple(None if x == c and i else x for i, x in enumerate(a))
+                for a in q]
+
+    def spy(decider, fits):
+        def check(p, q):
+            assert fits(shape(p), shape(q)), (p, q)
+            calls[decider] += 1
+            return decider(p, q)
+        return check
+
+    calls = {a_subsumes: 0, i_subsumes: 0}
+    # an A-parent has the child's predicates and constant positions minus
+    # the last atom; an I-parent has them with one constant lifted
+    monkeypatch.setattr(hierarchy, "a_subsumes", spy(
+        a_subsumes, lambda p, q: p == q[:-1]))
+    monkeypatch.setattr(hierarchy, "i_subsumes", spy(
+        i_subsumes, lambda p, q: any(p == lifted(q, c) for _, *ts in q
+                                     for c in ts if c is not None)))
+    n_sets = n_edges = n_pairs = 0
+    for rules in _rule_sets():
+        rules = set(rules)
+        for build, decider in ((build_a_hierarchy, a_subsumes),
+                               (build_i_hierarchy, i_subsumes)):
+            want = {(p, q) for p in rules for q in rules if decider(p, q)}
+            assert build(rules).edge_pairs() == want
+            n_edges += len(want)
+        n_sets += 1
+        n_pairs += 2 * len(rules) ** 2
+    assert n_sets > 50 and n_edges > 1000
+    assert 0 < calls[a_subsumes] and 0 < calls[i_subsumes]
+    assert calls[a_subsumes] + calls[i_subsumes] < n_pairs / 20
+
+
+def test_builders_find_every_parent_of_one_shape():
+    # alpha-variants: the fresh head variable V0 takes X's place
+    ents, rels = Interner(), Interner()
+    child = parse_rule("rt(X,Y) <- b(X,V0), c(V0,V1)", ents, rels)
+    a_parents = {parse_rule("rt(V0,Y) <- b(V0,V1)", ents, rels),
+                 parse_rule("rt(X,Y) <- b(X,V0)", ents, rels)}
+    assert build_a_hierarchy(a_parents | {child}).edge_pairs() == \
+        {(p, child) for p in a_parents}
+    bar = parse_rule("rt(X,e) <- b(X,V0)", ents, rels)
+    i_parents = {parse_rule("rt(X,V1) <- b(X,V0)", ents, rels),
+                 parse_rule("rt(X,Y) <- b(X,V0)", ents, rels)}
+    assert build_i_hierarchy(i_parents | {bar}).edge_pairs() == \
+        {(p, bar) for p in i_parents}
 
 
 # ---------------------------------------------------------------------------

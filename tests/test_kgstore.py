@@ -39,7 +39,8 @@ def test_load_triples_and_indices(tmp_path):
             {(h, t) for q, h, t in store.splits["train"] if q == rel}
     assert (r, b, "out") in store.neighbors(a)
     assert (r, a, "in") in store.neighbors(b)
-    assert store.neighbors(a, "out") == [(r, b, "out"), (s, c, "out")]
+    assert [e for e in store.neighbors(a) if e[2] == "out"] == \
+        [(r, b, "out"), (s, c, "out")]
 
 
 def test_load_triples_rejects_malformed_line(tmp_path):
@@ -91,6 +92,10 @@ def test_split_config_validation():
         SplitConfig(ratios=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         SplitConfig(ratios=(-0.2, 0.6, 0.6))
+    # exactly one ratio per split
+    for ratios in ((0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (1.0,)):
+        with pytest.raises(ValueError, match="three"):
+            SplitConfig(ratios=ratios)
     SplitConfig(ratios=(0.6, 0.2, 0.2))
 
 

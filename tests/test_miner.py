@@ -227,6 +227,20 @@ def test_relevance_thresholds_are_strict():
     assert is_relevant(Measures(supp=4, hc=0.51, sc=0.11), config)
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("max_len", 0), ("walks_per_instance", 0), ("supp_f", -1),
+    ("hc_f", -0.5), ("sc_f", -0.5), ("supp_h", -1), ("eta", -1.0),
+    ("eta", float("nan")), ("overfit_threshold", -0.1),
+    ("gen_time_budget", -1.0), ("spec_time_budget", -1.0),
+    ("grounding_cap", -1), ("max_specs_per_oar", -1), ("seed", -1)])
+def test_miner_config_rejects_out_of_range_values(name, bad):
+    with pytest.raises(ValueError, match=name):
+        MinerConfig(**{name: bad})
+    # the bound itself is accepted
+    MinerConfig(**{name: 1 if name in ("max_len", "walks_per_instance")
+                   else 0})
+
+
 def test_overfit_filter():
     keep = MinerConfig(overfit_threshold=0.2)
     assert overfit_keep(Measures(supp=10, valid_supp=2), keep)
