@@ -242,6 +242,10 @@ def cmd_eval(args) -> int:
     if not any(rules_by_rel.values()):
         print("warning: empty rule set, MRR will be 0", file=sys.stderr)
     summary = evaluate_kgc(store, rules_by_rel, cap=cfg.eval_cap)
+    log.debug("rule application: %s", summary.stats)
+    if summary.stats["capped_bodies"]:
+        print(f"warning: eval cap reached in {summary.stats['capped_bodies']} "
+              "rule bodies; their rules' answers are partial", file=sys.stderr)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "predictions.txt", "w", encoding="utf-8") as fh:

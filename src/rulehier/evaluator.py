@@ -5,11 +5,12 @@ aggregation ranking with recursive tie-breaking, filtered MRR and Hits@k.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .kgstore import TripleStore
 from .miner import CapExceeded, Measures, ground_body
-from .rules import Rule, VAR_X, VAR_Y
+from .rules import Rule, Term, constants
 
 
 @dataclass(frozen=True)
@@ -47,45 +48,96 @@ def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]
     return out
 
 
-def _apply_rule(rule: Rule, query: Query, store: TripleStore,
-                cap: int = 0) -> set[int]:
-    """Entities the rule suggests for the query's open slot.
-
-    Grounding uses the train split only: facts known at inference time.
+def _answers(rule: Rule, pos: dict[Term, int],
+             groundings: list[tuple[int, ...]], body_consts: set[int],
+             wanted: dict[tuple[int, str], set[int]]) -> dict[tuple, set[int]]:
+    """The entities `rule` suggests per wanted (rel, slot, known), from its
+    body's groundings (entity tuples, variable v at pos[v]). A head-only
+    constant drops the groundings that use it; a known term the body binds
+    selects those binding it to the known entity; an unbound known variable
+    keeps open value o iff the known entity is no rule constant and lies
+    outside the entities all of o's groundings use.
     """
-    known_term, open_term = (rule.head.subj, rule.head.obj) \
-        if query.slot == "head" else (rule.head.obj, rule.head.subj)
-    if known_term.is_var:
-        initial = {known_term: query.known}
-    else:
-        if known_term.idx != query.known:
-            return set()
-        initial = {}
-    candidates: set[int] = set()
-    try:
-        for binding in ground_body(rule, store, cap, initial=initial):
-            if open_term.is_var:
-                cand = binding.get(open_term)
-                if cand is None:
-                    continue  # open head variable unbound by the body
-                candidates.add(cand)
-            else:
-                candidates.add(open_term.idx)
-    except CapExceeded:
-        pass
-    return candidates
+    rel = rule.head.pred
+    head_only = constants(rule) - body_consts
+    if head_only:
+        groundings = [g for g in groundings if head_only.isdisjoint(g)]
+
+    def column(term: Term) -> list[int] | None:
+        if not term.is_var:
+            return [term.idx] * len(groundings)
+        j = pos.get(term)   # None: the body leaves the term open
+        return None if j is None else [g[j] for g in groundings]
+
+    out: dict[tuple, set[int]] = {}
+    hs, ho = rule.head.subj, rule.head.obj
+    for slot, known, open_term in (("head", hs, ho), ("tail", ho, hs)):
+        ks = wanted.get((rel, slot))
+        values, knowns = column(open_term), column(known)
+        if not ks or (values is None and open_term != known):
+            continue
+        if knowns is not None:
+            for k, o in zip(knowns, values):
+                if k in ks:
+                    out.setdefault((rel, slot, k), set()).add(o)
+            continue
+        common: dict[int | None, set[int]] = {}
+        for g, o in zip(groundings, values or [None] * len(groundings)):
+            common[o] = common[o].intersection(g) if o in common else set(g)
+        for k in ks - head_only - body_consts:
+            # o None: the open term is the known variable itself
+            cands = {k if o is None else o
+                     for o, ents in common.items() if k not in ents}
+            if cands:
+                out[(rel, slot, k)] = cands
+    return out
+
+
+def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
+                 store: TripleStore, cap: int
+                 ) -> tuple[dict[tuple, dict[int, list[float]]], dict]:
+    """Candidate entity -> sc vector per query key, and pass counts. Each
+    body of a queried relation's rules is grounded once; a capped pass
+    keeps the groundings found before the cap. A rule answers the queries
+    of its head relation.
+    """
+    wanted: dict[tuple[int, str], set[int]] = defaultdict(set)
+    for q in queries:
+        wanted[(q.rel, q.slot)].add(q.known)
+    rels = {rel for rel, _ in wanted}
+    by_body: dict[tuple, list[tuple[Rule, Measures]]] = defaultdict(list)
+    for rule, m in rules:
+        if rule.head.pred in rels:
+            by_body[rule.body].append((rule, m))
+    stats = {"bodies_grounded": len(by_body), "groundings": 0,
+             "capped_bodies": 0}
+    vectors: dict[tuple, dict[int, list[float]]] = defaultdict(dict)
+    for body, group in by_body.items():
+        terms = [t for a in body for t in a.terms]
+        pos = {v: i for i, v in enumerate(dict.fromkeys(
+            t for t in terms if t.is_var))}
+        body_consts = {t.idx for t in terms if not t.is_var}
+        groundings = []
+        try:
+            for b in ground_body(group[0][0], store, cap, exclude=body_consts):
+                groundings.append(tuple(b[v] for v in pos))
+        except CapExceeded:
+            stats["capped_bodies"] += 1
+        stats["groundings"] += len(groundings)
+        for rule, m in group:
+            for key, cands in _answers(rule, pos, groundings, body_consts,
+                                       wanted).items():
+                vec = vectors[key]
+                for cand in cands:
+                    vec.setdefault(cand, []).append(m.sc)
+    return vectors, stats
 
 
 def suggest(query: Query, rules: list[tuple[Rule, Measures]],
             store: TripleStore, cap: int = 0) -> dict[int, list[float]]:
     """Candidate entity -> vector of sc values of the suggesting rules."""
-    vectors: dict[int, list[float]] = {}
-    for rule, m in rules:
-        if rule.head.pred != query.rel:
-            continue
-        for cand in _apply_rule(rule, query, store, cap):
-            vectors.setdefault(cand, []).append(m.sc)
-    return vectors
+    key = (query.rel, query.slot, query.known)
+    return _suggest_all([query], rules, store, cap)[0].get(key, {})
 
 
 def rank(candidates: dict[int, list[float]],
@@ -123,6 +175,7 @@ class KgcSummary:
     hits: dict[int, float]
     rule_application_seconds: float
     records: list[tuple[Query, int | None, list[tuple[int, float]]]]
+    stats: dict[str, int]   # queries, bodies_grounded, groundings, capped_bodies
 
 
 def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
@@ -131,8 +184,11 @@ def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
     rules_by_rel and aggregate metrics; each record keeps the query's top
     10 candidates.
 
-    Rule application time covers suggestion, filtering and ranking over
-    the full query set.
+    Each distinct rule body is grounded once over the train split and
+    answers derive from those groundings. `cap` (0 = exact) bounds the
+    candidate extensions one body's pass examines; stats["capped_bodies"]
+    counts the capped passes. Rule application time covers grounding,
+    filtering and ranking over the full query set.
     """
     rels = set(rules_by_rel)
     queries = queries_for(store, rels)
@@ -148,11 +204,12 @@ def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
     ranks: list[int | None] = []
     records = []
     t0 = time.monotonic()
+    vectors, counts = _suggest_all(queries, [
+        rm for rms in rules_by_rel.values() for rm in rms], store, cap)
     for q in queries:
-        vectors = suggest(q, rules_by_rel.get(q.rel, []), store, cap)
         known = set(truths.get((q.rel, q.known, q.slot), set()))
         known.discard(q.answer)
-        ranking = rank(vectors, known)
+        ranking = rank(vectors.get((q.rel, q.slot, q.known), {}), known)
         r = ranking.rank_of(q.answer)
         ranks.append(r)
         top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
@@ -161,4 +218,5 @@ def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
     return KgcSummary(mrr=mrr(ranks),
                       hits={k: hits_at(k, ranks) for k in (1, 3, 10)},
                       rule_application_seconds=rat,
-                      records=records)
+                      records=records,
+                      stats={"queries": len(queries), **counts})

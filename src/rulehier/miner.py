@@ -94,18 +94,16 @@ class LearnResult:
 # grounding
 
 def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
-                initial: dict | None = None):
+                exclude: set[int] | None = None):
     """Yield object-identity body groundings as var-Term -> entity dicts.
 
-    Distinct variables bind distinct entities, all distinct from the
-    rule's constants. Raises CapExceeded when `cap` candidate extensions
-    have been examined (cap 0 = unlimited).
+    Distinct variables bind distinct entities, all outside `exclude` (the
+    rule's constants when None). Raises CapExceeded when `cap` candidate
+    extensions have been examined (cap 0 = unlimited).
     """
-    consts = constants(rule)
-    binding: dict = dict(initial or {})
-    if any(v in consts for v in binding.values()):
-        return
-    used = set(binding.values())
+    consts = constants(rule) if exclude is None else exclude
+    binding: dict = {}
+    used: set[int] = set()
     steps = 0
 
     def admissible(e: int) -> bool:

@@ -5,7 +5,9 @@ small vocabulary (5 predicates, 6 constants, body length 0-4), matching the
 corpus the property suites run on. The random-KG generator produces small
 dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
-builders' hierarchies acyclic.
+builders' hierarchies acyclic. The rule-application oracle grounds a rule
+body once per (query, rule) pair, with the query's known entity bound,
+by scanning every train fact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 
 import networkx as nx
 
+from rulehier.evaluator import Query, queries_for, rank
 from rulehier.hierarchy import Hierarchy
 from rulehier.kgstore import TripleStore
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, body_length, const,
@@ -236,3 +239,85 @@ def random_kg(rng: random.Random, n_entities: int = 20, n_relations: int = 4,
     fill("valid", n_valid)
     fill("test", n_test)
     return store
+
+
+# ---------------------------------------------------------------------------
+# per-query rule application oracle
+
+def _bind(binding: dict, term: Term, e: int, consts: set[int]) -> bool:
+    if not term.is_var:
+        return term.idx == e
+    if term in binding:
+        return binding[term] == e
+    if e in consts or e in binding.values():
+        return False
+    binding[term] = e
+    return True
+
+
+def reference_groundings(rule: Rule, store: TripleStore, binding: dict):
+    """Object-identity groundings of the body that extend `binding`: every
+    variable binds a distinct entity outside the rule's constants."""
+    consts = constants(rule)
+    if set(binding.values()) & consts:
+        return
+
+    def rec(i: int, binding: dict):
+        if i == len(rule.body):
+            yield binding
+            return
+        atom = rule.body[i]
+        for s, o in store.by_relation.get(atom.pred, []):
+            new = dict(binding)
+            if _bind(new, atom.subj, s, consts) and \
+                    _bind(new, atom.obj, o, consts):
+                yield from rec(i + 1, new)
+
+    yield from rec(0, dict(binding))
+
+
+def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore) -> set[int]:
+    """Entities the rule suggests for the query's open slot, grounding the
+    body with the known head term bound to the query's known entity."""
+    known, open_term = (rule.head.subj, rule.head.obj) \
+        if query.slot == "head" else (rule.head.obj, rule.head.subj)
+    if known.is_var:
+        initial = {known: query.known}
+    elif known.idx != query.known:
+        return set()
+    else:
+        initial = {}
+    out = set()
+    for b in reference_groundings(rule, store, initial):
+        if not open_term.is_var:
+            out.add(open_term.idx)
+        elif open_term in b:
+            out.add(b[open_term])   # an open term the body leaves free: none
+    return out
+
+
+def suggest_oracle(query: Query, rules, store: TripleStore):
+    vectors: dict[int, list[float]] = {}
+    for rule, m in rules:
+        if rule.head.pred != query.rel:
+            continue
+        for cand in apply_rule_oracle(rule, query, store):
+            vectors.setdefault(cand, []).append(m.sc)
+    return vectors
+
+
+def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
+    """evaluate_kgc's records (uncapped), one query and one rule at a time."""
+    truths: dict[tuple[int, int, str], set[int]] = {}
+    for split in ("train", "valid", "test"):
+        for rel, subj, obj in store.splits[split]:
+            truths.setdefault((rel, subj, "head"), set()).add(obj)
+            truths.setdefault((rel, obj, "tail"), set()).add(subj)
+    records = []
+    for q in queries_for(store, set(rules_by_rel)):
+        vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store)
+        known = truths.get((q.rel, q.known, q.slot), set()) - {q.answer}
+        ranking = rank(vectors, known)
+        top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
+        records.append((q, ranking.rank_of(q.answer), top))
+    return records

@@ -1,4 +1,5 @@
 import csv
+import logging
 import random
 import re
 
@@ -243,6 +244,29 @@ def test_learn_and_eval_commands(tmp_path, capsys):
     assert "rat_seconds = " in summary
     assert (out / "predictions.txt").exists()
     assert "MRR" in capsys.readouterr().out
+
+
+def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
+                                                      caplog):
+    caplog.set_level(logging.DEBUG, logger="rulehier.cli")
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["-v", "eval", "--config", str(cfg)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    exact = (out / "summary.txt").read_text()
+    assert "capped_bodies': 0" in caplog.text
+    assert "bodies_grounded" in caplog.text
+    assert main(["eval", "--config", str(cfg), "--set", "eval_cap=1"]) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"^warning: eval cap reached in [1-9]\d* rule bodies",
+                     err, re.M)
+    capped = (out / "summary.txt").read_text()
+    # the summary format is unchanged: same keys, no counters
+    assert [line.split(" = ")[0] for line in capped.splitlines()] == \
+        [line.split(" = ")[0] for line in exact.splitlines()]
 
 
 def test_learn_emit_hierarchy(tmp_path, monkeypatch):

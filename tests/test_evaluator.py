@@ -1,11 +1,16 @@
+import random
+import time
+
 import pytest
 
+from rulehier import evaluator
 from rulehier.evaluator import (Query, evaluate_kgc, hits_at, mrr, queries_for,
                                 rank, suggest)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import Measures
+from rulehier.miner import Measures, MinerConfig, learn
 
-from helpers import R, toy_store
+from helpers import (R, evaluate_kgc_oracle, random_kg, suggest_oracle,
+                     toy_store)
 
 
 def triangle_with_test():
@@ -149,3 +154,132 @@ def test_evaluate_kgc_unsuggested_answer_contributes_zero():
     summary = evaluate_kgc(store, {rt: []})
     assert summary.mrr == 0.0
     assert all(r is None for _, r, _ in summary.records)
+
+
+# ---------------------------------------------------------------------------
+# shared body grounding against the per-query oracle
+
+# every rule kind, top rules and a repeated head variable, over the
+# entity and relation names random_kg interns
+ORACLE_RULES = [
+    "r0(X,Y) <- r1(X,V0), r2(V0,Y)",      # CAR
+    "r0(X,Y) <- r1(Y,X)",                 # CAR, one atom
+    "r0(X,Y) <- r1(X,V0)",                # OAR
+    "r1(X,Y) <- r1(X,V0)",                # OAR, same body, other relation
+    "r1(X,Y) <- r0(X,V0), r2(V0,V1)",     # OAR, two atoms
+    "r0(X,e1) <- r1(X,V0)",               # HAR on the OARs' body
+    "r0(X,e2) <- r1(X,V0)",               # HAR
+    "r2(X,e3) <- r0(X,V0), r1(V0,e4)",    # BAR
+    "r2(X,e5) <- r0(X,e5)",               # head constant also in the body
+    "r2(X,e5) <- r1(X,V0), r0(V0,e5)",    # the same, two atoms
+    "r1(e6,Y) <- r0(Y,V0)",               # INSR, constant head subject
+    "r0(X,Y) <- r2(Y,V0)",                # OPEN
+    "r2(X,Y) <- r0(Y,V0), r1(V0,V1)",     # OPEN, two atoms
+    "r0(X,Y) <-",                         # top rule
+    "r1(X,e7) <-",                        # top rule with a head constant
+    "r1(e8,e9) <-",                       # ground head, empty body
+    "r2(X,X) <- r0(X,V0)",                # repeated head variable
+    "r2(X,X) <-",
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_kgc_equals_the_per_query_oracle(seed):
+    rng = random.Random(seed)
+    store = random_kg(rng, n_entities=12, n_relations=3, n_train=60,
+                      n_valid=8 if seed % 2 else 0, n_test=12)
+    rules_by_rel: dict[int, list] = {}
+    for text in ORACLE_RULES:
+        rule = R(text, store)
+        m = Measures(sc=rng.choice((0.1, 0.2, 0.3)))
+        rules_by_rel.setdefault(rule.head.pred, []).append((rule, m))
+    cfg = MinerConfig(max_len=2, walks_per_instance=3, supp_f=1, seed=seed)
+    for rt in range(3):
+        if store.instances_of(rt):
+            rules_by_rel[rt] += learn(store, rt, cfg).rules
+    summary = evaluate_kgc(store, rules_by_rel)
+    oracle = evaluate_kgc_oracle(store, rules_by_rel)
+    assert len(summary.records) == len(oracle) == 24
+    for got, want in zip(summary.records, oracle):
+        assert got == want
+    assert any(r for _, r, _ in oracle)
+    rules = [rm for rms in rules_by_rel.values() for rm in rms]
+    for q in queries_for(store):
+        got = {e: sorted(v) for e, v in suggest(q, rules, store).items()}
+        assert got == {e: sorted(v) for e, v in
+                       suggest_oracle(q, rules, store).items()}
+
+
+def test_relations_without_test_triples_are_never_grounded(monkeypatch):
+    store, (rt, r0), _ = triangle_with_test()
+    grounded = []
+    ground_body = evaluator.ground_body
+
+    def spy(rule, *args, **kwargs):
+        grounded.append(rule.body)
+        return ground_body(rule, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "ground_body", spy)
+    queried = R("rt(X,Y) <- r0(X,V0), r0(Y,V0)", store)
+    rules_by_rel = {
+        rt: [(queried, Measures(sc=0.5)),
+             (R("rt(X,d) <- r0(X,V0), r0(Y,V0)", store), Measures(sc=0.2))],
+        r0: [(R("r0(X,Y) <- r0(Y,V0)", store), Measures(sc=0.5))]}
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert grounded == [queried.body]
+    assert summary.stats == {"queries": 2, "bodies_grounded": 1,
+                             "groundings": 2, "capped_bodies": 0}
+
+
+def _toy_with_tests():
+    store = toy_store()
+    ents, rels = store.entities, store.relations
+    for head, rel, tail in (("bob", "Advises", "alice"),
+                            ("alice", "Publishes", "thesis")):
+        store.add_triple(rels.intern(rel), ents.intern(head),
+                         ents.intern(tail), "test")
+    texts = ["Advises(X,Y) <- Publishes(X,V0), Publishes(Y,V0)",
+             "Advises(X,Y) <- Is_A(X,V0)",
+             "Advises(X,bob) <- Is_A(X,V0)",
+             "Publishes(X,Y) <- Advises(X,V0), Publishes(V0,Y)",
+             "Publishes(X,paper) <- Is_A(X,V0)"]
+    rules_by_rel: dict[int, list] = {}
+    for i, text in enumerate(texts):
+        rule = R(text, store)
+        rules_by_rel.setdefault(rule.head.pred, []).append(
+            (rule, Measures(sc=0.1 * (i + 1))))
+    return store, rules_by_rel
+
+
+def test_eval_cap_ranks_a_subset_of_the_uncapped_candidates():
+    store, rules_by_rel = _toy_with_tests()
+    exact = evaluate_kgc(store, rules_by_rel)
+    capped = evaluate_kgc(store, rules_by_rel, cap=1)
+    assert exact.stats["capped_bodies"] == 0
+    assert capped.stats["capped_bodies"] > 0
+    assert capped.stats["groundings"] < exact.stats["groundings"]
+    # fewer than 10 candidates per query: the records hold them all
+    for (q, _, full), (cq, _, part) in zip(exact.records, capped.records):
+        assert q == cq and len(full) < 10
+        assert {e for e, _ in part} <= {e for e, _ in full}
+    rules = [rm for rms in rules_by_rel.values() for rm in rms]
+    for q in queries_for(store):
+        part = suggest(q, rules, store, cap=1)
+        full = suggest(q, rules, store)
+        assert all(set(v) <= set(full[e]) for e, v in part.items())
+
+
+def test_rule_application_seconds_cover_the_grounding_pass(monkeypatch):
+    store, rules_by_rel = _toy_with_tests()
+    ground_body = evaluator.ground_body
+    calls = []
+
+    def slow(*args, **kwargs):
+        calls.append(args[0])
+        time.sleep(0.02)
+        yield from ground_body(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "ground_body", slow)
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert len(calls) == summary.stats["bodies_grounded"] == 3
+    assert summary.rule_application_seconds >= 0.02 * len(calls)
