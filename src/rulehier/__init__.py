@@ -2,8 +2,8 @@
 hierarchical pruning and link-prediction evaluation."""
 
 from .kgstore import Interner, SplitConfig, TripleStore, resplit
-from .rules import (Atom, Path, Rule, Term, format_rule, generalize,
-                    instantiate, parse_rule, skolemize, specialize_templates)
+from .rules import (Atom, Rule, Term, format_rule, instantiate, parse_rule,
+                    skolemize, walk_rule)
 from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
                           sa_subsumes_complete, theta_subsumes)
 from .hierarchy import (Hierarchy, bfs_with_pruning, build_a_hierarchy,

@@ -199,6 +199,9 @@ def _write_run_record(path, cfg: RunConfig, store: TripleStore,
             fh.write(f"target.{name}.u_oars = {res.u_oars}\n")
             fh.write(f"target.{name}.skipped_oars = {res.skipped_oars}\n")
             fh.write(f"target.{name}.truncated = {res.truncated}\n")
+            fh.write(f"target.{name}.abstract_rules = {res.abstract_rules}\n")
+            fh.write(f"target.{name}.approximate_rules = "
+                     f"{sum(m.approximate for _, m in res.rules)}\n")
             fh.write(f"target.{name}.gen_seconds = {res.gen_seconds:.3f}\n")
             fh.write(f"target.{name}.spec_seconds = {res.spec_seconds:.3f}\n")
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .rules import Rule
 from .subsumption import a_subsumes, i_subsumes
@@ -15,8 +15,7 @@ A_EDGE = "A"
 I_EDGE = "I"
 
 
-@dataclass(frozen=True)
-class SubsumptionEdge:
+class SubsumptionEdge(NamedTuple):
     parent: Rule
     child: Rule
     kind: str

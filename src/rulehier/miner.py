@@ -20,9 +20,8 @@ from typing import Callable
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
     bfs_with_pruning, union
 from .kgstore import TripleStore
-from .rules import (Atom, Path, Rule, StraightnessError, VAR_X, VAR_Y, const,
-                    constants, dangling_term, generalize, instantiate,
-                    kind_of, specialize_templates)
+from .rules import (X, Y, Atom, KindError, Rule, VAR_X, VAR_Y, constants,
+                    dangling_term, instantiate, kind_of, walk_rule)
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +86,7 @@ class LearnResult:
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
     truncated: bool = False
+    abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
 
 
@@ -226,13 +226,19 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# generalization (path sampling)
+# generalization (walk sampling)
 
 def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
-                 rng: random.Random) -> Path | None:
-    """One random walk from x; revisits rejected, y allowed terminally."""
-    atoms = [Atom(rt, const(x), const(y))]
-    ents = [x]
+                 rng: random.Random) -> tuple[int, ...]:
+    """One random walk from x; revisits rejected, y allowed terminally.
+
+    Returns the walk's key for `walk_rule`: a (predicate, subject id,
+    object id) triple per step, where x has id 0, y id 1 and every other
+    entity the next id from 2 in walk order.
+    """
+    ids = {x: X, y: Y}
+    fresh = 2
+    key: list[int] = []
     visited = {x}
     cur = x
     for step in range(length):
@@ -248,46 +254,57 @@ def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
         if not cands:
             break
         rel, other, direction = cands[rng.randrange(len(cands))]
+        if other not in ids:
+            ids[other] = fresh
+            fresh += 1
         if direction == "out":
-            atoms.append(Atom(rel, const(cur), const(other)))
+            key += (rel, ids[cur], ids[other])
         else:
-            atoms.append(Atom(rel, const(other), const(cur)))
-        ents.append(other)
+            key += (rel, ids[other], ids[cur])
         visited.add(other)
         cur = other
-    if len(atoms) == 1:
-        return None
-    return Path(tuple(atoms), tuple(ents))
+    return tuple(key)
 
 
-def generalization(store: TripleStore, rt: int, cfg: MinerConfig) -> list[Rule]:
+def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
+                   result: LearnResult | None = None) -> list[Rule]:
     """Sample walks from every train instance and abstract them.
 
-    Every walk prefix is generalized too, so sampled rule sets stay closed
-    under generalization. The top rule is always included.
+    Every walk prefix is abstracted too, so sampled rule sets stay closed
+    under generalization. Prefixes are deduplicated by their key, and a
+    rule is built only for a straight key not seen before. The top rule
+    is always included. When `gen_time_budget` stops sampling before the
+    last instance, `result.truncated` is set.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     rng = random.Random(f"{cfg.seed}:{rt}")
-    top = Rule(Atom(rt, VAR_X, VAR_Y))
-    rules = {top}
+    rules = [Rule(Atom(rt, VAR_X, VAR_Y))]
+    seen: set[tuple[int, ...]] = set()
     deadline = time.monotonic() + cfg.gen_time_budget \
         if cfg.gen_time_budget else None
-    for x, y in instances:
+    for i, (x, y) in enumerate(instances):
         if deadline and time.monotonic() > deadline:
+            log.info("relation %d: gen_time_budget stopped sampling after "
+                     "%d of %d instances", rt, i, len(instances))
+            if result is not None:
+                result.truncated = True
             break
         for length in range(1, cfg.max_len + 1):
             for _ in range(cfg.walks_per_instance):
-                path = _sample_walk(store, rt, x, y, length, rng)
-                if path is None:
-                    continue
-                for k in range(2, len(path.atoms) + 1):
-                    prefix = Path(path.atoms[:k], path.entities[:k])
-                    try:
-                        rules.add(generalize(prefix))
-                    except StraightnessError:
-                        break
+                key = _sample_walk(store, rt, x, y, length, rng)
+                if key in seen:
+                    continue  # so is every prefix
+                uses = [1, 1] + [0] * length   # X and Y occur in the head
+                for k in range(3, len(key) + 1, 3):
+                    uses[key[k - 2]] += 1
+                    uses[key[k - 1]] += 1
+                    if uses[key[k - 2]] > 2 or uses[key[k - 1]] > 2:
+                        break  # not straight, nor any longer prefix
+                    if key[:k] not in seen:
+                        seen.add(key[:k])
+                        rules.append(walk_rule(rt, key[:k]))
     return sorted(rules, key=Rule.sort_key)
 
 
@@ -333,10 +350,14 @@ def specialization(oar: Rule, store: TripleStore,
     and its support looks only at the train and valid pairs with object c.
 
     A rule is built only for a candidate whose measures pass `keep`
-    (every candidate when `keep` is None). Returns (rules with measures,
+    (every candidate when `keep` is None): a HAR binds Y to its anchor,
+    a BAR also binds the dangling term. Returns (rules with measures,
     truncated flag).
     """
-    har_tpl, bar_tpl = specialize_templates(oar)
+    if not oar.body:
+        raise KindError("the top rule has no body atom to anchor")
+    if kind_of(oar) != "OAR":
+        raise KindError(f"expected an OAR, got {kind_of(oar)}")
     tail = dangling_term(oar)
     n_rt = len(rt_pairs)
     approx = False
@@ -410,11 +431,11 @@ def specialization(oar: Rule, store: TripleStore,
     for c in hars:
         m = measure(c)
         if keep is None or keep(m):
-            out.append((instantiate(har_tpl, {VAR_Y: c}), m))
+            out.append((instantiate(oar, {VAR_Y: c}), m))
     for c, t in bars:
         m = measure(c, t)
         if keep is None or keep(m):
-            out.append((instantiate(bar_tpl, {VAR_Y: c, tail: t}), m))
+            out.append((instantiate(oar, {VAR_Y: c, tail: t}), m))
     return out, truncated
 
 
@@ -438,9 +459,11 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     valid_pairs = store.instances_of(rt, "valid")
     instances = sorted(rt_pairs)
 
+    result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
-    abstract = generalization(store, rt, cfg)
-    gen_seconds = time.monotonic() - t0
+    abstract = generalization(store, rt, cfg, result)
+    result.gen_seconds = time.monotonic() - t0
+    result.abstract_rules = len(abstract)
 
     cache: dict[Rule, Measures] = {}
 
@@ -449,7 +472,6 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             cache[rule] = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
         return cache[rule]
 
-    result = LearnResult(target=rt, rules=[], gen_seconds=gen_seconds)
     # when collecting: the A-hierarchy (if built), then every I-hierarchy,
     # unioned once at the end
     collected: list[Hierarchy] = []

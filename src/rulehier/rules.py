@@ -1,14 +1,19 @@
-"""Logical terms, atoms and chain rules, plus path abstraction and the
-rule text grammar.
+"""Logical terms, atoms and chain rules, walk abstraction, anchoring and
+the rule text grammar.
 
-Rules are immutable values. Fresh body variables are renumbered by first
-occurrence at construction time, so structural equality is plain equality.
+Rules are immutable values. Terms and atoms are named tuples; a rule
+renumbers its fresh body variables by first occurrence at construction
+time, so structural equality is plain equality, and it computes its hash
+once. A sampled walk is abstracted from its key, a plain int tuple of
+predicates and entity ids (`walk_rule`), so the miner builds one rule per
+distinct walk shape.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kgstore import Interner, ParseError
 
@@ -26,8 +31,7 @@ class KindError(ValueError):
     """An operation applied to a rule of the wrong kind."""
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """A variable (index) or a constant (entity id; negative = skolem)."""
 
     is_var: bool
@@ -54,8 +58,7 @@ def skolem(i: int) -> Term:
     return Term(False, -(i + 1))
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: int
     subj: Term
     obj: Term
@@ -65,47 +68,56 @@ class Atom:
         return (self.subj, self.obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
-    """A chain rule head <- body. Construction renumbers fresh variables."""
+    """A chain rule head <- body. Construction renumbers fresh variables.
+
+    The hash is hash((head, body)) and is computed once, as is the atom
+    tuple; equality compares the hashes first. A rule never equals a tuple.
+    """
 
     head: Atom
     body: tuple[Atom, ...] = ()
 
     def __post_init__(self):
+        body = tuple(self.body)
         mapping: dict[int, int] = {X: X, Y: Y}
-        atoms = []
-        changed = False
-        for atom in (self.head, *self.body):
-            terms = []
+        for atom in (self.head, *body):
             for t in atom.terms:
-                if t.is_var:
-                    if t.idx not in mapping:
-                        mapping[t.idx] = _FIRST_FRESH + len(mapping) - 2
-                    new = mapping[t.idx]
-                    if new != t.idx:
-                        changed = True
-                    terms.append(Term(True, new))
-                else:
-                    terms.append(t)
-            atoms.append(Atom(atom.pred, terms[0], terms[1]))
-        if changed:
-            object.__setattr__(self, "head", atoms[0])
-            object.__setattr__(self, "body", tuple(atoms[1:]))
-        else:
-            object.__setattr__(self, "body", tuple(self.body))
+                if t.is_var and t.idx not in mapping:
+                    mapping[t.idx] = _FIRST_FRESH + len(mapping) - 2
+        if any(old != new for old, new in mapping.items()):
+            def sub(t: Term) -> Term:
+                return Term(True, mapping[t.idx]) if t.is_var else t
+            head, *body = [Atom(a.pred, sub(a.subj), sub(a.obj))
+                           for a in (self.head, *body)]
+            object.__setattr__(self, "head", head)
+            body = tuple(body)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_atoms", (self.head, *body))
+        object.__setattr__(self, "_hash", hash((self.head, body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rule):
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self._atoms == other._atoms)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
-        return (self.head, *self.body)
+        return self._atoms
 
     def __getitem__(self, i: int) -> Atom:
         """Positional accessor: [0] is the head, [1..n] the body."""
-        return self.atoms[i]
+        return self._atoms[i]
 
-    def sort_key(self):
-        return tuple((a.pred, t.is_var, t.idx)
-                     for a in self.atoms for t in a.terms)
+    def sort_key(self) -> tuple[Atom, ...]:
+        """The atoms, head first. Atoms compare as (pred, (is_var, idx),
+        (is_var, idx)) tuples: by predicate, then term by term."""
+        return self._atoms
 
 
 # ---------------------------------------------------------------------------
@@ -201,102 +213,48 @@ def skolemize(rule: Rule) -> Rule:
 
 
 # ---------------------------------------------------------------------------
-# paths and abstraction
+# walk abstraction
 
-@dataclass(frozen=True)
-class Path:
-    """A ground walk: head triple atom first, adjacent atoms share an entity.
+def walk_rule(pred: int, key: tuple[int, ...]) -> Rule:
+    """The abstract rule pred(X,Y) <- ... of a walk key.
 
-    ``entities`` is the visited-entity sequence, starting at the head
-    subject and ending where the walk stopped.
+    A key holds one (predicate, subject id, object id) triple per body
+    atom. Id 0 stands for X, id 1 for Y, and id i >= 2 for the fresh
+    variable V(i - 2), numbered in walk order. Straightness is the
+    caller's check.
     """
-
-    atoms: tuple[Atom, ...]
-    entities: tuple[int, ...]
-
-    def __post_init__(self):
-        head = self.atoms[0]
-        if head.subj.is_var or head.obj.is_var:
-            raise ValueError("path atoms must be ground")
-        if self.entities[0] != head.subj.idx:
-            raise ValueError("walk must start at the head subject")
-        if len(self.entities) != len(self.atoms):
-            raise ValueError("one visited entity per body step expected")
-        cur = self.entities[0]
-        for atom, nxt in zip(self.atoms[1:], self.entities[1:]):
-            ends = {atom.subj.idx, atom.obj.idx}
-            if cur not in ends or nxt not in ends:
-                raise ValueError("adjacent path atoms must share an entity")
-            cur = nxt
-
-
-def generalize(path: Path) -> Rule:
-    """Abstract a path into a CAR or an OAR.
-
-    The head subject maps to X, the head object to Y and the remaining
-    distinct entities to fresh variables in walk order. Raises
-    StraightnessError for revisiting walks.
-    """
-    head = path.atoms[0]
-    e0, e1 = head.subj.idx, head.obj.idx
-    mapping: dict[int, Term] = {e0: VAR_X, e1: VAR_Y}
-    fresh = 0
-    atoms = [Atom(head.pred, VAR_X, VAR_Y)]
-    for atom in path.atoms[1:]:
-        terms = []
-        for t in atom.terms:
-            if t.idx not in mapping:
-                mapping[t.idx] = var(fresh)
-                fresh += 1
-            terms.append(mapping[t.idx])
-        atoms.append(Atom(atom.pred, terms[0], terms[1]))
-    rule = Rule(atoms[0], tuple(atoms[1:]))
-    if not is_straight(rule):
-        raise StraightnessError("walk revisits an entity")
-    return rule
+    return Rule(Atom(pred, VAR_X, VAR_Y),
+                tuple(Atom(key[i], Term(True, key[i + 1]),
+                           Term(True, key[i + 2]))
+                      for i in range(0, len(key), 3)))
 
 
 # ---------------------------------------------------------------------------
-# specialization templates
+# specialization
 
-@dataclass(frozen=True)
-class RuleTemplate:
-    """A rule with variable slots marked for constant instantiation."""
+def instantiate(rule: Rule, bindings: dict[Term, int]) -> Rule:
+    """Bind variables of a rule to entity constants.
 
-    rule: Rule
-    slots: tuple[Term, ...]
-
-
-def specialize_templates(oar: Rule) -> tuple[RuleTemplate, RuleTemplate]:
-    """HAR and BAR templates for an OAR with a non-empty body."""
-    if not oar.body:
-        raise KindError("the top rule has no body atom to anchor")
-    if kind_of(oar) != "OAR":
-        raise KindError(f"expected an OAR, got {kind_of(oar)}")
-    har = RuleTemplate(oar, (VAR_Y,))
-    bar = RuleTemplate(oar, (VAR_Y, dangling_term(oar)))
-    return har, bar
-
-
-def instantiate(template: RuleTemplate, bindings: dict[Term, int]) -> Rule:
-    """Bind the template's marked slots to entity constants."""
-    if set(bindings) != set(template.slots):
-        raise ValueError("bindings must cover exactly the marked slots")
+    The miner anchors an OAR this way: Y alone gives a HAR, Y and the
+    dangling term give a BAR.
+    """
+    variables = {t for a in rule.atoms for t in a.terms if t.is_var}
+    if not bindings or not set(bindings) <= variables:
+        raise ValueError("bindings must name variables of the rule")
     values = list(bindings.values())
     if len(set(values)) != len(values):
         raise StraightnessError("bound constants must be pairwise distinct")
-    if set(values) & constants(template.rule):
+    if set(values) & constants(rule):
         raise StraightnessError("bound constant collides with a rule constant")
 
     def sub(t: Term) -> Term:
         return const(bindings[t]) if t in bindings else t
 
-    atoms = [Atom(a.pred, sub(a.subj), sub(a.obj))
-             for a in template.rule.atoms]
-    rule = Rule(atoms[0], tuple(atoms[1:]))
-    if not is_straight(rule):
+    atoms = [Atom(a.pred, sub(a.subj), sub(a.obj)) for a in rule.atoms]
+    out = Rule(atoms[0], tuple(atoms[1:]))
+    if not is_straight(out):
         raise StraightnessError("instantiation violates straightness")
-    return rule
+    return out
 
 
 # ---------------------------------------------------------------------------

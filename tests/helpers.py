@@ -7,12 +7,15 @@ dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
 builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound,
-by scanning every train fact.
+by scanning every train fact. The generalization oracle samples ground
+walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
+per prefix.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable
 
 import networkx as nx
@@ -20,9 +23,10 @@ import networkx as nx
 from rulehier.evaluator import Query, queries_for, rank
 from rulehier.hierarchy import Hierarchy
 from rulehier.kgstore import TripleStore
-from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, body_length, const,
-                            constants, deduction_level, is_connected,
-                            is_straight, parse_rule, var)
+from rulehier.miner import EmptyTargetError
+from rulehier.rules import (Atom, Rule, StraightnessError, Term, VAR_X, VAR_Y,
+                            body_length, const, constants, deduction_level,
+                            is_connected, is_straight, parse_rule, var)
 
 N_PREDS = 5
 N_CONSTS = 6
@@ -239,6 +243,117 @@ def random_kg(rng: random.Random, n_entities: int = 20, n_relations: int = 4,
     fill("valid", n_valid)
     fill("test", n_test)
     return store
+
+
+# ---------------------------------------------------------------------------
+# per-prefix generalization oracle
+
+@dataclass(frozen=True)
+class Path:
+    """A ground walk: head triple atom first, adjacent atoms share an entity.
+
+    ``entities`` is the visited-entity sequence, starting at the head
+    subject and ending where the walk stopped.
+    """
+
+    atoms: tuple[Atom, ...]
+    entities: tuple[int, ...]
+
+    def __post_init__(self):
+        head = self.atoms[0]
+        if head.subj.is_var or head.obj.is_var:
+            raise ValueError("path atoms must be ground")
+        if self.entities[0] != head.subj.idx:
+            raise ValueError("walk must start at the head subject")
+        if len(self.entities) != len(self.atoms):
+            raise ValueError("one visited entity per body step expected")
+        cur = self.entities[0]
+        for atom, nxt in zip(self.atoms[1:], self.entities[1:]):
+            ends = {atom.subj.idx, atom.obj.idx}
+            if cur not in ends or nxt not in ends:
+                raise ValueError("adjacent path atoms must share an entity")
+            cur = nxt
+
+
+def generalize(path: Path) -> Rule:
+    """Abstract a path into a CAR or an OAR.
+
+    The head subject maps to X, the head object to Y and the remaining
+    distinct entities to fresh variables in walk order. Raises
+    StraightnessError for revisiting walks.
+    """
+    head = path.atoms[0]
+    e0, e1 = head.subj.idx, head.obj.idx
+    mapping: dict[int, Term] = {e0: VAR_X, e1: VAR_Y}
+    fresh = 0
+    atoms = [Atom(head.pred, VAR_X, VAR_Y)]
+    for atom in path.atoms[1:]:
+        terms = []
+        for t in atom.terms:
+            if t.idx not in mapping:
+                mapping[t.idx] = var(fresh)
+                fresh += 1
+            terms.append(mapping[t.idx])
+        atoms.append(Atom(atom.pred, terms[0], terms[1]))
+    rule = Rule(atoms[0], tuple(atoms[1:]))
+    if not is_straight(rule):
+        raise StraightnessError("walk revisits an entity")
+    return rule
+
+
+def _sample_walk_path(store: TripleStore, rt: int, x: int, y: int,
+                      length: int, rng: random.Random) -> Path | None:
+    """One random walk from x as a ground Path, with the miner's RNG draws."""
+    atoms = [Atom(rt, const(x), const(y))]
+    ents = [x]
+    visited = {x}
+    cur = x
+    for step in range(length):
+        last = step == length - 1
+        cands = []
+        for rel, other, direction in store.neighbors(cur):
+            if rel == rt and ((direction == "out" and cur == x and other == y)
+                              or (direction == "in" and cur == y and other == x)):
+                continue
+            if other in visited or (other == y and not last):
+                continue
+            cands.append((rel, other, direction))
+        if not cands:
+            break
+        rel, other, direction = cands[rng.randrange(len(cands))]
+        if direction == "out":
+            atoms.append(Atom(rel, const(cur), const(other)))
+        else:
+            atoms.append(Atom(rel, const(other), const(cur)))
+        ents.append(other)
+        visited.add(other)
+        cur = other
+    if len(atoms) == 1:
+        return None
+    return Path(tuple(atoms), tuple(ents))
+
+
+def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
+    """`generalization` without the time budget, one `generalize` call
+    per walk prefix."""
+    instances = sorted(store.instances_of(rt, "train"))
+    if not instances:
+        raise EmptyTargetError(f"relation {rt} has no train instances")
+    rng = random.Random(f"{cfg.seed}:{rt}")
+    rules = {Rule(Atom(rt, VAR_X, VAR_Y))}
+    for x, y in instances:
+        for length in range(1, cfg.max_len + 1):
+            for _ in range(cfg.walks_per_instance):
+                path = _sample_walk_path(store, rt, x, y, length, rng)
+                if path is None:
+                    continue
+                for k in range(2, len(path.atoms) + 1):
+                    prefix = Path(path.atoms[:k], path.entities[:k])
+                    try:
+                        rules.add(generalize(prefix))
+                    except StraightnessError:
+                        break
+    return sorted(rules, key=Rule.sort_key)
 
 
 # ---------------------------------------------------------------------------

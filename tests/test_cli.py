@@ -246,6 +246,33 @@ def test_learn_and_eval_commands(tmp_path, capsys):
     assert "MRR" in capsys.readouterr().out
 
 
+def _record_values(record: str, key: str) -> list[str]:
+    return re.findall(rf"^target\.[^.]+\.{key} = (.+)$", record, re.M)
+
+
+def test_learn_record_reports_approximations(tmp_path):
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    record = (out / "run_record.txt").read_text()
+    assert _record_values(record, "truncated") == ["False"] * 3
+    assert all(int(n) > 1 for n in _record_values(record, "abstract_rules"))
+    assert _record_values(record, "approximate_rules") == ["0"] * 3
+
+    assert main(["learn", "--config", str(cfg),
+                 "--set", "grounding_cap=5"]) == 0
+    record = (out / "run_record.txt").read_text()
+    assert sum(int(n) for n in _record_values(record,
+                                              "approximate_rules")) > 0
+
+    assert main(["learn", "--config", str(cfg),
+                 "--set", "gen_time_budget=1e-9"]) == 0
+    record = (out / "run_record.txt").read_text()
+    assert _record_values(record, "truncated") == ["True"] * 3
+    assert _record_values(record, "abstract_rules") == ["1"] * 3
+
+
 def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
                                                       caplog):
     caplog.set_level(logging.DEBUG, logger="rulehier.cli")

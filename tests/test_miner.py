@@ -14,7 +14,7 @@ from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
 from rulehier.rules import (Atom, Rule, VAR_X, VAR_Y, constants, format_rule,
                             kind_of, parse_rule)
 
-from helpers import R, edges_climb, random_kg, toy_store
+from helpers import R, edges_climb, generalization_oracle, random_kg, toy_store
 
 
 def cfg(**kw):
@@ -199,6 +199,44 @@ def test_sampled_rules_keep_their_parent_so_the_top_is_the_only_root():
                     assert Rule(rule.head, rule.body[:-1]) in ruleset
             top = Rule(Atom(rt, VAR_X, VAR_Y))
             assert build_a_hierarchy(rules).roots == [top]
+
+
+def _with_draws(monkeypatch, fn, *args):
+    """fn(*args) and the (range, value) of every randrange draw it made."""
+    draws = []
+
+    class Spy(random.Random):
+        def randrange(self, *a):
+            value = super().randrange(*a)
+            draws.append((a, value))
+            return value
+
+    monkeypatch.setattr(miner_mod.random, "Random", Spy)
+    try:
+        return fn(*args), draws
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
+    # keyed prefixes build each rule once; the oracle builds one rule per
+    # prefix with generalize() and must see the same walks
+    rng = random.Random(seed)
+    graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
+                        n_train=50 + 10 * seed), hub_kg(rng)]
+    for store in graphs:
+        for max_len in (1, 2, 3):
+            config = cfg(max_len=max_len, seed=seed, walks_per_instance=4)
+            for rt in range(3):
+                if not store.instances_of(rt):
+                    continue
+                got, draws = _with_draws(monkeypatch, generalization,
+                                         store, rt, config)
+                want, oracle_draws = _with_draws(
+                    monkeypatch, generalization_oracle, store, rt, config)
+                assert got == want and len(got) > 1
+                assert draws == oracle_draws and draws
 
 
 def test_generalization_never_walks_originating_triple():
@@ -511,6 +549,43 @@ def test_learn_records_generalization_time():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
     assert learn(store, 0, cfg()).gen_seconds > 0
+
+
+def test_gen_time_budget_stop_is_reported():
+    rng = random.Random(6)
+    store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
+    top = Rule(Atom(0, VAR_X, VAR_Y))
+    # the deadline has passed before the first instance is sampled
+    stopped = learn(store, 0, cfg(gen_time_budget=1e-9))
+    assert stopped.truncated
+    assert stopped.abstract_rules == 1
+    assert generalization(store, 0, cfg(gen_time_budget=1e-9)) == [top]
+    full = learn(store, 0, cfg())
+    assert not full.truncated
+    assert full.abstract_rules == len(generalization(store, 0, cfg())) > 1
+
+
+def test_grounding_cap_marks_measures_approximate():
+    rng = random.Random(9)
+    store = hub_kg(rng)
+    rt_pairs = store.instances_of(0)
+    oar = R("r0(X,Y) <- r2(X,V0)", store)
+    car = R("r0(X,Y) <- r1(V0,X), r1(V0,Y)", store)
+    for rule in (oar, car):
+        assert not evaluate(rule, store, rt_pairs, cfg()).approximate
+        capped = evaluate(rule, store, rt_pairs, cfg(grounding_cap=3))
+        assert capped.approximate
+        assert capped.groundings < evaluate(rule, store, rt_pairs,
+                                            cfg()).groundings
+    exact, _ = specialization(oar, store, rt_pairs, set(), sorted(rt_pairs),
+                              cfg())
+    capped, _ = specialization(oar, store, rt_pairs, set(),
+                               sorted(rt_pairs), cfg(grounding_cap=8))
+    assert exact and not any(m.approximate for _, m in exact)
+    assert capped and all(m.approximate for _, m in capped)
+    res = learn(store, 0, cfg(grounding_cap=8))
+    assert any(m.approximate for _, m in res.rules)
+    assert not any(m.approximate for _, m in learn(store, 0, cfg()).rules)
 
 
 def test_learn_empty_target():

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from rulehier.kgstore import Interner, ParseError
-from rulehier.rules import (Atom, KindError, Path, Rule, StraightnessError,
-                            Term, VAR_X, VAR_Y, body_length, const, constants,
+import rulehier.miner as miner_mod
+from rulehier.kgstore import Interner, ParseError, TripleStore
+from rulehier.miner import MinerConfig, specialization
+from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
+                            VAR_X, VAR_Y, body_length, const, constants,
                             dangling_term, deduction_level, format_rule,
-                            generalize, instantiate, is_connected,
-                            is_straight, kind_of, parse_rule, reverse_body,
-                            skolem, skolemize, specialize_templates, var)
+                            instantiate, is_connected, is_straight, kind_of,
+                            parse_rule, reverse_body, skolem, skolemize, var,
+                            walk_rule)
 
-from helpers import R, random_rule, toy_store
+from helpers import Path, R, generalize, random_rule, toy_store
 
 
 def _interners():
@@ -54,6 +56,62 @@ def test_rules_hashable_and_equal_by_structure():
     b = parse_rule("r0(X,Y) <- r1(X,V0)", ents, rels)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _term_triples(rule: Rule):
+    """The sort key as a flat (pred, is_var, idx) sequence, term by term."""
+    return tuple((a.pred, t.is_var, t.idx) for a in rule.atoms
+                 for t in a.terms)
+
+
+def test_rules_are_values_with_a_cached_hash_and_sort_key():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        rule = random_rule(rng)
+        # an alpha-variant: every fresh variable shifted by 5
+        shift = {t: Term(True, t.idx + 5) for a in rule.body for t in a.terms
+                 if t.is_var and t not in (VAR_X, VAR_Y)}
+        variant = Rule(rule.head, tuple(
+            Atom(a.pred, shift.get(a.subj, a.subj), shift.get(a.obj, a.obj))
+            for a in rule.body))
+        assert variant == rule and hash(variant) == hash(rule)
+        assert hash(rule) == hash((rule.head, rule.body))
+        fresh = Rule(rule.head, rule.body)
+        assert rule.sort_key() == fresh.sort_key() == (rule.head, *rule.body)
+        assert rule != (rule.head, rule.body) and (rule.head, rule.body) != rule
+        assert rule != rule.atoms and rule != tuple(rule.body)
+    # the cached key orders rules exactly as the term-by-term triples do
+    corpus = [random_rule(rng) for _ in range(2000)]
+    assert sorted(corpus, key=Rule.sort_key) == sorted(corpus,
+                                                       key=_term_triples)
+    with pytest.raises(AttributeError):
+        rule.head = rule.head
+    with pytest.raises(AttributeError):
+        rule._hash = 0
+    with pytest.raises(AttributeError):
+        rule._atoms = ()
+    assert hash(rule) == hash((rule.head, rule.body))
+
+
+def test_terms_and_atoms_keep_their_attribute_api():
+    t = const(4)
+    assert (t.is_var, t.idx, t.is_skolem) == (False, 4, False)
+    assert skolem(0).is_skolem and not VAR_X.is_skolem
+    atom = Atom(2, VAR_X, t)
+    assert (atom.pred, atom.subj, atom.obj, atom.terms) == (2, VAR_X, t,
+                                                            (VAR_X, t))
+    assert hash(atom) == hash((2, (True, 0), (False, 4)))
+    with pytest.raises(AttributeError):
+        atom.pred = 3
+
+
+def test_walk_rule_numbers_ids_as_x_y_and_fresh_variables():
+    ents, rels = _interners()
+    assert walk_rule(0, ()) == parse_rule("r0(X,Y) <-", ents, rels)
+    assert walk_rule(0, (1, 0, 2, 2, 3, 2)) == parse_rule(
+        "r0(X,Y) <- r1(X,V0), r2(V1,V0)", ents, rels)
+    assert walk_rule(0, (1, 2, 0, 3, 2, 1)) == parse_rule(
+        "r0(X,Y) <- r1(V0,X), r3(V0,Y)", ents, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +194,7 @@ def test_skolemize_injective_and_repeatable():
 
 
 # ---------------------------------------------------------------------------
-# paths and generalization
+# paths and generalize: the per-prefix oracle in helpers.py
 
 def test_path_validation():
     a, b, c = 10, 11, 12
@@ -189,37 +247,51 @@ def test_generalize_rejects_revisiting_walks():
 
 
 # ---------------------------------------------------------------------------
-# specialization templates
+# anchoring open rules
 
-def test_specialize_templates_slots():
+def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
     ents, rels = _interners()
     oar = parse_rule("r0(X,Y) <- r1(X,V0), r2(V1,V0)", ents, rels)
-    har_tpl, bar_tpl = specialize_templates(oar)
-    assert har_tpl.slots == (VAR_Y,)
-    assert bar_tpl.slots == (VAR_Y, var(1))
+    assert dangling_term(oar) == var(1)
+    assert instantiate(oar, {VAR_Y: 0, var(1): 1}) == parse_rule(
+        "r0(X,c0) <- r1(X,V0), r2(c1,V0)", ents, rels)
+    # specialization binds Y for a HAR, and Y plus the dangling term for
+    # a BAR
+    store = toy_store()
+    rt = store.relations.get("Advises")
+    oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
+    bound = []
+    monkeypatch.setattr(miner_mod, "instantiate",
+                        lambda rule, b: bound.append(set(b))
+                        or instantiate(rule, b))
+    rt_pairs = store.instances_of(rt)
+    specs, _ = specialization(oar, store, rt_pairs, set(), sorted(rt_pairs),
+                              MinerConfig())
+    assert bound == [{VAR_Y}, {VAR_Y, var(0)}]
+    assert [r for r, _ in specs] == [
+        R("Advises(X,bob) <- Is_A(X,V0)", store),
+        R("Advises(X,bob) <- Is_A(X,professor)", store)]
 
 
-def test_specialize_templates_kind_errors():
+def test_specialization_rejects_non_oars():
     ents, rels = _interners()
-    with pytest.raises(KindError):
-        specialize_templates(parse_rule("r0(X,Y) <-", ents, rels))
-    with pytest.raises(KindError):
-        specialize_templates(
-            parse_rule("r0(X,Y) <- r1(X,V0), r2(V0,Y)", ents, rels))
-    with pytest.raises(KindError):
-        specialize_templates(parse_rule("r0(X,Y) <- r1(Y,V0)", ents, rels))
-    with pytest.raises(KindError):
-        specialize_templates(parse_rule("r0(X,c0) <- r1(X,V0)", ents, rels))
+    store, config = TripleStore(), MinerConfig()
+    for text in ("r0(X,Y) <-",
+                 "r0(X,Y) <- r1(X,V0), r2(V0,Y)",
+                 "r0(X,Y) <- r1(Y,V0)",
+                 "r0(X,c0) <- r1(X,V0)"):
+        with pytest.raises(KindError):
+            specialization(parse_rule(text, ents, rels), store, set(), set(),
+                           [], config)
 
 
 def test_instantiate_har_and_bar():
     ents, rels = _interners()
     oar = parse_rule("r0(X,Y) <- r1(X,V0)", ents, rels)
-    har_tpl, bar_tpl = specialize_templates(oar)
-    har = instantiate(har_tpl, {VAR_Y: 0})
+    har = instantiate(oar, {VAR_Y: 0})
     assert har == parse_rule("r0(X,c0) <- r1(X,V0)", ents, rels)
     assert kind_of(har) == "HAR"
-    bar = instantiate(bar_tpl, {VAR_Y: 0, var(0): 1})
+    bar = instantiate(oar, {VAR_Y: 0, var(0): 1})
     assert bar == parse_rule("r0(X,c0) <- r1(X,c1)", ents, rels)
     assert kind_of(bar) == "BAR"
     assert deduction_level(bar) == deduction_level(har) + 1 \
@@ -229,28 +301,26 @@ def test_instantiate_har_and_bar():
 def test_instantiate_validates_bindings():
     ents, rels = _interners()
     oar = parse_rule("r0(X,Y) <- r1(X,V0)", ents, rels)
-    har_tpl, bar_tpl = specialize_templates(oar)
     with pytest.raises(ValueError):
-        instantiate(har_tpl, {})
+        instantiate(oar, {})
     with pytest.raises(ValueError):
-        instantiate(har_tpl, {VAR_Y: 0, var(0): 1})   # extra binding
+        instantiate(oar, {VAR_Y: 0, var(1): 1})   # not a variable of the rule
+    with pytest.raises(ValueError):
+        instantiate(oar, {const(2): 1})           # a constant, not a slot
     with pytest.raises(StraightnessError):
-        instantiate(bar_tpl, {VAR_Y: 0, var(0): 0})   # repeated constant
+        instantiate(oar, {VAR_Y: 0, var(0): 0})   # repeated constant
 
 
 def test_instantiate_two_slot_bar_and_collision():
-    from rulehier.rules import RuleTemplate
     ents, rels = _interners()
     oar = parse_rule("r0(X,Y) <- r1(X,V0), r2(V0,V1)", ents, rels)
-    _, bar_tpl = specialize_templates(oar)
-    bar = instantiate(bar_tpl, {VAR_Y: 2, var(1): 3})
+    bar = instantiate(oar, {VAR_Y: 2, dangling_term(oar): 3})
     assert bar == parse_rule("r0(X,c2) <- r1(X,V0), r2(V0,c3)", ents, rels)
     assert kind_of(bar) == "BAR"
-    # binding a slot to an entity already named in the rule is rejected
+    # binding a variable to an entity already named in the rule is rejected
     insr = parse_rule("r0(X,Y) <- r1(X,c1)", ents, rels)
-    tpl = RuleTemplate(insr, (VAR_Y,))
     with pytest.raises(StraightnessError):
-        instantiate(tpl, {VAR_Y: 1})
+        instantiate(insr, {VAR_Y: 1})
 
 
 # ---------------------------------------------------------------------------
