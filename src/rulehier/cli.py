@@ -194,11 +194,13 @@ def _write_run_record(path, cfg: RunConfig, store: TripleStore,
         for rt, res in sorted(results.items()):
             name = _safe_name(store.relations.name(rt))
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
-            fh.write(f"target.{name}.p_oars = {res.p_oars}\n")
-            fh.write(f"target.{name}.i_oars = {res.i_oars}\n")
-            fh.write(f"target.{name}.u_oars = {res.u_oars}\n")
-            fh.write(f"target.{name}.skipped_oars = {res.skipped_oars}\n")
-            fh.write(f"target.{name}.truncated = {res.truncated}\n")
+            for key in ("p_oars", "i_oars", "u_oars", "skipped_oars",
+                        "truncated"):
+                fh.write(f"target.{name}.{key} = {getattr(res, key)}\n")
+            # a set: written in MinerConfig field order, the same every run
+            causes = [f.name for f in fields(MinerConfig)
+                      if f.name in res.truncated_by]
+            fh.write(f"target.{name}.truncated_by = {','.join(causes)}\n")
             fh.write(f"target.{name}.abstract_rules = {res.abstract_rules}\n")
             fh.write(f"target.{name}.approximate_rules = "
                      f"{sum(m.approximate for _, m in res.rules)}\n")

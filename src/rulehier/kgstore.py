@@ -174,9 +174,6 @@ class TripleStore:
     def has_train(self, rel: int, subj: int, obj: int) -> bool:
         return (rel, subj, obj) in self._members["train"]
 
-    def in_split(self, triple: tuple[int, int, int], split: str) -> bool:
-        return triple in self._members[split]
-
     def instances_of(self, rel: int, split: str = "train") -> set[tuple[int, int]]:
         """All (subject, object) pairs of a relation within one split."""
         if split == "train":

@@ -1,11 +1,10 @@
 """Walk-based rule mining with hierarchical pruning.
 
 Pipeline per target predicate: sample walks and generalize them into
-abstract rules, build the atom-addition hierarchy, prune low-support
-subtrees, measure the head/both-anchored specializations of surviving
-open rules and instantiate only those that pass the relevance and
-overfitting filters, build the instantiation hierarchy and drop anchored
-rules dominated in confidence by their parents.
+abstract rules, visit those breadth-first over the atom-addition hierarchy,
+measuring each once and pruning subtrees below `supp_h`. A kept closed rule
+is filtered for relevance; a kept open rule is specialized from the grounding
+pass that measured it, and post pruning drops dominated anchorings.
 """
 
 from __future__ import annotations
@@ -14,14 +13,15 @@ import logging
 import random
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
     bfs_with_pruning, union
-from .kgstore import TripleStore
+from .kgstore import ParseError, TripleStore
 from .rules import (X, Y, Atom, KindError, Rule, VAR_X, VAR_Y, constants,
-                    dangling_term, instantiate, kind_of, walk_rule)
+                    dangling_term, format_rule, instantiate, kind_of,
+                    parse_rule, walk_rule)
 
 log = logging.getLogger(__name__)
 
@@ -85,9 +85,14 @@ class LearnResult:
     skipped_oars: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
-    truncated: bool = False
+    # gen_time_budget, spec_time_budget and/or max_specs_per_oar
+    truncated_by: set[str] = field(default_factory=set)
     abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
 
 # ---------------------------------------------------------------------------
@@ -154,75 +159,93 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
     yield from rec(0)
 
 
+def _measures(supp: int, n_g: int, valid_supp: int, approx: bool,
+              n_rt: int, cfg: MinerConfig) -> Measures:
+    hc = supp / n_rt if n_rt else 0.0
+    sc = supp / (cfg.eta + n_g) if (cfg.eta + n_g) > 0 else 0.0
+    return Measures(supp, hc, sc, n_g, valid_supp, approx)
+
+
+class OpenGroundings(NamedTuple):
+    """An OAR's body groundings by the entity x that X binds: per grounding
+    of x, its dangling-term value and the entities it uses; the entities
+    every grounding of x uses (so (x, c) is in the OAR's head-grounding
+    set iff c is outside common[x]); and whether the grounding cap hit."""
+
+    by_x: dict[int, list[tuple[int, frozenset[int]]]]
+    common: dict[int, frozenset[int]]
+    capped: bool
+
+
+def open_groundings(oar: Rule, store: TripleStore,
+                    cap: int = 0) -> OpenGroundings:
+    """Ground an OAR's body once, up to `cap` steps (see ground_body)."""
+    if not oar.body or kind_of(oar) != "OAR":
+        kind = kind_of(oar) if oar.body else "the top rule"
+        raise KindError(f"expected an OAR with a body atom, got {kind}")
+    tail = dangling_term(oar)
+    by_x = defaultdict(list)
+    capped = False
+    try:
+        for b in ground_body(oar, store, cap):
+            by_x[b[VAR_X]].append((b[tail], frozenset(b.values())))
+    except CapExceeded:
+        capped = True
+    common = {x: frozenset.intersection(*[ents for _, ents in gs])
+              for x, gs in by_x.items()}
+    return OpenGroundings(by_x, common, capped)
+
+
+def _open_measures(g: OpenGroundings, store: TripleStore, rt_pairs,
+                   valid_pairs, cfg: MinerConfig) -> Measures:
+    """An OAR's measures: Y ranges over the entities outside common[x]."""
+    def hits(pairs) -> int:
+        return sum(x in g.common and y not in g.common[x] for x, y in pairs)
+    n_g = len(store.entities) * len(g.common) \
+        - sum(map(len, g.common.values()))
+    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), g.capped,
+                     len(rt_pairs), cfg)
+
+
 def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
              cfg: MinerConfig,
              valid_pairs: set[tuple[int, int]] | None = None) -> Measures:
     """Exact (up to cap) support / head coverage / smooth confidence.
 
     The head-grounding set g is induced by grounding the body over the
-    train split under object identity; a head variable not bound by the
-    body ranges over all entities outside the grounding.
+    train split under object identity. The only open rules measured are
+    OARs, whose Y, not bound by the body, ranges over every entity outside
+    the grounding; any other open rule raises ValueError.
     """
     valid_pairs = valid_pairs or set()
-    n_entities = len(store.entities)
     n_rt = len(rt_pairs)
-
-    def finish(supp, n_g, valid_supp, approx):
-        hc = supp / n_rt if n_rt else 0.0
-        sc = supp / (cfg.eta + n_g) if (cfg.eta + n_g) > 0 else 0.0
-        return Measures(supp, hc, sc, n_g, valid_supp, approx)
-
     if not rule.body:
         # top rule: the empty body constrains nothing; measures are
         # analytic and |g| is recorded as |E|^2
-        return finish(n_rt, n_entities ** 2, len(valid_pairs), False)
+        return _measures(n_rt, len(store.entities) ** 2, len(valid_pairs),
+                         False, n_rt, cfg)
 
-    consts = constants(rule)
     hx, hy = rule.head.subj, rule.head.obj
     body_vars = {t for a in rule.body for t in a.terms if t.is_var}
     free = [t for t in (hx, hy) if t.is_var and t not in body_vars]
-    approx = False
-
-    if not free:
-        g: set[tuple[int, int]] = set()
-        try:
-            for b in ground_body(rule, store, cfg.grounding_cap):
-                x = hx.idx if not hx.is_var else b[hx]
-                y = hy.idx if not hy.is_var else b[hy]
-                g.add((x, y))
-        except CapExceeded:
-            approx = True
-        return finish(len(g & rt_pairs), len(g), len(g & valid_pairs), approx)
-
     if len(free) == 2:
         raise ValueError("rule body binds neither head term")
+    if free:
+        # open_groundings raises KindError, a ValueError, on a non-OAR
+        return _open_measures(open_groundings(rule, store, cfg.grounding_cap),
+                              store, rt_pairs, valid_pairs, cfg)
 
-    free_is_obj = free[0] is hy
-    # per fixed-side value, the entities excluded from every grounding:
-    # the free head term may take any entity outside that set
-    common: dict[int, set[int]] = {}
+    g: set[tuple[int, int]] = set()
+    approx = False
     try:
         for b in ground_body(rule, store, cfg.grounding_cap):
-            fixed = (hx.idx if not hx.is_var else b[hx]) if free_is_obj \
-                else (hy.idx if not hy.is_var else b[hy])
-            excluded = set(b.values()) | consts
-            if fixed in common:
-                common[fixed] &= excluded
-            else:
-                common[fixed] = excluded
+            x = hx.idx if not hx.is_var else b[hx]
+            y = hy.idx if not hy.is_var else b[hy]
+            g.add((x, y))
     except CapExceeded:
         approx = True
-    n_g = sum(n_entities - len(ex) for ex in common.values())
-    supp = valid_supp = 0
-    for x, y in rt_pairs:
-        fixed, other = (x, y) if free_is_obj else (y, x)
-        if fixed in common and other not in common[fixed]:
-            supp += 1
-    for x, y in valid_pairs:
-        fixed, other = (x, y) if free_is_obj else (y, x)
-        if fixed in common and other not in common[fixed]:
-            valid_supp += 1
-    return finish(supp, n_g, valid_supp, approx)
+    return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs), approx,
+                     n_rt, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,7 @@ def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
     under generalization. Prefixes are deduplicated by their key, and a
     rule is built only for a straight key not seen before. The top rule
     is always included. When `gen_time_budget` stops sampling before the
-    last instance, `result.truncated` is set.
+    last instance, it is added to `result.truncated_by`.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
@@ -289,7 +312,7 @@ def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
             log.info("relation %d: gen_time_budget stopped sampling after "
                      "%d of %d instances", rt, i, len(instances))
             if result is not None:
-                result.truncated = True
+                result.truncated_by.add("gen_time_budget")
             break
         for length in range(1, cfg.max_len + 1):
             for _ in range(cfg.walks_per_instance):
@@ -327,12 +350,7 @@ def overfit_keep(m: Measures, cfg: MinerConfig, rule_kind: str = "INSR") -> bool
     return m.valid_supp / m.supp >= cfg.overfit_threshold
 
 
-def prior_pruning(phi_a: Hierarchy, supp_h: int, supp_of) -> set[Rule]:
-    """Keep a rule and traverse its children iff supp >= supp_h."""
-    return bfs_with_pruning(phi_a, lambda r: supp_of(r) >= supp_h)
-
-
-def specialization(oar: Rule, store: TripleStore,
+def specialization(oar: Rule, groundings: OpenGroundings,
                    rt_pairs: set[tuple[int, int]],
                    valid_pairs: set[tuple[int, int]],
                    instances: list[tuple[int, int]],
@@ -341,38 +359,24 @@ def specialization(oar: Rule, store: TripleStore,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
     """Instantiate an OAR into HARs and BARs anchored at train instances.
 
-    Candidates are measured before they are instantiated. One shared
-    body-grounding pass records, for each x and for each (x, tail value t),
-    the entities that all of its groundings use. Some grounding of x avoids
-    c, and so puts (x, c) in g, exactly when c is outside that
-    intersection. Counting, per anchor c and per (t, c), the x whose
-    intersection holds c gives every candidate's |g| by one subtraction,
-    and its support looks only at the train and valid pairs with object c.
+    Candidates are measured before they are instantiated, from
+    `groundings`, which `open_groundings(oar, ...)` built (and so checked
+    that `oar` is an OAR): per x, and per x and tail value t, the entities
+    that all of its groundings use. Counting, per anchor c and per (t, c),
+    the x whose intersection holds c gives every candidate's |g| by one
+    subtraction, and its support looks only at the pairs with object c.
 
     A rule is built only for a candidate whose measures pass `keep`
     (every candidate when `keep` is None): a HAR binds Y to its anchor,
     a BAR also binds the dangling term. Returns (rules with measures,
     truncated flag).
     """
-    if not oar.body:
-        raise KindError("the top rule has no body atom to anchor")
-    if kind_of(oar) != "OAR":
-        raise KindError(f"expected an OAR, got {kind_of(oar)}")
     tail = dangling_term(oar)
-    n_rt = len(rt_pairs)
-    approx = False
-    by_x: dict[int, list[tuple[int, frozenset[int]]]] = defaultdict(list)
-    try:
-        for b in ground_body(oar, store, cfg.grounding_cap):
-            by_x[b[VAR_X]].append((b[tail], frozenset(b.values())))
-    except CapExceeded:
-        approx = True
-
     # the entities used by every grounding of x (key (x, None)) and by
     # every grounding of x whose tail value is t (key (x, t))
-    common: dict[tuple[int, int | None], frozenset[int]] = {}
-    for x, gs in by_x.items():
-        common[(x, None)] = frozenset.intersection(*(ents for _, ents in gs))
+    common: dict[tuple[int, int | None], frozenset[int]] = {
+        (x, None): ents for x, ents in groundings.common.items()}
+    for x, gs in groundings.by_x.items():
         for t, ents in gs:
             prev = common.get((x, t))
             common[(x, t)] = ents if prev is None else prev & ents
@@ -384,7 +388,7 @@ def specialization(oar: Rule, store: TripleStore,
         ents_x = common.get((x, None))
         if ents_x is None or y in ents_x:
             continue  # no grounding of x avoids y
-        for t, ents in by_x[x]:
+        for t, ents in groundings.by_x[x]:
             if y in ents:
                 continue
             if y not in seen_h:
@@ -421,11 +425,10 @@ def specialization(oar: Rule, store: TripleStore,
         def reached(x: int) -> bool:
             ents = common.get((x, t))
             return ents is not None and c not in ents
-        n_g = n_xs[t] - blocked[(t, c)]
-        supp = sum(map(reached, rt_by_c.get(c, ())))
-        vsupp = sum(map(reached, valid_by_c.get(c, ())))
-        hc = supp / n_rt if n_rt else 0.0
-        return Measures(supp, hc, supp / (cfg.eta + n_g), n_g, vsupp, approx)
+        return _measures(sum(map(reached, rt_by_c.get(c, ()))),
+                         n_xs[t] - blocked[(t, c)],
+                         sum(map(reached, valid_by_c.get(c, ()))),
+                         groundings.capped, len(rt_pairs), cfg)
 
     out: list[tuple[Rule, Measures]] = []
     for c in hars:
@@ -453,6 +456,9 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 
 def learn(store: TripleStore, rt: int, cfg: MinerConfig,
           collect_hierarchy: bool = False) -> LearnResult:
+    """Mine one target, measuring each abstract rule once (see `visit`).
+    Past `spec_time_budget`, counted from the end of generalization, kept
+    rules are still measured (so `p_oars` stays exact) but not mined."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")
@@ -462,70 +468,70 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
     abstract = generalization(store, rt, cfg, result)
-    result.gen_seconds = time.monotonic() - t0
+    t1 = time.monotonic()
+    result.gen_seconds = t1 - t0
     result.abstract_rules = len(abstract)
-
-    cache: dict[Rule, Measures] = {}
-
-    def measure(rule: Rule) -> Measures:
-        if rule not in cache:
-            cache[rule] = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
-        return cache[rule]
+    deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
+    supp_h = cfg.supp_h if cfg.enable_prior_pruning else 0
 
     # when collecting: the A-hierarchy (if built), then every I-hierarchy,
     # unioned once at the end
     collected: list[Hierarchy] = []
+    mined: list[tuple[Rule, Measures]] = []
+
+    def relevant(m: Measures, kind: str = "INSR") -> bool:
+        # overfit_keep treats only CARs and OARs by kind: INSR stands for
+        # both HARs and BARs
+        return is_relevant(m, cfg) and overfit_keep(m, cfg, kind)
+
+    def visit(rule: Rule) -> bool:
+        """Measure a rule, keep it iff supp >= supp_h and mine it: filter a
+        CAR, specialize an OAR from the grounding pass that measured it."""
+        is_oar = bool(rule.body) and kind_of(rule) != "CAR"
+        if is_oar:
+            g = open_groundings(rule, store, cfg.grounding_cap)
+            m = _open_measures(g, store, rt_pairs, valid_pairs, cfg)
+        else:
+            m = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
+        if m.supp < supp_h:
+            return False
+        if not rule.body:
+            return True
+        if deadline and time.monotonic() > deadline:
+            result.truncated_by.add("spec_time_budget")
+            result.skipped_oars += is_oar
+            return True
+        if not is_oar:
+            if relevant(m, "CAR"):
+                mined.append((rule, m))
+            return True
+        specs, truncated = specialization(rule, g, rt_pairs, valid_pairs,
+                                          instances, cfg, relevant)
+        if truncated:
+            result.truncated_by.add("max_specs_per_oar")
+        if not specs:
+            result.u_oars += 1
+            return True
+        result.i_oars += 1
+        if cfg.enable_post_pruning:
+            phi_i = build_i_hierarchy([r for r, _ in specs])
+            keep = post_pruning(phi_i, {r: m.sc for r, m in specs})
+            specs = [(r, m) for r, m in specs if r in keep]
+            if collect_hierarchy:
+                collected.append(phi_i)
+        mined.extend(specs)
+        return True
 
     if cfg.enable_prior_pruning:
         phi_a = build_a_hierarchy(abstract)
         if collect_hierarchy:
             collected.append(phi_a)
-        survivors = prior_pruning(phi_a, cfg.supp_h,
-                                  lambda r: measure(r).supp)
+        bfs_with_pruning(phi_a, visit)
     else:
-        survivors = set(abstract)
-
-    oars = [r for r in abstract if r.body and kind_of(r) == "OAR"]
-    result.p_oars = sum(r not in survivors for r in oars)
-
-    work = [r for r in survivors if r.body]
-    work.sort(key=lambda r: (-measure(r).supp, r.sort_key()))
-
-    def relevant_spec(m: Measures) -> bool:
-        # overfit_keep treats only CARs and OARs by kind, so the default
-        # kind stands for both HARs and BARs
-        return is_relevant(m, cfg) and overfit_keep(m, cfg)
-
-    t1 = time.monotonic()
-    deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
-    mined: list[tuple[Rule, Measures]] = []
-    for i, rule in enumerate(work):
-        if deadline and time.monotonic() > deadline:
-            result.skipped_oars = sum(kind_of(r) == "OAR" for r in work[i:])
-            result.truncated = True
-            break
-        k = kind_of(rule)
-        if k == "CAR":
-            m = measure(rule)
-            if is_relevant(m, cfg) and overfit_keep(m, cfg, k):
-                mined.append((rule, m))
-            continue
-        relevant, truncated = specialization(rule, store, rt_pairs,
-                                             valid_pairs, instances, cfg,
-                                             keep=relevant_spec)
-        result.truncated = result.truncated or truncated
-        if not relevant:
-            result.u_oars += 1
-            continue
-        result.i_oars += 1
-        if cfg.enable_post_pruning:
-            phi_i = build_i_hierarchy([r for r, _ in relevant])
-            keep = post_pruning(phi_i, {r: m.sc for r, m in relevant})
-            relevant = [(r, m) for r, m in relevant if r in keep]
-            if collect_hierarchy:
-                collected.append(phi_i)
-        mined.extend(relevant)
-    result.spec_seconds = time.monotonic() - t1
+        for rule in abstract:
+            visit(rule)
+    result.p_oars = sum(kind_of(r) == "OAR" for r in abstract if r.body) \
+        - result.i_oars - result.u_oars - result.skipped_oars
 
     uniq: dict[Rule, Measures] = {}
     for rule, m in mined:
@@ -534,30 +540,23 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
                           key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
     if collected:
         result.hierarchy = union(*collected)
+    result.spec_seconds = time.monotonic() - t1
     return result
 
 
 # ---------------------------------------------------------------------------
 # rule-set file round trip
 
-def format_rule_line(rule: Rule, m: Measures, entities, relations,
-                     fmt_rule) -> str:
-    return (f"{fmt_rule(rule, entities, relations)} | supp={m.supp} | "
-            f"hc={m.hc!r} | sc={m.sc!r} | kind={kind_of(rule)}")
-
-
 def write_rules(path, items: list[tuple[Rule, Measures]], entities,
                 relations) -> None:
-    from .rules import format_rule
     with open(path, "w", encoding="utf-8") as fh:
         for rule, m in items:
-            fh.write(format_rule_line(rule, m, entities, relations,
-                                      format_rule) + "\n")
+            fh.write(f"{format_rule(rule, entities, relations)} | "
+                     f"supp={m.supp} | hc={m.hc!r} | sc={m.sc!r} | "
+                     f"kind={kind_of(rule)}\n")
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
-    from .kgstore import ParseError
-    from .rules import parse_rule
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -9,7 +9,9 @@ builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound,
 by scanning every train fact. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
-per prefix.
+per prefix. The learn oracle runs `learn`'s steps as three separate passes
+over public pieces: measure every abstract rule, prune, then mine each
+survivor.
 """
 
 from __future__ import annotations
@@ -21,12 +23,16 @@ from typing import Callable
 import networkx as nx
 
 from rulehier.evaluator import Query, queries_for, rank
-from rulehier.hierarchy import Hierarchy
+from rulehier.hierarchy import (Hierarchy, bfs_with_pruning,
+                                build_a_hierarchy, build_i_hierarchy)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import EmptyTargetError
+from rulehier.miner import (EmptyTargetError, Measures, evaluate,
+                            generalization, is_relevant, open_groundings,
+                            overfit_keep, post_pruning, specialization)
 from rulehier.rules import (Atom, Rule, StraightnessError, Term, VAR_X, VAR_Y,
                             body_length, const, constants, deduction_level,
-                            is_connected, is_straight, parse_rule, var)
+                            is_connected, is_straight, kind_of, parse_rule,
+                            var)
 
 N_PREDS = 5
 N_CONSTS = 6
@@ -436,3 +442,56 @@ def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
         top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
         records.append((q, ranking.rank_of(q.answer), top))
     return records
+
+
+# ---------------------------------------------------------------------------
+# three-pass learn oracle
+
+def learn_oracle(store: TripleStore, rt: int, cfg
+                 ) -> tuple[list[tuple[Rule, Measures]], tuple[int, int, int]]:
+    """learn's rules and (p_oars, i_oars, u_oars), one step after another.
+
+    Every abstract rule is measured with `evaluate`; prior pruning keeps
+    the rules `bfs_with_pruning` reaches with supp >= supp_h; each
+    surviving CAR is filtered, and each surviving OAR is grounded again,
+    specialized, filtered and post-pruned.
+    """
+    rt_pairs = store.instances_of(rt, "train")
+    valid_pairs = store.instances_of(rt, "valid")
+    abstract = generalization(store, rt, cfg)
+    measures = {r: evaluate(r, store, rt_pairs, cfg, valid_pairs)
+                for r in abstract}
+    if cfg.enable_prior_pruning:
+        survivors = bfs_with_pruning(
+            build_a_hierarchy(abstract),
+            lambda r: measures[r].supp >= cfg.supp_h)
+    else:
+        survivors = set(abstract)
+    oars = {r for r in abstract if r.body and kind_of(r) == "OAR"}
+    i_oars = u_oars = 0
+    mined: dict[Rule, Measures] = {}
+    for rule in sorted(survivors, key=Rule.sort_key):
+        m = measures[rule]
+        if rule.body and kind_of(rule) == "CAR":
+            if is_relevant(m, cfg) and overfit_keep(m, cfg, "CAR"):
+                mined[rule] = m
+        if rule not in oars:
+            continue
+        specs, _ = specialization(
+            rule, open_groundings(rule, store, cfg.grounding_cap), rt_pairs,
+            valid_pairs, sorted(rt_pairs), cfg)
+        specs = [(r, sm) for r, sm in specs
+                 if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
+        if not specs:
+            u_oars += 1
+            continue
+        i_oars += 1
+        if cfg.enable_post_pruning:
+            keep = post_pruning(build_i_hierarchy([r for r, _ in specs]),
+                                {r: sm.sc for r, sm in specs})
+            specs = [(r, sm) for r, sm in specs if r in keep]
+        for r, sm in specs:
+            mined.setdefault(r, sm)
+    rules = sorted(mined.items(), key=lambda rm: (-rm[1].sc,
+                                                  rm[0].sort_key()))
+    return rules, (len(oars - survivors), i_oars, u_oars)

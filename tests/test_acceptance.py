@@ -14,7 +14,8 @@ from rulehier.evaluator import evaluate_kgc
 from rulehier.hierarchy import build_a_hierarchy, build_i_hierarchy, union
 from rulehier.kgstore import Interner
 from rulehier.miner import (MinerConfig, evaluate, generalization,
-                            is_relevant, learn, specialization, write_rules)
+                            is_relevant, learn, open_groundings,
+                            specialization, write_rules)
 from rulehier.rules import kind_of, parse_rule
 from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
@@ -142,8 +143,9 @@ def test_criterion_4_support_monotonicity():
         for oar in abstract:
             if not oar.body or kind_of(oar) != "OAR":
                 continue
-            specs, _ = specialization(oar, store, rt_pairs, set(),
-                                      sorted(rt_pairs), config)
+            specs, _ = specialization(oar, open_groundings(oar, store),
+                                      rt_pairs, set(), sorted(rt_pairs),
+                                      config)
             measures = dict(specs)
             phi_i = build_i_hierarchy(list(measures))
             for parent, child in phi_i.edge_pairs():
@@ -188,8 +190,9 @@ def test_criterion_5_prior_pruning_safety():
             if aug.p_oars < 1:
                 unsafe_prunes += 1
             for oar in low:
-                specs, _ = specialization(oar, store, rt_pairs, set(),
-                                          sorted(rt_pairs), config_aug)
+                specs, _ = specialization(oar, open_groundings(oar, store),
+                                          rt_pairs, set(), sorted(rt_pairs),
+                                          config_aug)
                 if any(is_relevant(m, config_aug) for _, m in specs):
                     unsafe_prunes += 1
     ok = mismatches == 0 and unsafe_prunes == 0 and kgs_with_pruning > 0

@@ -247,7 +247,7 @@ def test_learn_and_eval_commands(tmp_path, capsys):
 
 
 def _record_values(record: str, key: str) -> list[str]:
-    return re.findall(rf"^target\.[^.]+\.{key} = (.+)$", record, re.M)
+    return re.findall(rf"^target\.[^.]+\.{key} = (.*)$", record, re.M)
 
 
 def test_learn_record_reports_approximations(tmp_path):
@@ -271,6 +271,27 @@ def test_learn_record_reports_approximations(tmp_path):
     record = (out / "run_record.txt").read_text()
     assert _record_values(record, "truncated") == ["True"] * 3
     assert _record_values(record, "abstract_rules") == ["1"] * 3
+
+
+@pytest.mark.parametrize("cause, value", [("gen_time_budget", "1e-9"),
+                                          ("spec_time_budget", "1e-9"),
+                                          ("max_specs_per_oar", "1")])
+def test_learn_record_names_what_truncated_each_target(tmp_path, cause,
+                                                       value):
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    record = (out / "run_record.txt").read_text()
+    assert _record_values(record, "truncated_by") == [""] * 3
+
+    assert main(["learn", "--config", str(cfg),
+                 "--set", f"{cause}={value}"]) == 0
+    record = (out / "run_record.txt").read_text()
+    causes = _record_values(record, "truncated_by")
+    assert set(causes) <= {"", cause} and cause in causes
+    assert [c == cause for c in causes] == \
+        [t == "True" for t in _record_values(record, "truncated")]
 
 
 def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,

@@ -6,7 +6,7 @@ from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
                                 build_i_hierarchy, union, write_dot)
 from rulehier.kgstore import Interner
 from rulehier.miner import (MinerConfig, generalization, is_relevant,
-                            specialization)
+                            open_groundings, specialization)
 from rulehier.rules import Rule, format_rule, kind_of, parse_rule
 from rulehier.subsumption import a_subsumes, i_subsumes, sa_subsumes
 
@@ -113,7 +113,8 @@ def _rule_sets():
             for oar in abstract:
                 if oar.body and kind_of(oar) == "OAR":
                     specs, _ = specialization(
-                        oar, store, rt_pairs, store.instances_of(rt, "valid"),
+                        oar, open_groundings(oar, store), rt_pairs,
+                        store.instances_of(rt, "valid"),
                         sorted(rt_pairs), cfg,
                         keep=lambda m: is_relevant(m, cfg))
                     yield [r for r, _ in specs]

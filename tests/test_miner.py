@@ -1,20 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
 import rulehier.miner as miner_mod
 from rulehier.hierarchy import (A_EDGE, Hierarchy, SubsumptionEdge,
-                                build_a_hierarchy, build_i_hierarchy)
+                                bfs_with_pruning, build_a_hierarchy,
+                                build_i_hierarchy)
 from rulehier.kgstore import Interner, TripleStore
 from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             MinerConfig, evaluate, generalization, ground_body,
-                            is_relevant, learn, overfit_keep, post_pruning,
-                            prior_pruning, read_rules, specialization,
+                            is_relevant, learn, open_groundings, overfit_keep,
+                            post_pruning, read_rules, specialization,
                             write_rules)
 from rulehier.rules import (Atom, Rule, VAR_X, VAR_Y, constants, format_rule,
                             kind_of, parse_rule)
 
-from helpers import R, edges_climb, generalization_oracle, random_kg, toy_store
+from helpers import (R, edges_climb, generalization_oracle, learn_oracle,
+                     random_kg, toy_store)
 
 
 def cfg(**kw):
@@ -302,8 +305,10 @@ def test_prior_pruning_chain():
     h = Hierarchy({a, b, c}, {SubsumptionEdge(a, b, A_EDGE),
                               SubsumptionEdge(b, c, A_EDGE)})
     supp = {a: 10, b: 4, c: 7}
-    assert prior_pruning(h, 5, supp.get) == {a}
-    assert prior_pruning(h, 0, supp.get) == {a, b, c}
+    # learn's visit keeps a rule iff supp >= supp_h: b's subtree goes, c
+    # with it, although c alone would pass
+    assert bfs_with_pruning(h, lambda r: supp[r] >= 5) == {a}
+    assert bfs_with_pruning(h, lambda r: supp[r] >= 0) == {a, b, c}
 
 
 def test_post_pruning_strict_dominance():
@@ -316,6 +321,13 @@ def test_post_pruning_strict_dominance():
     assert post_pruning(h, {har: 0.5, bar: 0.6}) == {har, bar}
 
 
+def test_evaluate_rejects_open_rules_other_than_oars():
+    store, (rt, _), _ = triangle_store()
+    for text in ("rt(X,Y) <- r0(Y,V0)", "rt(X,Y) <- r0(X,c)"):
+        with pytest.raises(ValueError):
+            evaluate(R(text, store), store, store.instances_of(rt), cfg())
+
+
 # ---------------------------------------------------------------------------
 # specialization
 
@@ -324,8 +336,8 @@ def test_specialization_toy():
     rt = store.relations.get("Advises")
     rt_pairs = store.instances_of(rt)
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
-    specs, truncated = specialization(oar, store, rt_pairs, set(),
-                                      sorted(rt_pairs), cfg())
+    specs, truncated = specialization(oar, open_groundings(oar, store),
+                                      rt_pairs, set(), sorted(rt_pairs), cfg())
     assert not truncated
     by_rule = {format_rule(r, store.entities, store.relations): m
                for r, m in specs}
@@ -368,7 +380,8 @@ def test_specialization_measures_match_evaluate():
             if not rt_pairs:
                 continue
             for oar in oars_of(store, rt, config):
-                specs, _ = specialization(oar, store, rt_pairs, valid_pairs,
+                specs, _ = specialization(oar, open_groundings(oar, store),
+                                          rt_pairs, valid_pairs,
                                           sorted(rt_pairs), config)
                 for rule, m in specs:
                     ref = evaluate(rule, store, rt_pairs, config, valid_pairs)
@@ -399,8 +412,9 @@ def test_specialization_keep_equals_filtering_every_candidate(cap):
             valid_pairs = store.instances_of(rt, "valid")
             if not rt_pairs:
                 continue
-            args = (store, rt_pairs, valid_pairs, sorted(rt_pairs), config)
             for oar in oars_of(store, rt, config):
+                args = (open_groundings(oar, store), rt_pairs, valid_pairs,
+                        sorted(rt_pairs), config)
                 every, truncated = specialization(oar, *args)
                 for p in predicates:
                     got, got_truncated = specialization(oar, *args, keep=p)
@@ -416,12 +430,13 @@ def test_specialization_cap_limits_hars_and_bars_separately():
     store = random_kg(rng, n_entities=12, n_relations=2, n_train=60)
     rt_pairs = store.instances_of(0)
     oar = R("r0(X,Y) <- r1(X,V0)", store)
-    full, _ = specialization(oar, store, rt_pairs, set(), sorted(rt_pairs),
-                             cfg())
+    groundings = open_groundings(oar, store)
+    full, _ = specialization(oar, groundings, rt_pairs, set(),
+                             sorted(rt_pairs), cfg())
     n_hars = sum(kind_of(r) == "HAR" for r, _ in full)
     n_bars = sum(kind_of(r) == "BAR" for r, _ in full)
     assert n_hars > 1 and n_bars > 1
-    capped, truncated = specialization(oar, store, rt_pairs, set(),
+    capped, truncated = specialization(oar, groundings, rt_pairs, set(),
                                        sorted(rt_pairs),
                                        cfg(max_specs_per_oar=1))
     assert truncated
@@ -522,8 +537,8 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     rt_pairs = store.instances_of(0)
     candidates = relevant = 0
     for oar in oars:
-        specs, _ = specialization(oar, store, rt_pairs, set(),
-                                  sorted(rt_pairs), config)
+        specs, _ = specialization(oar, open_groundings(oar, store),
+                                  rt_pairs, set(), sorted(rt_pairs), config)
         candidates += len(specs)
         relevant += sum(is_relevant(m, config) for _, m in specs)
     assert len(built) == relevant
@@ -533,9 +548,9 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
 
 def test_learn_prunes_through_prior_pruning(monkeypatch):
     calls = []
-    prune = miner_mod.prior_pruning
-    monkeypatch.setattr(miner_mod, "prior_pruning",
-                        lambda *a: calls.append(a) or prune(*a))
+    bfs = miner_mod.bfs_with_pruning
+    monkeypatch.setattr(miner_mod, "bfs_with_pruning",
+                        lambda *a: calls.append(a) or bfs(*a))
     store = toy_store()
     rt = store.relations.get("Advises")
     assert learn(store, rt, cfg(supp_h=2)).p_oars == 2
@@ -543,6 +558,82 @@ def test_learn_prunes_through_prior_pruning(monkeypatch):
     calls.clear()
     learn(store, rt, cfg(supp_h=2, enable_prior_pruning=False))
     assert calls == []
+
+
+@pytest.mark.parametrize("prior", [True, False])
+@pytest.mark.parametrize("post", [True, False])
+def test_learn_equals_the_three_pass_reference(prior, post):
+    rng = random.Random(17)
+    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
+                        n_valid=25) for _ in range(3)] + [hub_kg(rng)]
+    pruned = specialized = 0
+    for store in stores:
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1,
+                         enable_prior_pruning=prior,
+                         enable_post_pruning=post)
+            res = learn(store, rt, config)
+            rules, counts = learn_oracle(store, rt, config)
+            assert res.rules == rules
+            assert (res.p_oars, res.i_oars, res.u_oars) == counts
+            assert res.skipped_oars == 0
+            pruned += res.p_oars
+            specialized += res.i_oars
+    assert specialized > 0
+    assert (pruned > 0) == prior
+
+
+@pytest.mark.parametrize("budget", [0.0, 1e-9])
+def test_learn_accounts_for_every_oar(budget):
+    rng = random.Random(6)
+    store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
+    for supp_h in (0, 10):
+        config = cfg(supp_h=supp_h, spec_time_budget=budget)
+        res = learn(store, 0, config)
+        n_oars = sum(kind_of(r) == "OAR"
+                     for r in generalization(store, 0, config) if r.body)
+        assert res.p_oars + res.i_oars + res.u_oars + res.skipped_oars \
+            == n_oars
+        # measuring goes on past the deadline, so p_oars stays exact
+        assert res.p_oars == learn(store, 0, cfg(supp_h=supp_h)).p_oars
+        assert (res.skipped_oars > 0) == bool(budget)
+        assert (supp_h > 0) == (res.p_oars > 0)
+
+
+def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
+    grounded = Counter()
+    ground = miner_mod.ground_body
+    monkeypatch.setattr(miner_mod, "ground_body",
+                        lambda rule, *a, **kw: grounded.update([rule])
+                        or ground(rule, *a, **kw))
+    rng = random.Random(12)
+    specialized = 0
+    for store in (random_kg(rng, n_entities=15, n_relations=3, n_train=80),
+                  hub_kg(rng)):
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            grounded.clear()
+            res = learn(store, rt, cfg(supp_f=1, supp_h=2))
+            assert grounded and max(grounded.values()) == 1
+            assert set(grounded) <= set(generalization(store, rt, cfg()))
+            specialized += res.i_oars + res.u_oars
+    assert specialized > 0
+
+
+@pytest.mark.parametrize("cause, value", [("gen_time_budget", 1e-9),
+                                          ("spec_time_budget", 1e-9),
+                                          ("max_specs_per_oar", 1)])
+def test_truncated_by_names_the_approximation_that_took_effect(cause, value):
+    rng = random.Random(6)
+    store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
+    res = learn(store, 0, cfg(**{cause: value}))
+    assert res.truncated_by == {cause}
+    assert res.truncated
+    full = learn(store, 0, cfg())
+    assert full.truncated_by == set() and not full.truncated
 
 
 def test_learn_records_generalization_time():
@@ -577,10 +668,10 @@ def test_grounding_cap_marks_measures_approximate():
         assert capped.approximate
         assert capped.groundings < evaluate(rule, store, rt_pairs,
                                             cfg()).groundings
-    exact, _ = specialization(oar, store, rt_pairs, set(), sorted(rt_pairs),
-                              cfg())
-    capped, _ = specialization(oar, store, rt_pairs, set(),
-                               sorted(rt_pairs), cfg(grounding_cap=8))
+    exact, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
+                              set(), sorted(rt_pairs), cfg())
+    capped, _ = specialization(oar, open_groundings(oar, store, 8), rt_pairs,
+                               set(), sorted(rt_pairs), cfg(grounding_cap=8))
     assert exact and not any(m.approximate for _, m in exact)
     assert capped and all(m.approximate for _, m in capped)
     res = learn(store, 0, cfg(grounding_cap=8))

@@ -4,7 +4,7 @@ import pytest
 
 import rulehier.miner as miner_mod
 from rulehier.kgstore import Interner, ParseError, TripleStore
-from rulehier.miner import MinerConfig, specialization
+from rulehier.miner import MinerConfig, open_groundings, specialization
 from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             VAR_X, VAR_Y, body_length, const, constants,
                             dangling_term, deduction_level, format_rule,
@@ -265,8 +265,8 @@ def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
                         lambda rule, b: bound.append(set(b))
                         or instantiate(rule, b))
     rt_pairs = store.instances_of(rt)
-    specs, _ = specialization(oar, store, rt_pairs, set(), sorted(rt_pairs),
-                              MinerConfig())
+    specs, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
+                              set(), sorted(rt_pairs), MinerConfig())
     assert bound == [{VAR_Y}, {VAR_Y, var(0)}]
     assert [r for r, _ in specs] == [
         R("Advises(X,bob) <- Is_A(X,V0)", store),
@@ -274,14 +274,17 @@ def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
 
 
 def test_specialization_rejects_non_oars():
+    # specialization reads the index that open_groundings builds, and
+    # open_groundings accepts only an OAR
     ents, rels = _interners()
     store, config = TripleStore(), MinerConfig()
     for text in ("r0(X,Y) <-",
                  "r0(X,Y) <- r1(X,V0), r2(V0,Y)",
                  "r0(X,Y) <- r1(Y,V0)",
                  "r0(X,c0) <- r1(X,V0)"):
+        rule = parse_rule(text, ents, rels)
         with pytest.raises(KindError):
-            specialization(parse_rule(text, ents, rels), store, set(), set(),
+            specialization(rule, open_groundings(rule, store), set(), set(),
                            [], config)
 
 
