@@ -4,7 +4,8 @@ Pipeline per target predicate: sample walks and generalize them into
 abstract rules, visit those breadth-first over the atom-addition hierarchy,
 measuring each once and pruning subtrees below `supp_h`. A kept closed rule
 is filtered for relevance; a kept open rule is specialized from the grounding
-pass that measured it, and post pruning drops dominated anchorings.
+pass that measured it, support first and the dearer thresholds after, and
+post pruning drops dominated anchorings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
     bfs_with_pruning, union
@@ -251,29 +252,34 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
 # ---------------------------------------------------------------------------
 # generalization (walk sampling)
 
+def _steps(store: TripleStore, rt: int, x: int, y: int, cur: int,
+           visited: set[int], last: bool) -> list[tuple[int, int, str]]:
+    """The edges a walk for instance (x, y) may take from `cur`: never the
+    originating triple nor a visited entity, and y only on the last step."""
+    return [(rel, other, d) for rel, other, d in store.neighbors(cur)
+            if not (rel == rt and ((d == "out" and cur == x and other == y)
+                                   or (d == "in" and cur == y and other == x)))
+            and other not in visited and (last or other != y)]
+
+
 def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
-                 rng: random.Random) -> tuple[int, ...]:
+                 rng: random.Random, first: list) -> tuple[int, ...]:
     """One random walk from x; revisits rejected, y allowed terminally.
 
-    Returns the walk's key for `walk_rule`: a (predicate, subject id,
-    object id) triple per step, where x has id 0, y id 1 and every other
-    entity the next id from 2 in walk order.
+    `first` is `_steps` from x, built once per instance and last-step flag.
+    Returns the walk's key for `walk_rule`: a (predicate, subject id, object
+    id) triple per step, where x has id 0, y id 1 and every other entity
+    the next id from 2 in walk order.
     """
     ids = {x: X, y: Y}
     fresh = 2
     key: list[int] = []
     visited = {x}
     cur = x
+    cands = first
     for step in range(length):
-        last = step == length - 1
-        cands = []
-        for rel, other, direction in store.neighbors(cur):
-            if rel == rt and ((direction == "out" and cur == x and other == y)
-                              or (direction == "in" and cur == y and other == x)):
-                continue  # never walk the originating triple
-            if other in visited or (other == y and not last):
-                continue
-            cands.append((rel, other, direction))
+        if step:
+            cands = _steps(store, rt, x, y, cur, visited, step == length - 1)
         if not cands:
             break
         rel, other, direction = cands[rng.randrange(len(cands))]
@@ -314,9 +320,12 @@ def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
             if result is not None:
                 result.truncated_by.add("gen_time_budget")
             break
+        # x's first steps, for a walk of length 1 (y allowed) or longer
+        firsts = [_steps(store, rt, x, y, x, {x}, last) for last in (0, 1)]
         for length in range(1, cfg.max_len + 1):
             for _ in range(cfg.walks_per_instance):
-                key = _sample_walk(store, rt, x, y, length, rng)
+                key = _sample_walk(store, rt, x, y, length, rng,
+                                   firsts[length == 1])
                 if key in seen:
                     continue  # so is every prefix
                 uses = [1, 1] + [0] * length   # X and Y occur in the head
@@ -355,90 +364,84 @@ def specialization(oar: Rule, groundings: OpenGroundings,
                    valid_pairs: set[tuple[int, int]],
                    instances: list[tuple[int, int]],
                    cfg: MinerConfig,
-                   keep: Callable[[Measures], bool] | None = None,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
-    """Instantiate an OAR into HARs and BARs anchored at train instances.
+    """Instantiate an OAR into its relevant HARs and BARs.
 
-    Candidates are measured before they are instantiated, from
-    `groundings`, which `open_groundings(oar, ...)` built (and so checked
-    that `oar` is an OAR): per x, and per x and tail value t, the entities
-    that all of its groundings use. Counting, per anchor c and per (t, c),
-    the x whose intersection holds c gives every candidate's |g| by one
-    subtraction, and its support looks only at the pairs with object c.
-
-    A rule is built only for a candidate whose measures pass `keep`
-    (every candidate when `keep` is None): a HAR binds Y to its anchor,
-    a BAR also binds the dangling term. Returns (rules with measures,
-    truncated flag).
+    A HAR binds Y to an anchor c, a BAR also binds the dangling term to a
+    tail value t. `groundings`, which `open_groundings(oar, ...)` built (and
+    so checked that `oar` is an OAR), gives per x, and per x and t, the
+    entities all of its groundings use; (x, c) is in a candidate's head
+    groundings iff c is outside that intersection. The pass over
+    `instances` (the pairs of `rt_pairs`) that finds the candidates counts
+    their support, so the thresholds run cheapest first: `supp_f` and
+    `hc_f`, then |g| and `sc_f`, then the validation support and
+    `overfit_keep`. Returns (rules with measures, truncated flag): exactly
+    the candidates that pass `is_relevant` and `overfit_keep`, each built
+    only if kept; with zero thresholds, every candidate (each has supp >= 1).
     """
     tail = dangling_term(oar)
-    # the entities used by every grounding of x (key (x, None)) and by
-    # every grounding of x whose tail value is t (key (x, t))
-    common: dict[tuple[int, int | None], frozenset[int]] = {
-        (x, None): ents for x, ents in groundings.common.items()}
-    for x, gs in groundings.by_x.items():
-        for t, ents in gs:
-            prev = common.get((x, t))
-            common[(x, t)] = ents if prev is None else prev & ents
-
-    hars: list[int] = []
-    bars: list[tuple[int, int]] = []
-    seen_h, seen_b = set(), set()
+    # supp[(c, t)] in first-seen order: an instance (x, y) that some
+    # grounding of x avoids supports the HAR (y, None) once, and the BAR
+    # (y, t) once per distinct tail value t of those groundings
+    supp: dict[tuple[int, int | None], int] = {}
     for x, y in sorted(instances):
-        ents_x = common.get((x, None))
-        if ents_x is None or y in ents_x:
+        if y in groundings.common.get(x, (y,)):
             continue  # no grounding of x avoids y
-        for t, ents in groundings.by_x[x]:
-            if y in ents:
-                continue
-            if y not in seen_h:
-                seen_h.add(y)
-                hars.append(y)
-            if t != y and (y, t) not in seen_b:
-                seen_b.add((y, t))
-                bars.append((y, t))
+        supp[(y, None)] = supp.get((y, None), 0) + 1
+        for t in dict.fromkeys(t for t, ents in groundings.by_x[x]
+                               if t != y and y not in ents):
+            supp[(y, t)] = supp.get((y, t), 0) + 1
 
     # the cap limits HARs and BARs separately, so cap=1 yields at most one
     # HAR plus its first BAR
+    hars = [ct for ct in supp if ct[1] is None]
+    bars = [ct for ct in supp if ct[1] is not None]
     cap = cfg.max_specs_per_oar
     truncated = bool(cap) and (len(hars) > cap or len(bars) > cap)
     if cap:
         hars = hars[:cap]
-        kept = set(hars)
+        kept = {c for c, _ in hars}
         bars = [cb for cb in bars if cb[0] in kept][:cap]
+    n_rt = len(rt_pairs)
+    cands = [ct for ct in hars + bars
+             if supp[ct] > cfg.supp_f and supp[ct] / n_rt > cfg.hc_f]
+    if not cands:
+        return [], truncated
+
+    # the entities used by every grounding of x (key (x, None)) and by
+    # every grounding of x whose tail value is t (key (x, t)), for the
+    # tail values of the surviving BARs
+    tails = {t for _, t in cands}
+    common: dict[tuple[int, int | None], frozenset[int]] = {
+        (x, None): ents for x, ents in groundings.common.items()}
+    for x, gs in groundings.by_x.items():
+        for t, ents in gs:
+            if t in tails:
+                prev = common.get((x, t))
+                common[(x, t)] = ents if prev is None else prev & ents
 
     # n_xs[t]: how many x have a grounding with tail value t (any tail
     # value for t None); blocked[(t, c)]: how many of them use c in every
-    # such grounding. Only instance objects can be anchors.
-    anchors = {y for _, y in instances}
+    # such grounding
+    anchors = {c for c, _ in cands}
     n_xs = Counter(t for _, t in common)
     blocked = Counter((t, c) for (_, t), ents in common.items()
-                      for c in ents if c in anchors)
-    rt_by_c: dict[int, list[int]] = defaultdict(list)
-    for x, c in rt_pairs:
-        rt_by_c[c].append(x)
+                      for c in ents & anchors)
     valid_by_c: dict[int, list[int]] = defaultdict(list)
     for x, c in valid_pairs:
         valid_by_c[c].append(x)
 
-    def measure(c: int, t: int | None = None) -> Measures:
-        def reached(x: int) -> bool:
-            ents = common.get((x, t))
-            return ents is not None and c not in ents
-        return _measures(sum(map(reached, rt_by_c.get(c, ()))),
-                         n_xs[t] - blocked[(t, c)],
-                         sum(map(reached, valid_by_c.get(c, ()))),
-                         groundings.capped, len(rt_pairs), cfg)
-
     out: list[tuple[Rule, Measures]] = []
-    for c in hars:
-        m = measure(c)
-        if keep is None or keep(m):
-            out.append((instantiate(oar, {VAR_Y: c}), m))
-    for c, t in bars:
-        m = measure(c, t)
-        if keep is None or keep(m):
-            out.append((instantiate(oar, {VAR_Y: c, tail: t}), m))
+    for c, t in cands:
+        n_g = n_xs[t] - blocked[(t, c)]
+        if not supp[(c, t)] / (cfg.eta + n_g) > cfg.sc_f:
+            continue
+        valid = sum(c not in common.get((x, t), (c,))
+                    for x in valid_by_c.get(c, ()))
+        m = _measures(supp[(c, t)], n_g, valid, groundings.capped, n_rt, cfg)
+        if overfit_keep(m, cfg):
+            bind = {VAR_Y: c} if t is None else {VAR_Y: c, tail: t}
+            out.append((instantiate(oar, bind), m))
     return out, truncated
 
 
@@ -479,11 +482,6 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     collected: list[Hierarchy] = []
     mined: list[tuple[Rule, Measures]] = []
 
-    def relevant(m: Measures, kind: str = "INSR") -> bool:
-        # overfit_keep treats only CARs and OARs by kind: INSR stands for
-        # both HARs and BARs
-        return is_relevant(m, cfg) and overfit_keep(m, cfg, kind)
-
     def visit(rule: Rule) -> bool:
         """Measure a rule, keep it iff supp >= supp_h and mine it: filter a
         CAR, specialize an OAR from the grounding pass that measured it."""
@@ -502,11 +500,11 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             result.skipped_oars += is_oar
             return True
         if not is_oar:
-            if relevant(m, "CAR"):
+            if is_relevant(m, cfg) and overfit_keep(m, cfg, "CAR"):
                 mined.append((rule, m))
             return True
         specs, truncated = specialization(rule, g, rt_pairs, valid_pairs,
-                                          instances, cfg, relevant)
+                                          instances, cfg)
         if truncated:
             result.truncated_by.add("max_specs_per_oar")
         if not specs:

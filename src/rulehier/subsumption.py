@@ -10,8 +10,7 @@ SA-subsumption to single atom-addition / variable-instantiation steps.
 
 from __future__ import annotations
 
-from .rules import (Rule, Term, body_length, constants, deduction_level,
-                    reverse_body, skolemize)
+from .rules import Rule, Term, body_length, constants, reverse_body, skolemize
 
 
 def _match_atom(sub: dict[Term, Term], p_atom, q_atom,
@@ -87,23 +86,24 @@ def oi_subsumes(p: Rule, q: Rule) -> bool:
     return _embed(p, q, injective=True)
 
 
+def _sa_subsumes(p: Rule, q: Rule, p_consts: set[int]) -> bool:
+    sub: dict[Term, Term] = {}
+    used: set[Term] = set()
+    for p_atom, q_atom in zip(p.atoms, q.atoms):
+        sub = _match_atom(sub, p_atom, q_atom, True, p_consts, used)
+        if sub is None:
+            return False
+    return True
+
+
 def sa_subsumes(p: Rule, q: Rule) -> bool:
     """Single positional left-to-right pass, no backtracking.
 
     p[i] must unify with q[i] for i = 0..|p| (index 0 is the head) under an
     injective variable binding.
     """
-    if body_length(p) > body_length(q):
-        return False
-    p_consts = constants(p)
-    sub: dict[Term, Term] = {}
-    used: set[Term] = set()
-    for p_atom, q_atom in zip(p.atoms, q.atoms):
-        new = _match_atom(sub, p_atom, q_atom, True, p_consts, used)
-        if new is None:
-            return False
-        sub = new
-    return True
+    return body_length(p) <= body_length(q) \
+        and _sa_subsumes(p, q, constants(p))
 
 
 def sa_subsumes_complete(p: Rule, q: Rule) -> bool:
@@ -113,13 +113,15 @@ def sa_subsumes_complete(p: Rule, q: Rule) -> bool:
 
 def a_subsumes(p: Rule, q: Rule) -> bool:
     """Single atom-addition step: same deduction level, length gap one."""
+    p_consts = constants(p)
     return (body_length(q) == body_length(p) + 1
-            and deduction_level(p) == deduction_level(q)
-            and sa_subsumes(p, q))
+            and len(p_consts) == len(constants(q))
+            and _sa_subsumes(p, q, p_consts))
 
 
 def i_subsumes(p: Rule, q: Rule) -> bool:
     """Single variable-instantiation step: same length, one extra constant."""
+    p_consts = constants(p)
     return (body_length(p) == body_length(q)
-            and deduction_level(q) == deduction_level(p) + 1
-            and sa_subsumes(p, q))
+            and len(constants(q)) == len(p_consts) + 1
+            and _sa_subsumes(p, q, p_consts))

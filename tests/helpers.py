@@ -9,15 +9,17 @@ builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound,
 by scanning every train fact. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
-per prefix. The learn oracle runs `learn`'s steps as three separate passes
-over public pieces: measure every abstract rule, prune, then mine each
-survivor.
+per prefix; its walk oracle filters every step's neighbours anew, the
+first step included. The learn oracle runs `learn`'s steps as three
+separate passes over public pieces: measure every abstract rule, prune,
+then mine each survivor, specializing each OAR into every candidate (zero
+thresholds) and filtering the candidates itself.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import networkx as nx
@@ -29,10 +31,10 @@ from rulehier.kgstore import TripleStore
 from rulehier.miner import (EmptyTargetError, Measures, evaluate,
                             generalization, is_relevant, open_groundings,
                             overfit_keep, post_pruning, specialization)
-from rulehier.rules import (Atom, Rule, StraightnessError, Term, VAR_X, VAR_Y,
-                            body_length, const, constants, deduction_level,
-                            is_connected, is_straight, kind_of, parse_rule,
-                            var)
+from rulehier.rules import (X, Y, Atom, Rule, StraightnessError, Term, VAR_X,
+                            VAR_Y, body_length, const, constants,
+                            deduction_level, is_connected, is_straight,
+                            kind_of, parse_rule, var)
 
 N_PREDS = 5
 N_CONSTS = 6
@@ -339,6 +341,40 @@ def _sample_walk_path(store: TripleStore, rt: int, x: int, y: int,
     return Path(tuple(atoms), tuple(ents))
 
 
+def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
+                       length: int, rng: random.Random) -> tuple[int, ...]:
+    """One walk's key, filtering every step's neighbours anew (the first
+    step included), with the miner's RNG draws."""
+    ids = {x: X, y: Y}
+    fresh = 2
+    key: list[int] = []
+    visited = {x}
+    cur = x
+    for step in range(length):
+        last = step == length - 1
+        cands = []
+        for rel, other, d in store.neighbors(cur):
+            if rel == rt and ((d == "out" and cur == x and other == y)
+                              or (d == "in" and cur == y and other == x)):
+                continue  # never walk the originating triple
+            if other in visited or (other == y and not last):
+                continue
+            cands.append((rel, other, d))
+        if not cands:
+            break
+        rel, other, direction = cands[rng.randrange(len(cands))]
+        if other not in ids:
+            ids[other] = fresh
+            fresh += 1
+        if direction == "out":
+            key += (rel, ids[cur], ids[other])
+        else:
+            key += (rel, ids[other], ids[cur])
+        visited.add(other)
+        cur = other
+    return tuple(key)
+
+
 def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
     """`generalization` without the time budget, one `generalize` call
     per walk prefix."""
@@ -447,6 +483,12 @@ def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
 # ---------------------------------------------------------------------------
 # three-pass learn oracle
 
+def zero_thresholds(cfg):
+    """cfg with every relevance and overfitting threshold at zero: under
+    it `specialization` returns every candidate."""
+    return replace(cfg, supp_f=0, hc_f=0.0, sc_f=0.0, overfit_threshold=0.0)
+
+
 def learn_oracle(store: TripleStore, rt: int, cfg
                  ) -> tuple[list[tuple[Rule, Measures]], tuple[int, int, int]]:
     """learn's rules and (p_oars, i_oars, u_oars), one step after another.
@@ -454,7 +496,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
     Every abstract rule is measured with `evaluate`; prior pruning keeps
     the rules `bfs_with_pruning` reaches with supp >= supp_h; each
     surviving CAR is filtered, and each surviving OAR is grounded again,
-    specialized, filtered and post-pruned.
+    specialized into every candidate, filtered and post-pruned.
     """
     rt_pairs = store.instances_of(rt, "train")
     valid_pairs = store.instances_of(rt, "valid")
@@ -479,7 +521,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
             continue
         specs, _ = specialization(
             rule, open_groundings(rule, store, cfg.grounding_cap), rt_pairs,
-            valid_pairs, sorted(rt_pairs), cfg)
+            valid_pairs, sorted(rt_pairs), zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
         if not specs:

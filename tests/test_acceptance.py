@@ -21,7 +21,8 @@ from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
 
 from helpers import (R, generalization_closure, is_proper,
-                     random_generalization, random_kg, random_rule, toy_store)
+                     random_generalization, random_kg, random_rule, toy_store,
+                     zero_thresholds)
 
 
 def _report(n: int, ok: bool, desc: str) -> None:
@@ -145,7 +146,7 @@ def test_criterion_4_support_monotonicity():
                 continue
             specs, _ = specialization(oar, open_groundings(oar, store),
                                       rt_pairs, set(), sorted(rt_pairs),
-                                      config)
+                                      zero_thresholds(config))
             measures = dict(specs)
             phi_i = build_i_hierarchy(list(measures))
             for parent, child in phi_i.edge_pairs():
@@ -192,7 +193,7 @@ def test_criterion_5_prior_pruning_safety():
             for oar in low:
                 specs, _ = specialization(oar, open_groundings(oar, store),
                                           rt_pairs, set(), sorted(rt_pairs),
-                                          config_aug)
+                                          zero_thresholds(config_aug))
                 if any(is_relevant(m, config_aug) for _, m in specs):
                     unsafe_prunes += 1
     ok = mismatches == 0 and unsafe_prunes == 0 and kgs_with_pruning > 0

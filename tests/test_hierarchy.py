@@ -11,7 +11,7 @@ from rulehier.rules import Rule, format_rule, kind_of, parse_rule
 from rulehier.subsumption import a_subsumes, i_subsumes, sa_subsumes
 
 from helpers import (R, edges_climb, generalization_closure, is_proper,
-                     random_kg, random_rule, toy_store)
+                     random_kg, random_rule, toy_store, zero_thresholds)
 
 
 def _family():
@@ -115,9 +115,8 @@ def _rule_sets():
                     specs, _ = specialization(
                         oar, open_groundings(oar, store), rt_pairs,
                         store.instances_of(rt, "valid"),
-                        sorted(rt_pairs), cfg,
-                        keep=lambda m: is_relevant(m, cfg))
-                    yield [r for r, _ in specs]
+                        sorted(rt_pairs), zero_thresholds(cfg))
+                    yield [r for r, m in specs if is_relevant(m, cfg)]
 
 
 def test_builders_equal_the_deciders_and_test_only_the_parents_shape(

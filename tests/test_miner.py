@@ -17,7 +17,8 @@ from rulehier.rules import (Atom, Rule, VAR_X, VAR_Y, constants, format_rule,
                             kind_of, parse_rule)
 
 from helpers import (R, edges_climb, generalization_oracle, learn_oracle,
-                     random_kg, toy_store)
+                     random_kg, sample_walk_oracle, toy_store,
+                     zero_thresholds)
 
 
 def cfg(**kw):
@@ -242,6 +243,31 @@ def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
                 assert draws == oracle_draws and draws
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
+    # generalization filters x's neighbours once per instance; the oracle
+    # filters them anew for every walk and must draw the same keys
+    rng = random.Random(seed)
+    graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
+                        n_train=50 + 10 * seed), hub_kg(rng)]
+    for store in graphs:
+        config = cfg(max_len=3, seed=seed, walks_per_instance=4)
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            keys = []
+            walk = miner_mod._sample_walk
+            monkeypatch.setattr(miner_mod, "_sample_walk",
+                                lambda *a: keys.append(walk(*a)) or keys[-1])
+            generalization(store, rt, config)
+            monkeypatch.undo()
+            oracle_rng = random.Random(f"{seed}:{rt}")
+            want = [sample_walk_oracle(store, rt, x, y, length, oracle_rng)
+                    for x, y in sorted(store.instances_of(rt))
+                    for length in (1, 2, 3) for _ in range(4)]
+            assert keys == want and any(keys)
+
+
 def test_generalization_never_walks_originating_triple():
     store = TripleStore()
     rt = store.relations.intern("rt")
@@ -392,37 +418,52 @@ def test_specialization_measures_match_evaluate():
     assert valid_hits > 0
 
 
-@pytest.mark.parametrize("cap", [0, 1])
-def test_specialization_keep_equals_filtering_every_candidate(cap):
+def _specialized_corpus(config):
+    """(oar, specialization args but the config) over three random graphs
+    and a hub graph, for every OAR that generalization finds."""
     rng = random.Random(31)
-    config = cfg(max_specs_per_oar=cap)
-    predicates = [
-        lambda m: m.supp > 1,
-        lambda m: m.valid_supp > 0,
-        lambda m: m.groundings % 2 == 0,
-        lambda m: is_relevant(m, cfg(supp_f=1, sc_f=0.05))
-        and overfit_keep(m, cfg(overfit_threshold=0.2)),
-    ]
     stores = [random_kg(rng, n_entities=12, n_relations=3, n_train=50,
                         n_valid=20) for _ in range(3)] + [hub_kg(rng)]
-    compared = kept = 0
     for store in stores:
         for rt in range(3):
             rt_pairs = store.instances_of(rt)
-            valid_pairs = store.instances_of(rt, "valid")
             if not rt_pairs:
                 continue
             for oar in oars_of(store, rt, config):
-                args = (open_groundings(oar, store), rt_pairs, valid_pairs,
-                        sorted(rt_pairs), config)
-                every, truncated = specialization(oar, *args)
-                for p in predicates:
-                    got, got_truncated = specialization(oar, *args, keep=p)
-                    assert got == [(r, m) for r, m in every if p(m)]
-                    assert got_truncated == truncated
-                    compared += len(every)
-                    kept += len(got)
-    assert 0 < kept < compared
+                yield oar, (open_groundings(oar, store), rt_pairs,
+                            store.instances_of(rt, "valid"), sorted(rt_pairs))
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_specialization_equals_filtering_every_candidate(cap):
+    # each threshold alone drops some candidates, and the list returned
+    # under it is the zero-threshold list filtered by the public checks
+    configs = [cfg(max_specs_per_oar=cap, **kw) for kw in (
+        dict(supp_f=1), dict(hc_f=0.1), dict(sc_f=0.1),
+        dict(overfit_threshold=0.5))]
+    compared = [0] * len(configs)
+    kept = [0] * len(configs)
+    for oar, args in _specialized_corpus(cfg()):
+        every, truncated = specialization(oar, *args,
+                                          cfg(max_specs_per_oar=cap))
+        for i, config in enumerate(configs):
+            got, got_truncated = specialization(oar, *args, config)
+            assert got == [(r, m) for r, m in every if is_relevant(m, config)
+                           and overfit_keep(m, config)]
+            assert got_truncated == truncated
+            compared[i] += len(every)
+            kept[i] += len(got)
+    assert all(0 < k < n for k, n in zip(kept, compared)), (kept, compared)
+
+
+def test_specialization_candidates_have_support():
+    # so a config with zero thresholds keeps every candidate
+    candidates = 0
+    for oar, args in _specialized_corpus(cfg()):
+        every, _ = specialization(oar, *args, cfg())
+        assert all(m.supp >= 1 for _, m in every)
+        candidates += len(every)
+    assert candidates > 0
 
 
 def test_specialization_cap_limits_hars_and_bars_separately():
@@ -538,7 +579,8 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     candidates = relevant = 0
     for oar in oars:
         specs, _ = specialization(oar, open_groundings(oar, store),
-                                  rt_pairs, set(), sorted(rt_pairs), config)
+                                  rt_pairs, set(), sorted(rt_pairs),
+                                  zero_thresholds(config))
         candidates += len(specs)
         relevant += sum(is_relevant(m, config) for _, m in specs)
     assert len(built) == relevant

@@ -12,7 +12,8 @@ from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             parse_rule, reverse_body, skolem, skolemize, var,
                             walk_rule)
 
-from helpers import Path, R, generalize, random_rule, toy_store
+from helpers import (Path, R, generalize, random_rule, toy_store,
+                     zero_thresholds)
 
 
 def _interners():
@@ -266,7 +267,8 @@ def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
                         or instantiate(rule, b))
     rt_pairs = store.instances_of(rt)
     specs, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
-                              set(), sorted(rt_pairs), MinerConfig())
+                              set(), sorted(rt_pairs),
+                              zero_thresholds(MinerConfig()))
     assert bound == [{VAR_Y}, {VAR_Y, var(0)}]
     assert [r for r, _ in specs] == [
         R("Advises(X,bob) <- Is_A(X,V0)", store),
