@@ -9,7 +9,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .kgstore import TripleStore
-from .miner import CapExceeded, Measures, ground_body
+from .miner import CapExceeded, Measures, body_vars, ground_body
 from .rules import Rule, Term, constants
 
 
@@ -113,14 +113,12 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
              "capped_bodies": 0}
     vectors: dict[tuple, dict[int, list[float]]] = defaultdict(dict)
     for body, group in by_body.items():
-        terms = [t for a in body for t in a.terms]
-        pos = {v: i for i, v in enumerate(dict.fromkeys(
-            t for t in terms if t.is_var))}
-        body_consts = {t.idx for t in terms if not t.is_var}
+        pos = {v: i for i, v in enumerate(body_vars(group[0][0]))}
+        body_consts = {t.idx for a in body for t in a.terms if not t.is_var}
         groundings = []
         try:
-            for b in ground_body(group[0][0], store, cap, exclude=body_consts):
-                groundings.append(tuple(b[v] for v in pos))
+            for g in ground_body(group[0][0], store, cap, exclude=body_consts):
+                groundings.append(g)
         except CapExceeded:
             stats["capped_bodies"] += 1
         stats["groundings"] += len(groundings)

@@ -20,9 +20,9 @@ from typing import NamedTuple
 from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
     bfs_with_pruning, union
 from .kgstore import ParseError, TripleStore
-from .rules import (X, Y, Atom, KindError, Rule, VAR_X, VAR_Y, constants,
-                    dangling_term, format_rule, instantiate, kind_of,
-                    parse_rule, walk_rule)
+from .rules import (X, Y, Atom, KindError, Rule, Term, VAR_X, VAR_Y,
+                    constants, dangling_term, format_rule, instantiate,
+                    kind_of, parse_rule, walk_rule)
 
 log = logging.getLogger(__name__)
 
@@ -99,65 +99,94 @@ class LearnResult:
 # ---------------------------------------------------------------------------
 # grounding
 
+def body_vars(rule: Rule) -> tuple[Term, ...]:
+    """The body's variables in first-occurrence order: the positions of the
+    entity tuples `ground_body` yields."""
+    return tuple(dict.fromkeys(t for a in rule.body for t in a.terms
+                               if t.is_var))
+
+
 def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
                 exclude: set[int] | None = None):
-    """Yield object-identity body groundings as var-Term -> entity dicts.
+    """Yield object-identity body groundings as entity tuples in the order
+    of `body_vars(rule)`: distinct variables bind distinct entities outside
+    `exclude` (the rule's constants when None), and an atom repeating a
+    variable matches self-loops. The body is compiled once into a slot plan
+    for a depth-first search over one value list. When `cap` candidate
+    extensions have been examined (cap 0 = unlimited), yields the
+    groundings found so far and raises CapExceeded."""
+    order = body_vars(rule)
+    slot = {t: i for i, t in enumerate(order + tuple(dict.fromkeys(
+        t for a in rule.body for t in a.terms if not t.is_var)))}
+    vals = [None if t.is_var else t.idx for t in slot]   # constants preset
+    known = {t for t in slot if not t.is_var}
+    plan = []   # per atom: check its fact, extend a known slot, or scan
+    for pred, subj, obj in rule.body:
+        s, o = slot[subj], slot[obj]
+        if obj in known and subj not in known:
+            plan.append(("extend", pred, o, s, store.bwd_index))
+        elif subj in known:
+            plan.append(("check" if obj in known else "extend", pred, s, o,
+                         store.fwd_index))
+        else:   # s == o when the atom repeats its variable
+            plan.append(("scan", pred, s, o, None))
+        known.update((subj, obj))
 
-    Distinct variables bind distinct entities, all outside `exclude` (the
-    rule's constants when None). Raises CapExceeded when `cap` candidate
-    extensions have been examined (cap 0 = unlimited).
-    """
-    consts = constants(rule) if exclude is None else exclude
-    binding: dict = {}
-    used: set[int] = set()
+    has_train, by_relation = store.has_train, store.by_relation
+    used = set(constants(rule) if exclude is None else exclude)
+    limit = cap or float("inf")
+    out: list[tuple[int, ...]] = []
     steps = 0
 
-    def admissible(e: int) -> bool:
-        return e not in used and e not in consts
-
-    def rec(i: int):
+    def rec(i: int) -> None:
         nonlocal steps
-        if i == len(rule.body):
-            yield dict(binding)
+        kind, pred, a, b, index = plan[i]
+        leaf = i == len(plan) - 1
+        if kind == "check":
+            if has_train(pred, vals[a], vals[b]):
+                out.append(tuple(vals[:len(order)])) if leaf else rec(i + 1)
             return
-        atom = rule.body[i]
-        s = atom.subj.idx if not atom.subj.is_var else binding.get(atom.subj)
-        o = atom.obj.idx if not atom.obj.is_var else binding.get(atom.obj)
-        if s is not None and o is not None:
-            if store.has_train(atom.pred, s, o):
-                yield from rec(i + 1)
-            return
-        if s is None and o is None:
-            for cs, co in store.by_relation.get(atom.pred, []):
-                steps += 1
-                if cap and steps > cap:
-                    raise CapExceeded
-                if cs == co or not admissible(cs) or not admissible(co):
-                    continue
-                binding[atom.subj] = cs
-                binding[atom.obj] = co
-                used.update((cs, co))
-                yield from rec(i + 1)
-                del binding[atom.subj], binding[atom.obj]
-                used.difference_update((cs, co))
-            return
-        if s is not None:
-            cands, free = store.objects(atom.pred, s), atom.obj
-        else:
-            cands, free = store.subjects(atom.pred, o), atom.subj
-        for cand in cands:
-            steps += 1
-            if cap and steps > cap:
+        cands = index.get((pred, vals[a]), ()) if kind == "extend" \
+            else by_relation.get(pred, ())
+        loop = a == b   # a scan of one variable: it binds one entity
+        if leaf:   # count candidates at once, up to the cap
+            over = steps + len(cands) > limit
+            cands = cands[:limit - steps] if over else cands
+            steps += len(cands)
+            head = tuple(vals[:a if kind == "scan" else b])   # new slots last
+            if kind == "extend":
+                for c in cands:
+                    if c not in used:
+                        out.append(head + (c,))
+            else:
+                for s, o in cands:
+                    if (s == o) == loop and s not in used and o not in used:
+                        out.append(head + ((s,) if loop else (s, o)))
+            if over:
                 raise CapExceeded
-            if not admissible(cand):
+            return
+        for c in cands:
+            steps += 1
+            if steps > limit:
+                raise CapExceeded
+            if kind == "extend":
+                if c in used:
+                    continue
+                vals[b], new = c, (c,)
+            elif (c[0] == c[1]) != loop or c[0] in used or c[1] in used:
                 continue
-            binding[free] = cand
-            used.add(cand)
-            yield from rec(i + 1)
-            del binding[free]
-            used.discard(cand)
+            else:
+                vals[a], vals[b] = new = c
+            used.update(new)
+            rec(i + 1)
+            used.difference_update(new)
 
-    yield from rec(0)
+    try:
+        rec(0) if plan else out.append(())
+    except CapExceeded:
+        yield from out
+        raise
+    yield from out
 
 
 def _measures(supp: int, n_g: int, valid_supp: int, approx: bool,
@@ -180,16 +209,18 @@ class OpenGroundings(NamedTuple):
 
 def open_groundings(oar: Rule, store: TripleStore,
                     cap: int = 0) -> OpenGroundings:
-    """Ground an OAR's body once, up to `cap` steps (see ground_body)."""
+    """Ground an OAR's body once, up to `cap` steps (see ground_body), and
+    index each grounding tuple by the slots of X and the dangling term."""
     if not oar.body or kind_of(oar) != "OAR":
         kind = kind_of(oar) if oar.body else "the top rule"
         raise KindError(f"expected an OAR with a body atom, got {kind}")
-    tail = dangling_term(oar)
+    order = body_vars(oar)
+    xs, ts = order.index(VAR_X), order.index(dangling_term(oar))
     by_x = defaultdict(list)
     capped = False
     try:
-        for b in ground_body(oar, store, cap):
-            by_x[b[VAR_X]].append((b[tail], frozenset(b.values())))
+        for g in ground_body(oar, store, cap):
+            by_x[g[xs]].append((g[ts], frozenset(g)))
     except CapExceeded:
         capped = True
     common = {x: frozenset.intersection(*[ents for _, ents in gs])
@@ -227,8 +258,8 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
                          False, n_rt, cfg)
 
     hx, hy = rule.head.subj, rule.head.obj
-    body_vars = {t for a in rule.body for t in a.terms if t.is_var}
-    free = [t for t in (hx, hy) if t.is_var and t not in body_vars]
+    order = body_vars(rule)
+    free = [t for t in (hx, hy) if t.is_var and t not in order]
     if len(free) == 2:
         raise ValueError("rule body binds neither head term")
     if free:
@@ -236,13 +267,14 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         return _open_measures(open_groundings(rule, store, cfg.grounding_cap),
                               store, rt_pairs, valid_pairs, cfg)
 
+    xi = order.index(hx) if hx.is_var else None
+    yi = order.index(hy) if hy.is_var else None
     g: set[tuple[int, int]] = set()
     approx = False
     try:
         for b in ground_body(rule, store, cfg.grounding_cap):
-            x = hx.idx if not hx.is_var else b[hx]
-            y = hy.idx if not hy.is_var else b[hy]
-            g.add((x, y))
+            g.add((hx.idx if xi is None else b[xi],
+                   hy.idx if yi is None else b[yi]))
     except CapExceeded:
         approx = True
     return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs), approx,

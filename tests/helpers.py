@@ -7,7 +7,8 @@ dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
 builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound,
-by scanning every train fact. The generalization oracle samples ground
+by scanning every train fact. The grounding oracle is the recursive,
+dict-yielding form of `ground_body`. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
 per prefix; its walk oracle filters every step's neighbours anew, the
 first step included. The learn oracle runs `learn`'s steps as three
@@ -28,9 +29,10 @@ from rulehier.evaluator import Query, queries_for, rank
 from rulehier.hierarchy import (Hierarchy, bfs_with_pruning,
                                 build_a_hierarchy, build_i_hierarchy)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import (EmptyTargetError, Measures, evaluate,
-                            generalization, is_relevant, open_groundings,
-                            overfit_keep, post_pruning, specialization)
+from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
+                            evaluate, generalization, is_relevant,
+                            open_groundings, overfit_keep, post_pruning,
+                            specialization)
 from rulehier.rules import (X, Y, Atom, Rule, StraightnessError, Term, VAR_X,
                             VAR_Y, body_length, const, constants,
                             deduction_level, is_connected, is_straight,
@@ -396,6 +398,71 @@ def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
                     except StraightnessError:
                         break
     return sorted(rules, key=Rule.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# body grounding oracle
+
+def ground_body_oracle(rule: Rule, store: TripleStore, cap: int = 0,
+                       exclude: set[int] | None = None):
+    """`ground_body` as a recursive generator: yield each object-identity
+    body grounding as a var-Term -> entity dict, with the kernel's visit
+    order, step counting and `cap` (CapExceeded once `cap` candidate
+    extensions have been examined, 0 = unlimited)."""
+    consts = constants(rule) if exclude is None else exclude
+    binding: dict = {}
+    used: set[int] = set()
+    steps = 0
+
+    def admissible(e: int) -> bool:
+        return e not in used and e not in consts
+
+    def rec(i: int):
+        nonlocal steps
+        if i == len(rule.body):
+            yield dict(binding)
+            return
+        atom = rule.body[i]
+        s = atom.subj.idx if not atom.subj.is_var else binding.get(atom.subj)
+        o = atom.obj.idx if not atom.obj.is_var else binding.get(atom.obj)
+        if s is not None and o is not None:
+            if store.has_train(atom.pred, s, o):
+                yield from rec(i + 1)
+            return
+        if s is None and o is None:
+            loop = atom.subj == atom.obj   # one variable binds one entity
+            for cs, co in store.by_relation.get(atom.pred, []):
+                steps += 1
+                if cap and steps > cap:
+                    raise CapExceeded
+                if (cs == co) != loop or not admissible(cs) \
+                        or not admissible(co):
+                    continue
+                binding[atom.subj] = cs
+                binding[atom.obj] = co
+                used.update((cs, co))
+                yield from rec(i + 1)
+                binding.pop(atom.subj)
+                binding.pop(atom.obj, None)
+                used.difference_update((cs, co))
+            return
+        if s is not None:
+            cands, free = store.objects(atom.pred, s), atom.obj
+        else:
+            cands, free = store.subjects(atom.pred, o), atom.subj
+        for cand in cands:
+            steps += 1
+            if cap and steps > cap:
+                raise CapExceeded
+            if not admissible(cand):
+                continue
+            binding[free] = cand
+            used.add(cand)
+            yield from rec(i + 1)
+            del binding[free]
+            used.discard(cand)
+
+    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,24 @@ def test_evaluate_kgc_equals_the_per_query_oracle(seed):
                        suggest_oracle(q, rules, store).items()}
 
 
+def test_rules_repeating_a_variable_answer_like_the_oracle():
+    store = TripleStore()
+    r = store.relations.intern("r")
+    a, b, c, d = (store.entities.intern(x) for x in "abcd")
+    for s, o in ((a, a), (a, b), (c, c), (b, c)):
+        store.add_triple(r, s, o, "train")
+    store.add_triple(r, d, b, "test")
+    store.add_triple(r, a, d, "test")
+    rules_by_rel = {r: [(R(text, store), Measures(sc=sc)) for text, sc in
+                        (("r(X,Y) <- r(X,X)", 0.5),
+                         ("r(X,Y) <- r(Y,V0), r(V0,V0)", 0.4),
+                         ("r(X,Y) <- r(V0,V0)", 0.3))]}
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert summary.records == evaluate_kgc_oracle(store, rules_by_rel)
+    assert summary.stats["groundings"] == 2 + 1 + 2
+    assert any(top for _, _, top in summary.records)
+
+
 def test_relations_without_test_triples_are_never_grounded(monkeypatch):
     store, (rt, r0), _ = triangle_with_test()
     grounded = []

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -9,16 +10,16 @@ from rulehier.hierarchy import (A_EDGE, Hierarchy, SubsumptionEdge,
                                 build_i_hierarchy)
 from rulehier.kgstore import Interner, TripleStore
 from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
-                            MinerConfig, evaluate, generalization, ground_body,
-                            is_relevant, learn, open_groundings, overfit_keep,
-                            post_pruning, read_rules, specialization,
-                            write_rules)
-from rulehier.rules import (Atom, Rule, VAR_X, VAR_Y, constants, format_rule,
-                            kind_of, parse_rule)
+                            MinerConfig, body_vars, evaluate, generalization,
+                            ground_body, is_relevant, learn, open_groundings,
+                            overfit_keep, post_pruning, read_rules,
+                            specialization, write_rules)
+from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
+                            format_rule, kind_of, parse_rule)
 
-from helpers import (R, edges_climb, generalization_oracle, learn_oracle,
-                     random_kg, sample_walk_oracle, toy_store,
-                     zero_thresholds)
+from helpers import (R, edges_climb, generalization_oracle,
+                     ground_body_oracle, learn_oracle, random_kg,
+                     sample_walk_oracle, toy_store, zero_thresholds)
 
 
 def cfg(**kw):
@@ -49,7 +50,7 @@ def naive_measures(rule, store, rt_pairs, config,
     hx, hy = rule.head.subj, rule.head.obj
     n = len(store.entities)
     g = set()
-    for b in ground_body(rule, store):
+    for b in ground_body_oracle(rule, store):
         excl = {v for v in b.values()} | consts
 
         def values(term):
@@ -71,8 +72,8 @@ def naive_measures(rule, store, rt_pairs, config,
 def test_ground_body_object_identity():
     store, (rt, r0), (a, b, c) = triangle_store()
     rule = R("rt(X,Y) <- r0(X,V0), r0(Y,V0)", store)
-    got = {(bind[rule.head.subj], bind[rule.head.obj])
-           for bind in ground_body(rule, store)}
+    assert body_vars(rule) == (VAR_X, Term(True, 2), VAR_Y)
+    got = {(g[0], g[2]) for g in ground_body(rule, store)}
     # X = Y = a is excluded by object identity
     assert got == {(a, b), (b, a)}
 
@@ -80,9 +81,41 @@ def test_ground_body_object_identity():
 def test_ground_body_excludes_rule_constants():
     store, _, (a, b, c) = triangle_store()
     rule = R("rt(X,a) <- r0(X,V0)", store)
+    assert body_vars(rule)[0] == rule.head.subj
     binds = list(ground_body(rule, store))
     # X = a would merge the variable with the head constant
-    assert [bind[rule.head.subj] for bind in binds] == [b]
+    assert [bind[0] for bind in binds] == [b]
+
+
+def selfloop_store():
+    """r(a,a), r(a,b), r(c,c), r(b,c), t(a,b): two self-loops."""
+    store = TripleStore()
+    r, t = store.relations.intern("r"), store.relations.intern("t")
+    a, b, c = (store.entities.intern(x) for x in "abc")
+    for s, o in ((a, a), (a, b), (c, c), (b, c)):
+        store.add_triple(r, s, o, "train")
+    store.add_triple(t, a, b, "train")
+    return store, (a, b, c)
+
+
+@pytest.mark.parametrize("text", ["r(X,Y) <- r(X,X)", "r(X,Y) <- r(V0,V0)",
+                                  "t(X,Y) <- r(X,V0), r(V0,V0)"])
+def test_ground_body_repeated_variable_matches_self_loops(text):
+    store, (a, b, c) = selfloop_store()
+    rule = R(text, store)
+    # one variable binds one entity, whether an earlier atom bound it or not
+    want = [(b, c)] if len(rule.body) == 2 else [(a,), (c,)]
+    assert list(ground_body(rule, store)) == want
+
+
+def test_evaluate_rule_repeating_an_unbound_variable():
+    store, (a, b, c) = selfloop_store()
+    rt = store.relations.get("r")
+    # X binds the self-loop entities a and c, and Y any other entity:
+    # g = {(a,b), (a,c), (c,a), (c,b)}, of which r holds (a,b)
+    m = evaluate(R("r(X,Y) <- r(X,X)", store), store,
+                 store.instances_of(rt), cfg())
+    assert (m.supp, m.groundings) == (1, 4)
 
 
 def test_ground_body_cap():
@@ -90,6 +123,80 @@ def test_ground_body_cap():
     rule = R("rt(X,Y) <- r0(X,V0)", store)
     with pytest.raises(CapExceeded):
         list(ground_body(rule, store, cap=1))
+
+
+def _capped(groundings):
+    """The items a grounding generator yields, and whether it hit its cap."""
+    out = []
+    try:
+        for g in groundings:
+            out.append(g)
+    except CapExceeded:
+        return out, True
+    return out, False
+
+
+def _grounding_cases(rng):
+    """(store, rule, exclude) triples: every rule `generalization` draws on
+    random and hub graphs and the HARs and BARs of its OARs, a rule with
+    constants also with its body constants excluded as eval does, and
+    rules repeating a variable on a graph with self-loops."""
+    stores = [random_kg(rng, n_entities=12, n_relations=3, n_train=40)
+              for _ in range(2)] + [hub_kg(rng)]
+    config = cfg(max_len=3, walks_per_instance=2, max_specs_per_oar=1)
+    for store in stores:
+        for rt in range(3):
+            rt_pairs = store.instances_of(rt)
+            rules = generalization(store, rt, config) if rt_pairs else []
+            oars = [r for r in rules if r.body and kind_of(r) == "OAR"]
+            for oar in oars[::3]:
+                rules += [r for r, _ in specialization(
+                    oar, open_groundings(oar, store), rt_pairs, set(),
+                    sorted(rt_pairs), config)[0]]
+            for rule in rules:
+                yield store, rule, None
+                if constants(rule):
+                    yield store, rule, {t.idx for a in rule.body
+                                        for t in a.terms if not t.is_var}
+    loops = random_kg(rng, n_entities=10, n_relations=3, n_train=40)
+    for e in range(0, 10, 3):
+        loops.add_triple(e % 3, e, e, "train")
+    for text in ("r0(X,Y) <- r1(X,X)", "r0(X,Y) <- r2(V0,V0)",
+                 "r0(X,Y) <- r1(X,V0), r0(V0,V0)",
+                 "r0(X,Y) <- r0(V0,V0), r2(V0,Y)",
+                 "r0(X,Y) <- r1(X,V0), r2(V1,V1), r0(V0,V1)"):
+        yield loops, R(text, loops), None
+
+
+def test_ground_body_yields_the_oracle_groundings_as_tuples():
+    assert inspect.isgeneratorfunction(ground_body)
+    rng = random.Random(21)
+    cases = capped = 0
+    for store, rule, exclude in _grounding_cases(rng):
+        order = body_vars(rule)
+
+        def oracle(cap=0):
+            found, hit = _capped(ground_body_oracle(rule, store, cap, exclude))
+            return [tuple(b[v] for v in order) for b in found], hit
+
+        assert list(ground_body(rule, store, exclude=exclude)) == oracle()[0]
+        # the oracle's step count: the least cap that lets the pass finish
+        hi = 1
+        while oracle(hi)[1]:
+            hi *= 2
+        lo = hi // 2 + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if not oracle(mid)[1] else (mid + 1, hi)
+        # below it the same prefix, then CapExceeded; from it on, all
+        for cap in {1, 2, 3, hi - 2, hi - 1, hi, hi + 1,
+                    rng.randint(1, hi), rng.randint(1, hi)} - {0, -1}:
+            got = _capped(ground_body(rule, store, cap, exclude))
+            assert got == oracle(cap), (format_rule(
+                rule, store.entities, store.relations), cap)
+            capped += got[1]
+        cases += 1
+    assert cases > 500 and capped > 1000
 
 
 def test_evaluate_closed_rule_triangle():
