@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .kgstore import TripleStore
 from .miner import CapExceeded, Measures, body_vars, ground_body
-from .rules import Rule, Term, constants
+from .rules import Rule
 
 
 @dataclass(frozen=True)
@@ -48,48 +48,103 @@ def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]
     return out
 
 
-def _answers(rule: Rule, pos: dict[Term, int],
-             groundings: list[tuple[int, ...]], body_consts: set[int],
+class BodyIndex:
+    """One rule body's groundings, the entity tuples `ground_body` yields
+    (variable v at slot pos[v]), and the maps its rules read, each built
+    on first use and shared by every rule of the body:
+
+    - common(j): each value at slot j -> the entities used by every
+      grounding with that value, so some grounding with the value avoids
+      entity e iff e lies outside them;
+    - pairs(j, i): each value at slot j -> the values at slot i beside it.
+    """
+
+    def __init__(self, rule: Rule):
+        self.pos = {v: i for i, v in enumerate(body_vars(rule))}
+        self.consts = {t.idx for a in rule.body for t in a.terms
+                       if not t.is_var}
+        self.groundings: list[tuple[int, ...]] = []
+        self._common: dict[int, dict[int, set[int]]] = {}
+        self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
+
+    def common(self, j: int) -> dict[int, set[int]]:
+        out = self._common.get(j)
+        if out is None:
+            out = self._common[j] = {}
+            for g in self.groundings:
+                ents = out.get(g[j])
+                if ents is None:
+                    out[g[j]] = set(g)
+                else:
+                    ents.intersection_update(g)
+        return out
+
+    def pairs(self, j: int, i: int) -> dict[int, set[int]]:
+        out = self._pairs.get((j, i))
+        if out is None:
+            out = self._pairs[(j, i)] = defaultdict(set)
+            for g in self.groundings:
+                out[g[j]].add(g[i])
+        return out
+
+
+def _answers(rule: Rule, body: BodyIndex,
              wanted: dict[tuple[int, str], set[int]]) -> dict[tuple, set[int]]:
-    """The entities `rule` suggests per wanted (rel, slot, known), from its
-    body's groundings (entity tuples, variable v at pos[v]). A head-only
-    constant drops the groundings that use it; a known term the body binds
-    selects those binding it to the known entity; an unbound known variable
-    keeps open value o iff the known entity is no rule constant and lies
-    outside the entities all of o's groundings use.
+    """The entities `rule` suggests per wanted (rel, slot, known), read from
+    its body's index. A grounding counts unless it uses a head-only
+    constant; the rule suggests open value o for known k iff a counted
+    grounding binds the known term to k (a known constant must equal k)
+    and the open term to o. A known variable the body leaves unbound
+    takes any k that is no rule constant and lies outside the entities
+    the grounding uses; an open variable the body leaves unbound answers
+    only when it is the known variable itself.
     """
     rel = rule.head.pred
-    head_only = constants(rule) - body_consts
-    if head_only:
-        groundings = [g for g in groundings if head_only.isdisjoint(g)]
-
-    def column(term: Term) -> list[int] | None:
-        if not term.is_var:
-            return [term.idx] * len(groundings)
-        j = pos.get(term)   # None: the body leaves the term open
-        return None if j is None else [g[j] for g in groundings]
-
-    out: dict[tuple, set[int]] = {}
     hs, ho = rule.head.subj, rule.head.obj
+    out: dict[tuple, set[int]] = {}
     for slot, known, open_term in (("head", hs, ho), ("tail", ho, hs)):
         ks = wanted.get((rel, slot))
-        values, knowns = column(open_term), column(known)
-        if not ks or (values is None and open_term != known):
+        if not ks:
             continue
-        if knowns is not None:
-            for k, o in zip(knowns, values):
-                if k in ks:
-                    out.setdefault((rel, slot, k), set()).add(o)
-            continue
-        common: dict[int | None, set[int]] = {}
-        for g, o in zip(groundings, values or [None] * len(groundings)):
-            common[o] = common[o].intersection(g) if o in common else set(g)
-        for k in ks - head_only - body_consts:
-            # o None: the open term is the known variable itself
-            cands = {k if o is None else o
-                     for o, ents in common.items() if k not in ents}
-            if cands:
-                out[(rel, slot, k)] = cands
+        j, i = body.pos.get(known), body.pos.get(open_term)
+        if j is not None and i is not None:
+            pairs = body.pairs(j, i)
+            for k in ks & pairs.keys():
+                out[(rel, slot, k)] = pairs[k]
+        elif j is not None:
+            if open_term.is_var:
+                continue   # the body leaves the open term unbound
+            # a counted grounding of k avoids c iff c is outside common[k]
+            c, common = open_term.idx, body.common(j)
+            for k in ks & common.keys():
+                if c not in common[k]:
+                    out[(rel, slot, k)] = {c}
+        elif i is not None:
+            # the values at i of the groundings that avoid k: an unbound
+            # known variable binds k, and a known constant k is the only
+            # head-only constant
+            common = body.common(i)
+            for k in (ks - body.consts if known.is_var
+                      else ks & {known.idx}):
+                cands = {o for o, ents in common.items() if k not in ents}
+                if cands:
+                    out[(rel, slot, k)] = cands
+        elif not open_term.is_var or open_term == known:
+            # the body binds neither head term (a ground head, say): scan
+            head_only = {t.idx for t in rule.head.terms
+                         if not t.is_var} - body.consts
+            counted = [g for g in body.groundings
+                       if head_only.isdisjoint(g)]
+            if not counted:
+                continue
+            o = None if open_term.is_var else open_term.idx
+            if not known.is_var:
+                if known.idx in ks:
+                    out[(rel, slot, known.idx)] = {o}
+                continue
+            common = set(counted[0]).intersection(*counted[1:])
+            for k in ks - head_only - body.consts - common:
+                out[(rel, slot, k)] = {k if o is None else o}
     return out
 
 
@@ -111,23 +166,21 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
             by_body[rule.body].append((rule, m))
     stats = {"bodies_grounded": len(by_body), "groundings": 0,
              "capped_bodies": 0}
-    vectors: dict[tuple, dict[int, list[float]]] = defaultdict(dict)
-    for body, group in by_body.items():
-        pos = {v: i for i, v in enumerate(body_vars(group[0][0]))}
-        body_consts = {t.idx for a in body for t in a.terms if not t.is_var}
-        groundings = []
+    vectors: dict[tuple, dict[int, list[float]]] = defaultdict(
+        lambda: defaultdict(list))
+    for group in by_body.values():
+        body = BodyIndex(group[0][0])
         try:
-            for g in ground_body(group[0][0], store, cap, exclude=body_consts):
-                groundings.append(g)
+            for g in ground_body(group[0][0], store, cap, exclude=body.consts):
+                body.groundings.append(g)
         except CapExceeded:
             stats["capped_bodies"] += 1
-        stats["groundings"] += len(groundings)
+        stats["groundings"] += len(body.groundings)
         for rule, m in group:
-            for key, cands in _answers(rule, pos, groundings, body_consts,
-                                       wanted).items():
+            for key, cands in _answers(rule, body, wanted).items():
                 vec = vectors[key]
                 for cand in cands:
-                    vec.setdefault(cand, []).append(m.sc)
+                    vec[cand].append(m.sc)
     return vectors, stats
 
 
@@ -135,7 +188,7 @@ def suggest(query: Query, rules: list[tuple[Rule, Measures]],
             store: TripleStore, cap: int = 0) -> dict[int, list[float]]:
     """Candidate entity -> vector of sc values of the suggesting rules."""
     key = (query.rel, query.slot, query.known)
-    return _suggest_all([query], rules, store, cap)[0].get(key, {})
+    return dict(_suggest_all([query], rules, store, cap)[0].get(key, {}))
 
 
 def rank(candidates: dict[int, list[float]],

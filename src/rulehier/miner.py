@@ -165,6 +165,13 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
             if over:
                 raise CapExceeded
             return
+        # a fact check right after this step binds nothing, so it runs here,
+        # with no `used` update and no call of its own
+        nxt, check = i + 1, plan[i + 1]
+        if check[0] == "check":
+            nxt += 1
+        else:
+            check = None
         for c in cands:
             steps += 1
             if steps > limit:
@@ -177,8 +184,14 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
                 continue
             else:
                 vals[a], vals[b] = new = c
+            if check and not has_train(check[1], vals[check[2]],
+                                       vals[check[3]]):
+                continue
+            if nxt == len(plan):
+                out.append(tuple(vals[:len(order)]))
+                continue
             used.update(new)
-            rec(i + 1)
+            rec(nxt)
             used.difference_update(new)
 
     try:
@@ -587,18 +600,42 @@ def write_rules(path, items: list[tuple[Rule, Measures]], entities,
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
+    """Read a rule file back: the rule and its supp, hc and sc per line.
+    Each distinct atom text is parsed once per file. A malformed line
+    raises ParseError naming `path:lineno`."""
     out = []
+    atoms: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(" | ")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 columns")
-            rule = parse_rule(parts[0], entities, relations, intern=False)
-            fields = dict(p.split("=", 1) for p in parts[1:])
-            out.append((rule, Measures(supp=int(fields["supp"]),
-                                       hc=float(fields["hc"]),
-                                       sc=float(fields["sc"]))))
+            try:
+                out.append(_read_rule_line(line, entities, relations, atoms))
+            except ParseError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
     return out
+
+
+def _read_rule_line(line: str, entities, relations,
+                    atoms: dict) -> tuple[Rule, Measures]:
+    parts = line.split(" | ")
+    if len(parts) != 5:
+        raise ParseError("expected 5 columns")
+    rule = parse_rule(parts[0], entities, relations, intern=False,
+                      atoms=atoms)
+    fields = {}
+    for part in parts[1:]:
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise ParseError(f"column {part!r} is not name=value")
+        fields[name] = value
+    values = []
+    for name, cast in (("supp", int), ("hc", float), ("sc", float)):
+        if name not in fields:
+            raise ParseError(f"missing measure {name!r}")
+        try:
+            values.append(cast(fields[name]))
+        except ValueError:
+            raise ParseError(f"bad {name} value {fields[name]!r}") from None
+    return rule, Measures(*values)

@@ -298,13 +298,22 @@ def _format_term(t: Term, entities: Interner) -> str:
 
 
 def parse_rule(text: str, entities: Interner, relations: Interner,
-               intern: bool = True) -> Rule:
-    """Parse rule text; raises ParseError with the failing position."""
+               intern: bool = True, atoms: dict[str, Atom] | None = None
+               ) -> Rule:
+    """Parse rule text; raises ParseError with the failing position.
+
+    `atoms` memoizes atom texts: a caller that parses many rules against
+    the same interners passes one dict, and each distinct atom text is
+    parsed once."""
     if "<-" not in text:
         raise ParseError(f"missing '<-' in {text!r}")
     head_text, body_text = text.split("<-", 1)
+    memo = {} if atoms is None else atoms
 
     def parse_atom(chunk: str, pos: int) -> Atom:
+        atom = memo.get(chunk)
+        if atom is not None:
+            return atom
         m = _ATOM_RE.fullmatch(chunk)
         if not m:
             raise ParseError(f"bad atom at position {pos}: {chunk.strip()!r}")
@@ -312,9 +321,10 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
             else relations.get(m.group(1).strip())
         if pred is None:
             raise ParseError(f"unknown predicate {m.group(1).strip()!r}")
-        return Atom(pred,
-                    _parse_term(m.group(2), entities, intern),
-                    _parse_term(m.group(3), entities, intern))
+        atom = memo[chunk] = Atom(pred,
+                                  _parse_term(m.group(2), entities, intern),
+                                  _parse_term(m.group(3), entities, intern))
+        return atom
 
     head = parse_atom(head_text, 0)
     body = []

@@ -7,7 +7,8 @@ dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
 builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound,
-by scanning every train fact. The grounding oracle is the recursive,
+by scanning every train fact; under a cap it checks each grounding of the
+capped pass against the query instead. The grounding oracle is the recursive,
 dict-yielding form of `ground_body`. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
 per prefix; its walk oracle filters every step's neighbours anew, the
@@ -500,11 +501,17 @@ def reference_groundings(rule: Rule, store: TripleStore, binding: dict):
     yield from rec(0, dict(binding))
 
 
-def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore) -> set[int]:
+def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore,
+                      cap: int = 0) -> set[int]:
     """Entities the rule suggests for the query's open slot, grounding the
-    body with the known head term bound to the query's known entity."""
+    body with the known head term bound to the query's known entity. With
+    `cap`, the groundings are those a capped pass over the body finds
+    (`ground_body_oracle` with the body's constants excluded, as `eval`
+    grounds), each checked against the query on its own."""
     known, open_term = (rule.head.subj, rule.head.obj) \
         if query.slot == "head" else (rule.head.obj, rule.head.subj)
+    if cap:
+        return _apply_to_capped_pass(rule, query, store, cap, known, open_term)
     if known.is_var:
         initial = {known: query.known}
     elif known.idx != query.known:
@@ -520,18 +527,50 @@ def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore) -> set[int]:
     return out
 
 
-def suggest_oracle(query: Query, rules, store: TripleStore):
+def _apply_to_capped_pass(rule: Rule, query: Query, store: TripleStore,
+                          cap: int, known: Term, open_term: Term) -> set[int]:
+    consts = constants(rule)
+    body_consts = {t.idx for a in rule.body for t in a.terms if not t.is_var}
+    found = []
+    try:
+        for b in ground_body_oracle(rule, store, cap, exclude=body_consts):
+            found.append(b)
+    except CapExceeded:
+        pass
+    out = set()
+    for b in found:
+        if consts & set(b.values()):
+            continue   # object identity: a variable never binds a constant
+        if not known.is_var:
+            if known.idx != query.known:
+                continue
+        elif known in b:
+            if b[known] != query.known:
+                continue
+        elif query.known in consts or query.known in b.values():
+            continue
+        else:
+            b = {**b, known: query.known}
+        if not open_term.is_var:
+            out.add(open_term.idx)
+        elif open_term in b:
+            out.add(b[open_term])
+    return out
+
+
+def suggest_oracle(query: Query, rules, store: TripleStore, cap: int = 0):
     vectors: dict[int, list[float]] = {}
     for rule, m in rules:
         if rule.head.pred != query.rel:
             continue
-        for cand in apply_rule_oracle(rule, query, store):
+        for cand in apply_rule_oracle(rule, query, store, cap):
             vectors.setdefault(cand, []).append(m.sc)
     return vectors
 
 
-def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
-    """evaluate_kgc's records (uncapped), one query and one rule at a time."""
+def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict,
+                        cap: int = 0) -> list:
+    """evaluate_kgc's records, one query and one rule at a time."""
     truths: dict[tuple[int, int, str], set[int]] = {}
     for split in ("train", "valid", "test"):
         for rel, subj, obj in store.splits[split]:
@@ -539,7 +578,7 @@ def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
             truths.setdefault((rel, obj, "tail"), set()).add(subj)
     records = []
     for q in queries_for(store, set(rules_by_rel)):
-        vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store)
+        vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store, cap)
         known = truths.get((q.rel, q.known, q.slot), set()) - {q.answer}
         ranking = rank(vectors, known)
         top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]

@@ -8,9 +8,10 @@ from rulehier.evaluator import (Query, evaluate_kgc, hits_at, mrr, queries_for,
                                 rank, suggest)
 from rulehier.kgstore import TripleStore
 from rulehier.miner import Measures, MinerConfig, learn
+from rulehier.rules import Atom, Rule
 
-from helpers import (R, evaluate_kgc_oracle, random_kg, suggest_oracle,
-                     toy_store)
+from helpers import (N_PREDS, R, evaluate_kgc_oracle, random_kg, random_rule,
+                     suggest_oracle, toy_store)
 
 
 def triangle_with_test():
@@ -210,6 +211,80 @@ def test_evaluate_kgc_equals_the_per_query_oracle(seed):
                        suggest_oracle(q, rules, store).items()}
 
 
+def _repeat_a_variable(rng: random.Random, rule: Rule) -> Rule:
+    """`rule` with one variable renamed to another it has, so that a
+    variable repeats, inside one atom or across atoms."""
+    variables = sorted({t for a in rule.atoms for t in a.terms if t.is_var})
+    if len(variables) < 2:
+        return rule
+    old, new = rng.sample(variables, 2)
+    atoms = [Atom(a.pred, *(new if t == old else t for t in a.terms))
+             for a in rule.atoms]
+    return Rule(atoms[0], tuple(atoms[1:]))
+
+
+def _shapes(rule: Rule) -> set[str]:
+    head = rule.head
+    body_consts = {t for a in rule.body for t in a.terms if not t.is_var}
+    out = set()
+    if not head.subj.is_var:
+        out.add("constant head subject")
+    if not head.obj.is_var:
+        out.add("constant head object")
+    if not (head.subj.is_var or head.obj.is_var):
+        out.add("two head constants")
+    if {head.subj, head.obj} & body_consts:
+        out.add("head constant in the body")
+    if any(a.subj == a.obj and a.subj.is_var for a in rule.atoms):
+        out.add("repeated variable in one atom")
+    return out
+
+
+SHAPES = {"constant head subject", "constant head object",
+          "two head constants", "head constant in the body",
+          "repeated variable in one atom"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_index_answers_random_rules_like_the_oracles(seed):
+    """Every rule of a body group answers from the group's shared index as
+    the per-query oracle does (under a cap, as the oracle does from the
+    capped pass's groundings). Rules are drawn until each shape in SHAPES
+    has a rule that answers some query."""
+    rng = random.Random(100 + seed)
+    store = random_kg(rng, n_entities=8, n_relations=N_PREDS, n_train=90,
+                      n_test=16)
+    for e in range(0, 8, 3):   # self-loops, so repeated variables bind
+        store.add_triple(e % N_PREDS, e, e, "train")
+    queries = queries_for(store)
+    rules: list[Rule] = []
+    answering: set[str] = set()
+    while len(rules) < 160 or answering < SHAPES:
+        assert len(rules) < 2000, SHAPES - answering
+        rule = random_rule(rng, max_len=3)
+        if rng.random() < 0.3:
+            rule = _repeat_a_variable(rng, rule)
+        rules.append(rule)
+        if any(suggest_oracle(q, [(rule, Measures())], store)
+               for q in queries):
+            answering |= _shapes(rule)
+    rules_by_rel: dict[int, list] = {}
+    for rule in rules:
+        m = Measures(sc=rng.choice((0.1, 0.2, 0.3)))
+        rules_by_rel.setdefault(rule.head.pred, []).append((rule, m))
+    flat = [rm for rms in rules_by_rel.values() for rm in rms]
+    for cap in (0, 4, 25):
+        summary = evaluate_kgc(store, rules_by_rel, cap=cap)
+        assert summary.records == evaluate_kgc_oracle(store, rules_by_rel,
+                                                      cap)
+        assert bool(summary.stats["capped_bodies"]) == bool(cap)
+        for q in queries:
+            got = {e: sorted(v)
+                   for e, v in suggest(q, flat, store, cap).items()}
+            assert got == {e: sorted(v) for e, v in
+                           suggest_oracle(q, flat, store, cap).items()}
+
+
 def test_rules_repeating_a_variable_answer_like_the_oracle():
     store = TripleStore()
     r = store.relations.intern("r")
@@ -226,6 +301,23 @@ def test_rules_repeating_a_variable_answer_like_the_oracle():
     assert summary.records == evaluate_kgc_oracle(store, rules_by_rel)
     assert summary.stats["groundings"] == 2 + 1 + 2
     assert any(top for _, _, top in summary.records)
+
+
+def test_a_grounding_that_uses_a_head_only_constant_does_not_count():
+    store = TripleStore()
+    r, s = store.relations.intern("r"), store.relations.intern("s")
+    a, b, c = (store.entities.intern(x) for x in "abc")
+    store.add_triple(r, b, c, "train")   # the body's one grounding uses b
+    store.add_triple(s, a, b, "test")
+    rules_by_rel = {s: [(R(text, store), Measures(sc=0.5)) for text in
+                        ("s(a,b) <- r(V0,V1)", "s(X,b) <- r(V0,V1)")]}
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert summary.records == evaluate_kgc_oracle(store, rules_by_rel)
+    assert all(top == [] for _, _, top in summary.records)
+    store.add_triple(r, c, store.entities.intern("d"), "train")
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert summary.records == evaluate_kgc_oracle(store, rules_by_rel)
+    assert summary.records[0][1] == 1   # s(a,?) ranks b first
 
 
 def test_relations_without_test_triples_are_never_grounded(monkeypatch):

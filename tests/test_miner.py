@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ import rulehier.miner as miner_mod
 from rulehier.hierarchy import (A_EDGE, Hierarchy, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy)
-from rulehier.kgstore import Interner, TripleStore
+from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
                             ground_body, is_relevant, learn, open_groundings,
@@ -164,7 +165,10 @@ def _grounding_cases(rng):
     for text in ("r0(X,Y) <- r1(X,X)", "r0(X,Y) <- r2(V0,V0)",
                  "r0(X,Y) <- r1(X,V0), r0(V0,V0)",
                  "r0(X,Y) <- r0(V0,V0), r2(V0,Y)",
-                 "r0(X,Y) <- r1(X,V0), r2(V1,V1), r0(V0,V1)"):
+                 "r0(X,Y) <- r1(X,V0), r2(V1,V1), r0(V0,V1)",
+                 # fact checks in a row, and a check before any binding
+                 "r0(X,Y) <- r1(X,V0), r0(V0,X), r2(X,V0)",
+                 "r0(X,Y) <- r1(e1,e2), r2(e2,X), r0(X,e1)"):
         yield loops, R(text, loops), None
 
 
@@ -868,3 +872,50 @@ def test_rule_file_round_trip(tmp_path):
     for (_, got), (_, want) in zip(back, res.rules):
         assert got.supp == want.supp
         assert got.hc == want.hc and got.sc == want.sc
+
+
+GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "
+             "kind=HAR")
+
+
+@pytest.mark.parametrize("bad", [
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | kind=HAR | x=1",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=3.5 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=high | kind=HAR",
+    "Advises(X,carol) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Knows(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25",
+])
+def test_read_rules_names_the_file_and_line_of_a_malformed_line(tmp_path,
+                                                                  bad):
+    store = toy_store()
+    path = tmp_path / "rules.txt"
+    path.write_text(f"{GOOD_LINE}\n\n{bad}\n{GOOD_LINE}\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
+        read_rules(path, store.entities, store.relations)
+
+
+def test_read_rules_equals_parsing_each_line_alone(tmp_path):
+    # lines sharing atom texts, among them atoms whose variables the rules
+    # renumber differently: the atom memo must not carry one rule's
+    # numbering into another
+    store = toy_store()
+    texts = ["Advises(X,Y) <- Publishes(X,V0), Publishes(Y,V0)",
+             "Advises(X,bob) <- Publishes(X,V0)",
+             "Advises(X,Y) <- Publishes(X,V1), Publishes(Y,V1)",
+             "Advises(X,Y) <- Is_A(V1,V0), Publishes(X,V0)",
+             "Publishes(X,V0) <- Publishes(X,V0)",
+             "Advises(X,Y) <- Publishes(Y,V0), Publishes(X,V0)",
+             "Advises(X,Y) <- Publishes(X,V0), Publishes(Y,V0)"]
+    path = tmp_path / "rules.txt"
+    path.write_text("".join(f"{t} | supp={i} | hc=0.{i} | sc=0.0{i} | "
+                            f"kind=CAR\n" for i, t in enumerate(texts)))
+    back = read_rules(path, store.entities, store.relations)
+    assert [r for r, _ in back] == [
+        parse_rule(t, store.entities, store.relations, intern=False)
+        for t in texts]
+    assert [(m.supp, m.hc, m.sc) for _, m in back] == [
+        (i, float(f"0.{i}"), float(f"0.0{i}")) for i in range(len(texts))]
+    assert back[0][0] == back[-1][0] and back[0][0] != back[5][0]
