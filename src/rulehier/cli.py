@@ -15,6 +15,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -147,8 +148,16 @@ def select_targets(store: TripleStore, cfg: RunConfig) -> list[int]:
     raise ValueError(f"unknown target mode {cfg.target_mode!r}")
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
+def _file_names(relations: Interner) -> list[str]:
+    """A distinct file-safe name per relation id: the name with every
+    character outside [A-Za-z0-9_.-] replaced by "_", plus "~<id>" where
+    two relations' replaced names are equal up to case (one file on a
+    case-insensitive file system). No replaced name holds "~", so a
+    suffixed name meets no other."""
+    safe = [re.sub(r"[^A-Za-z0-9_.-]", "_", n) for n in relations.names()]
+    count = Counter(s.lower() for s in safe)
+    return [s if count[s.lower()] == 1 else f"{s}~{i}"
+            for i, s in enumerate(safe)]
 
 
 def _learn_all(store: TripleStore, cfg: RunConfig, targets: list[int],
@@ -186,13 +195,13 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _write_run_record(path, cfg: RunConfig, store: TripleStore,
+def _write_run_record(path, cfg: RunConfig, names: list[str],
                       results) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in config_echo(cfg):
             fh.write(f"config.{line}\n")
         for rt, res in sorted(results.items()):
-            name = _safe_name(store.relations.name(rt))
+            name = names[rt]
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
             for key in ("p_oars", "i_oars", "u_oars", "skipped_oars",
                         "truncated"):
@@ -216,11 +225,11 @@ def cmd_learn(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _learn_all(store, cfg, targets,
                          collect_hierarchy=bool(args.emit_hierarchy))
+    names = _file_names(store.relations)
     for rt, res in sorted(results.items()):
-        name = _safe_name(store.relations.name(rt))
-        write_rules(out_dir / f"rules_{name}.txt", res.rules,
+        write_rules(out_dir / f"rules_{names[rt]}.txt", res.rules,
                     store.entities, store.relations)
-    _write_run_record(out_dir / "run_record.txt", cfg, store, results)
+    _write_run_record(out_dir / "run_record.txt", cfg, names, results)
     hierarchies = [res.hierarchy for res in results.values()
                    if res.hierarchy is not None]
     if hierarchies:

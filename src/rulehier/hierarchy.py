@@ -113,8 +113,8 @@ def bfs_with_pruning(h: Hierarchy,
     least one of its parents was kept, and at most once. Returns the kept
     node set.
 
-    The builders' hierarchies are acyclic by construction: every edge
-    strictly raises (body length, deduction level). A-edges add one body
+    The builders' and `learn`'s hierarchies are acyclic by construction:
+    every edge strictly raises (body length, deduction level). A-edges add one body
     atom and I-edges add one constant. The `seen` set ends the traversal
     on any input regardless.
     """

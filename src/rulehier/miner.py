@@ -5,7 +5,9 @@ abstract rules, visit those breadth-first over the atom-addition hierarchy,
 measuring each once and pruning subtrees below `supp_h`. A kept closed rule
 is filtered for relevance; a kept open rule is specialized from the grounding
 pass that measured it, support first and the dearer thresholds after, and
-post pruning drops dominated anchorings.
+post pruning drops dominated anchorings. Both hierarchies are recorded as
+their rules are made, with no subsumption check: an abstract rule's
+A-parent is its walk prefix, and a BAR's I-parent is the HAR of its anchor.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .hierarchy import Hierarchy, build_a_hierarchy, build_i_hierarchy, \
-    bfs_with_pruning, union
+from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
+                        bfs_with_pruning, union)
+# learn calls neither; bench/layers.py probes these names at this module
+from .hierarchy import build_a_hierarchy, build_i_hierarchy  # noqa: F401
 from .kgstore import ParseError, TripleStore
 from .rules import (X, Y, Atom, KindError, Rule, Term, VAR_X, VAR_Y,
                     constants, dangling_term, format_rule, instantiate,
@@ -557,7 +561,13 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             return True
         result.i_oars += 1
         if cfg.enable_post_pruning:
-            phi_i = build_i_hierarchy([r for r, _ in specs])
+            # a HAR binds only Y, which the OAR's body lacks, so it keeps
+            # the body; each BAR's one I-parent is the HAR of its anchor
+            hars = {r.head.obj: r for r, _ in specs if r.body == rule.body}
+            phi_i = Hierarchy({r for r, _ in specs}, {
+                SubsumptionEdge(hars[r.head.obj], r, I_EDGE)
+                for r, _ in specs
+                if r.body != rule.body and r.head.obj in hars})
             keep = post_pruning(phi_i, {r: m.sc for r, m in specs})
             specs = [(r, m) for r, m in specs if r in keep]
             if collect_hierarchy:
@@ -566,7 +576,13 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         return True
 
     if cfg.enable_prior_pruning:
-        phi_a = build_a_hierarchy(abstract)
+        # the rules are closed under walk prefixes, and a canonical rule's
+        # prefix is canonical: a rule's one A-parent has its atoms but the
+        # last
+        by_atoms = {r.atoms: r for r in abstract}
+        phi_a = Hierarchy(set(abstract), {
+            SubsumptionEdge(by_atoms[r.atoms[:-1]], r, A_EDGE)
+            for r in abstract if r.body})
         if collect_hierarchy:
             collected.append(phi_a)
         bfs_with_pruning(phi_a, visit)

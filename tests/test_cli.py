@@ -2,6 +2,7 @@ import csv
 import logging
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from rulehier import hierarchy
 from rulehier.cli import (RunConfig, config_echo, load_config, main,
                           select_targets)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import MinerConfig
+from rulehier.miner import MinerConfig, read_rules
 
 from helpers import TOY_TRIPLES, random_kg, toy_store
 
@@ -244,6 +245,40 @@ def test_learn_and_eval_commands(tmp_path, capsys):
     assert "rat_seconds = " in summary
     assert (out / "predictions.txt").exists()
     assert "MRR" in capsys.readouterr().out
+
+
+def test_learn_writes_every_target_when_file_names_collide(tmp_path, capsys):
+    # "a/b" and "a_b" make one file-safe name, and "A_B" makes it again on
+    # a case-insensitive file system; "r3" collides with nothing
+    rng = random.Random(12)
+    store = random_kg(rng, n_entities=12, n_relations=4, n_train=80,
+                      n_valid=8, n_test=8)
+    ds = write_dataset(tmp_path, store)
+    for split in ("train", "valid", "test"):
+        path = ds / f"{split}.txt"
+        text = path.read_text()
+        for old, new in (("r0", "a/b"), ("r1", "a_b"), ("r2", "A_B")):
+            text = text.replace(f"\t{old}\t", f"\t{new}\t")
+        path.write_text(text)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    learned = int(re.search(r"learned (\d+) rules",
+                            capsys.readouterr().out).group(1))
+    files = sorted(out.glob("rules_*.txt"))
+    assert len({f.name.lower() for f in files}) == len(files) == 4
+    assert out / "rules_r3.txt" in files
+    back = TripleStore.from_directory(ds)
+    heads = Counter()
+    for f in files:
+        heads.update(back.relations.name(rule.head.pred) for rule, _ in
+                     read_rules(f, back.entities, back.relations))
+    assert set(heads) == {"a/b", "a_b", "A_B", "r3"}
+    assert sum(heads.values()) == learned
+    record = (out / "run_record.txt").read_text()
+    keys = re.findall(r"^target\.(.+)\.rules = (\d+)$", record, re.M)
+    assert len({k.lower() for k, _ in keys}) == 4
+    assert sorted(int(n) for _, n in keys) == sorted(heads.values())
 
 
 def _record_values(record: str, key: str) -> list[str]:

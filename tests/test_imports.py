@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,16 @@ def test_package_imports_only_the_standard_library():
     loaded = set(out.split())
     assert "rulehier" in loaded
     assert loaded - {"rulehier"} - sys.stdlib_module_names == set()
+
+
+def test_every_benchmark_probe_resolves_to_a_callable(monkeypatch):
+    # bench/layers.py wraps each probed name where its caller looks it up;
+    # a name that stops resolving turns its per-layer metrics to null
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    layers = importlib.import_module("layers")
+    assert layers.PROBES
+    for probe in layers.PROBES:
+        module, _, cls = probe.owner.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        assert callable(getattr(owner, probe.attr, None)), probe

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
+import rulehier.hierarchy as hierarchy_mod
 import rulehier.miner as miner_mod
-from rulehier.hierarchy import (A_EDGE, Hierarchy, SubsumptionEdge,
+from rulehier.hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
-                                build_i_hierarchy)
+                                build_i_hierarchy, union)
 from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
@@ -715,7 +716,15 @@ def test_learn_prunes_through_prior_pruning(monkeypatch):
 
 @pytest.mark.parametrize("prior", [True, False])
 @pytest.mark.parametrize("post", [True, False])
-def test_learn_equals_the_three_pass_reference(prior, post):
+def test_learn_equals_the_three_pass_reference(monkeypatch, prior, post):
+    dropped = []
+    post_pruning = miner_mod.post_pruning
+
+    def counted(phi_i, sc):
+        keep = post_pruning(phi_i, sc)
+        dropped.append(len(phi_i.nodes) - len(keep))
+        return keep
+    monkeypatch.setattr(miner_mod, "post_pruning", counted)
     rng = random.Random(17)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
                         n_valid=25) for _ in range(3)] + [hub_kg(rng)]
@@ -736,6 +745,8 @@ def test_learn_equals_the_three_pass_reference(prior, post):
             specialized += res.i_oars
     assert specialized > 0
     assert (pruned > 0) == prior
+    # so a wrong I-edge changes the rules compared above
+    assert (sum(dropped) > 0) == post
 
 
 @pytest.mark.parametrize("budget", [0.0, 1e-9])
@@ -853,6 +864,47 @@ def test_learn_collects_hierarchy(monkeypatch):
     assert edges_climb(res.hierarchy)
     # the A-hierarchy and one I-hierarchy per I-OAR, merged in one call
     assert len(calls) == 1 and len(calls[0]) == 1 + res.i_oars
+
+
+def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
+    # learn records the edges it creates and checks no subsumption; the
+    # builders, run on the abstract rules and on each OAR's kept
+    # specializations, find exactly the recorded nodes and edges
+    def forbidden(*a):
+        raise AssertionError("learn checked a subsumption")
+    for module, name in ((miner_mod, "build_a_hierarchy"),
+                         (miner_mod, "build_i_hierarchy"),
+                         (hierarchy_mod, "a_subsumes"),
+                         (hierarchy_mod, "i_subsumes")):
+        monkeypatch.setattr(module, name, forbidden)
+    specs_of = []   # per learn call, the specs of each specialized OAR
+    specialize = miner_mod.specialization
+
+    def recorded(*a):
+        specs, truncated = specialize(*a)
+        specs_of[-1].append(specs)
+        return specs, truncated
+    monkeypatch.setattr(miner_mod, "specialization", recorded)
+    rng = random.Random(17)
+    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
+                        n_valid=25) for _ in range(3)] + [hub_kg(rng)]
+    config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1)
+    learned = []
+    for store in stores:
+        for rt in range(3):
+            if store.instances_of(rt):
+                specs_of.append([])
+                learned.append((store, rt, learn(store, rt, config,
+                                                 collect_hierarchy=True)))
+    monkeypatch.undo()
+    kinds = Counter()
+    for (store, rt, res), specs in zip(learned, specs_of):
+        oracle = union(build_a_hierarchy(generalization(store, rt, config)),
+                       *(build_i_hierarchy([r for r, _ in s]) for s in specs))
+        assert res.hierarchy.nodes == oracle.nodes
+        assert res.hierarchy.edges == oracle.edges
+        kinds.update(e.kind for e in oracle.edges)
+    assert kinds[A_EDGE] > 0 and kinds[I_EDGE] > 0
 
 
 # ---------------------------------------------------------------------------
