@@ -24,9 +24,11 @@ from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
 # learn calls neither; bench/layers.py probes these names at this module
 from .hierarchy import build_a_hierarchy, build_i_hierarchy  # noqa: F401
 from .kgstore import ParseError, TripleStore
-from .rules import (X, Y, Atom, KindError, Rule, Term, VAR_X, VAR_Y,
-                    constants, dangling_term, format_rule, instantiate,
-                    kind_of, parse_rule, walk_rule)
+from .rules import (X, Y, Atom, KindError, Rule, StraightnessError, Term,
+                    VAR_X, VAR_Y, const, constants, dangling_term,
+                    format_rule, is_straight, kind_of, parse_rule, walk_rule)
+# specialization builds its rules directly; bench/layers.py probes this name
+from .rules import instantiate  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -214,20 +216,25 @@ def _measures(supp: int, n_g: int, valid_supp: int, approx: bool,
 
 
 class OpenGroundings(NamedTuple):
-    """An OAR's body groundings by the entity x that X binds: per grounding
-    of x, its dangling-term value and the entities it uses; the entities
-    every grounding of x uses (so (x, c) is in the OAR's head-grounding
-    set iff c is outside common[x]); and whether the grounding cap hit."""
+    """An OAR's body groundings by the entity x that X binds: the grounding
+    tuples of x (in the order of `body_vars`, so a tuple holds exactly the
+    entities its grounding uses); the entities every grounding of x uses
+    (so (x, c) is in the OAR's head-grounding set iff c is outside
+    common[x]); the dangling term's slot in a tuple; and whether the
+    grounding cap hit."""
 
-    by_x: dict[int, list[tuple[int, frozenset[int]]]]
-    common: dict[int, frozenset[int]]
+    by_x: dict[int, list[tuple[int, ...]]]
+    common: dict[int, set[int]]
+    tail_slot: int
     capped: bool
 
 
 def open_groundings(oar: Rule, store: TripleStore,
                     cap: int = 0) -> OpenGroundings:
     """Ground an OAR's body once, up to `cap` steps (see ground_body), and
-    index each grounding tuple by the slots of X and the dangling term."""
+    index its grounding tuples by the entity in X's slot. The tuples are
+    kept as `ground_body` yields them; an OAR has no constants, so a tuple
+    is the set of entities its grounding uses."""
     if not oar.body or kind_of(oar) != "OAR":
         kind = kind_of(oar) if oar.body else "the top rule"
         raise KindError(f"expected an OAR with a body atom, got {kind}")
@@ -237,12 +244,11 @@ def open_groundings(oar: Rule, store: TripleStore,
     capped = False
     try:
         for g in ground_body(oar, store, cap):
-            by_x[g[xs]].append((g[ts], frozenset(g)))
+            by_x[g[xs]].append(g)
     except CapExceeded:
         capped = True
-    common = {x: frozenset.intersection(*[ents for _, ents in gs])
-              for x, gs in by_x.items()}
-    return OpenGroundings(by_x, common, capped)
+    common = {x: set(gs[0]).intersection(*gs[1:]) for x, gs in by_x.items()}
+    return OpenGroundings(by_x, common, ts, capped)
 
 
 def _open_measures(g: OpenGroundings, store: TripleStore, rt_pairs,
@@ -414,7 +420,7 @@ def specialization(oar: Rule, groundings: OpenGroundings,
                    instances: list[tuple[int, int]],
                    cfg: MinerConfig,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
-    """Instantiate an OAR into its relevant HARs and BARs.
+    """Anchor an OAR into its relevant HARs and BARs.
 
     A HAR binds Y to an anchor c, a BAR also binds the dangling term to a
     tail value t. `groundings`, which `open_groundings(oar, ...)` built (and
@@ -427,18 +433,26 @@ def specialization(oar: Rule, groundings: OpenGroundings,
     `overfit_keep`. Returns (rules with measures, truncated flag): exactly
     the candidates that pass `is_relevant` and `overfit_keep`, each built
     only if kept; with zero thresholds, every candidate (each has supp >= 1).
+
+    A kept rule is the OAR with Y replaced by const(c) and the dangling
+    term by const(t): what `instantiate(oar, bindings)` returns, without
+    its checks per rule. An OAR has no constants, and t != c because t
+    comes from a grounding that avoids c, so those checks fail only if the
+    OAR's head lacks Y or the OAR is not straight. Both are checked once,
+    before the first kept rule, and raise `instantiate`'s errors.
     """
-    tail = dangling_term(oar)
+    tail, ts = dangling_term(oar), groundings.tail_slot
     # supp[(c, t)] in first-seen order: an instance (x, y) that some
     # grounding of x avoids supports the HAR (y, None) once, and the BAR
-    # (y, t) once per distinct tail value t of those groundings
+    # (y, t) once per distinct tail value t of those groundings (t != y,
+    # since a grounding binds distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
     for x, y in sorted(instances):
         if y in groundings.common.get(x, (y,)):
             continue  # no grounding of x avoids y
         supp[(y, None)] = supp.get((y, None), 0) + 1
-        for t in dict.fromkeys(t for t, ents in groundings.by_x[x]
-                               if t != y and y not in ents):
+        for t in dict.fromkeys(g[ts] for g in groundings.by_x[x]
+                               if y not in g):
             supp[(y, t)] = supp.get((y, t), 0) + 1
 
     # the cap limits HARs and BARs separately, so cap=1 yields at most one
@@ -461,13 +475,17 @@ def specialization(oar: Rule, groundings: OpenGroundings,
     # every grounding of x whose tail value is t (key (x, t)), for the
     # tail values of the surviving BARs
     tails = {t for _, t in cands}
-    common: dict[tuple[int, int | None], frozenset[int]] = {
+    common: dict[tuple[int, int | None], set[int]] = {
         (x, None): ents for x, ents in groundings.common.items()}
     for x, gs in groundings.by_x.items():
-        for t, ents in gs:
+        for g in gs:
+            t = g[ts]
             if t in tails:
-                prev = common.get((x, t))
-                common[(x, t)] = ents if prev is None else prev & ents
+                ents = common.get((x, t))
+                if ents is None:
+                    common[(x, t)] = set(g)
+                else:
+                    ents.intersection_update(g)
 
     # n_xs[t]: how many x have a grounding with tail value t (any tail
     # value for t None); blocked[(t, c)]: how many of them use c in every
@@ -488,9 +506,19 @@ def specialization(oar: Rule, groundings: OpenGroundings,
         valid = sum(c not in common.get((x, t), (c,))
                     for x in valid_by_c.get(c, ()))
         m = _measures(supp[(c, t)], n_g, valid, groundings.capped, n_rt, cfg)
-        if overfit_keep(m, cfg):
-            bind = {VAR_Y: c} if t is None else {VAR_Y: c, tail: t}
-            out.append((instantiate(oar, bind), m))
+        if not overfit_keep(m, cfg):
+            continue
+        if not out:
+            if VAR_Y not in oar.head.terms:
+                raise ValueError("bindings must name variables of the rule")
+            if not is_straight(oar):
+                raise StraightnessError(
+                    "instantiation violates straightness")
+        bind = {VAR_Y: const(c)} if t is None \
+            else {VAR_Y: const(c), tail: const(t)}
+        atoms = [Atom(p, bind.get(s, s), bind.get(o, o))
+                 for p, s, o in oar.atoms]
+        out.append((Rule(atoms[0], tuple(atoms[1:])), m))
     return out, truncated
 
 
@@ -608,9 +636,12 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
 
 def write_rules(path, items: list[tuple[Rule, Measures]], entities,
                 relations) -> None:
+    """Write one rule per line with its supp, hc, sc and kind. Each
+    distinct atom is formatted once per file."""
+    atoms: dict = {}
     with open(path, "w", encoding="utf-8") as fh:
         for rule, m in items:
-            fh.write(f"{format_rule(rule, entities, relations)} | "
+            fh.write(f"{format_rule(rule, entities, relations, atoms)} | "
                      f"supp={m.supp} | hc={m.hc!r} | sc={m.sc!r} | "
                      f"kind={kind_of(rule)}\n")
 

@@ -82,11 +82,15 @@ class Rule:
     def __post_init__(self):
         body = tuple(self.body)
         mapping: dict[int, int] = {X: X, Y: Y}
-        for atom in (self.head, *body):
-            for t in atom.terms:
-                if t.is_var and t.idx not in mapping:
-                    mapping[t.idx] = _FIRST_FRESH + len(mapping) - 2
-        if any(old != new for old, new in mapping.items()):
+        canonical = True
+        for _, (s_var, s), (o_var, o) in (self.head, *body):
+            if s_var and s not in mapping:
+                mapping[s] = n = _FIRST_FRESH + len(mapping) - 2
+                canonical = canonical and s == n
+            if o_var and o not in mapping:
+                mapping[o] = n = _FIRST_FRESH + len(mapping) - 2
+                canonical = canonical and o == n
+        if not canonical:
             def sub(t: Term) -> Term:
                 return Term(True, mapping[t.idx]) if t.is_var else t
             head, *body = [Atom(a.pred, sub(a.subj), sub(a.obj))
@@ -178,13 +182,22 @@ def kind_of(rule: Rule) -> str:
     OPEN covers abstract rules outside the walker's shapes (Y in the body
     without closing the chain back to X).
     """
-    d = deduction_level(rule)
-    body_terms = {t for a in rule.body for t in a.terms}
+    body_vars: set[int] = set()
+    consts: set[int] = set()
+    for _, (s_var, s), (o_var, o) in rule.body:
+        (body_vars if s_var else consts).add(s)
+        (body_vars if o_var else consts).add(o)
+    _, subj, obj = rule.head
+    if not subj.is_var:
+        consts.add(subj.idx)
+    if not obj.is_var:
+        consts.add(obj.idx)
+    d = len(consts)
     if d == 0:
-        if VAR_Y not in body_terms:
+        if Y not in body_vars:
             return "OAR"
-        return "CAR" if VAR_X in body_terms else "OPEN"
-    head_const = not rule.head.obj.is_var and rule.head.subj == VAR_X
+        return "CAR" if X in body_vars else "OPEN"
+    head_const = not obj.is_var and subj == VAR_X
     if head_const and d == 1:
         return "HAR"
     if (head_const and d == 2 and rule.body
@@ -336,11 +349,20 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
     return Rule(head, tuple(body))
 
 
-def format_rule(rule: Rule, entities: Interner, relations: Interner) -> str:
+def format_rule(rule: Rule, entities: Interner, relations: Interner,
+                atoms: dict[Atom, str] | None = None) -> str:
+    """Rule text for `parse_rule`. `atoms` memoizes atom texts, the mirror
+    of `parse_rule`'s: a caller that formats many rules against the same
+    interners passes one dict, and each distinct atom is formatted once."""
+    memo = {} if atoms is None else atoms
+
     def fmt(atom: Atom) -> str:
-        return (f"{relations.name(atom.pred)}("
-                f"{_format_term(atom.subj, entities)},"
-                f"{_format_term(atom.obj, entities)})")
+        text = memo.get(atom)
+        if text is None:
+            text = memo[atom] = (f"{relations.name(atom.pred)}("
+                                 f"{_format_term(atom.subj, entities)},"
+                                 f"{_format_term(atom.obj, entities)})")
+        return text
 
     head = fmt(rule.head)
     if not rule.body:

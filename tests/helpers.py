@@ -169,6 +169,13 @@ def random_generalization(rng: random.Random, q: Rule) -> Rule:
     return normalize_head_vars(Rule(atoms[0], tuple(atoms[1:])))
 
 
+def anchoring(oar: Rule, rule: Rule) -> dict[Term, int]:
+    """The bindings under which `rule` anchors `oar`: each term of `oar`
+    at a position where `rule` holds a constant, bound to that constant."""
+    return {t: u.idx for a, b in zip(oar.atoms, rule.atoms)
+            for t, u in zip(a.terms, b.terms) if not u.is_var}
+
+
 def deinstantiate(rule: Rule, c: int) -> Rule:
     """Replace every occurrence of constant c with one fresh variable."""
     fresh = Term(True, 1000)

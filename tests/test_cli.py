@@ -1,8 +1,10 @@
 import csv
+import importlib
 import logging
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,33 @@ def test_learn_and_eval_commands(tmp_path, capsys):
     assert "rat_seconds = " in summary
     assert (out / "predictions.txt").exists()
     assert "MRR" in capsys.readouterr().out
+
+
+def test_benchmark_probes_run_clean_around_learn_and_eval(tmp_path,
+                                                          monkeypatch):
+    # bench/layers.py wraps rulehier functions and reads their arguments
+    # and results in counter hooks; a hook that breaks on a changed
+    # signature or return value turns its metrics to null. One learn and
+    # one eval run here under every probe, and no probe may be missing or
+    # broken. The benchmark's files are only read.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    cfg = write_config(tmp_path, write_dataset(tmp_path, full_store()),
+                       tmp_path / "out")
+    tracer = spans.Tracer()
+    with spans.Installation(tracer, layers.PROBES) as inst:
+        for command in ("learn", "eval"):
+            assert main([command, "--config", str(cfg)]) == 0
+    assert inst.missing == set()
+    assert tracer.broken == set()
+    values = layers.pass_metrics(tracer, inst.missing)
+    assert [name for name, v in values.items() if v is None] == []
+    for name in ("cli.rules_written", "miner.oars_specialized",
+                 "miner.spec_kept", "miner.groundings", "hierarchy.bfs_nodes",
+                 "evaluator.queries"):
+        assert values[name] > 0, name
 
 
 def test_learn_writes_every_target_when_file_names_collide(tmp_path, capsys):

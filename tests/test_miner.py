@@ -17,9 +17,10 @@ from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
                             overfit_keep, post_pruning, read_rules,
                             specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
-                            format_rule, kind_of, parse_rule)
+                            dangling_term, format_rule, instantiate, kind_of,
+                            parse_rule)
 
-from helpers import (R, edges_climb, generalization_oracle,
+from helpers import (R, anchoring, edges_climb, generalization_oracle,
                      ground_body_oracle, learn_oracle, random_kg,
                      sample_walk_oracle, toy_store, zero_thresholds)
 
@@ -530,6 +531,25 @@ def test_specialization_measures_match_evaluate():
     assert valid_hits > 0
 
 
+def test_specialization_builds_what_instantiate_builds():
+    # specialization builds each HAR and BAR directly; instantiate is the
+    # oracle: a kept rule equals instantiate of the OAR under the anchoring
+    # read off the rule's constants, which binds Y and maybe the dangling
+    # term
+    config = cfg(max_len=3)
+    kinds = Counter()
+    for oar, args in _specialized_corpus(config):
+        tail = dangling_term(oar)
+        specs, _ = specialization(oar, *args, zero_thresholds(config))
+        assert len({r for r, _ in specs}) == len(specs)
+        for rule, _ in specs:
+            bind = anchoring(oar, rule)
+            assert set(bind) in ({VAR_Y}, {VAR_Y, tail})
+            assert rule == instantiate(oar, bind)
+            kinds[len(bind)] += 1
+    assert kinds[1] > 0 and kinds[2] > 0
+
+
 def _specialized_corpus(config):
     """(oar, specialization args but the config) over three random graphs
     and a hub graph, for every OAR that generalization finds."""
@@ -678,13 +698,19 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     rng = random.Random(5)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
     config = cfg(supp_f=1, enable_post_pruning=False)
-    built, oars = [], []
-    instantiate, specialize = miner_mod.instantiate, miner_mod.specialization
-    monkeypatch.setattr(miner_mod, "instantiate",
-                        lambda *a: built.append(a) or instantiate(*a))
-    monkeypatch.setattr(miner_mod, "specialization",
-                        lambda oar, *a, **kw: oars.append(oar)
-                        or specialize(oar, *a, **kw))
+    # every Rule constructed during learn, and those specialization built
+    made, built, oars = [], [], []
+    post_init, specialize = Rule.__post_init__, miner_mod.specialization
+    monkeypatch.setattr(Rule, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+
+    def specializing(oar, *a, **kw):
+        oars.append(oar)
+        start = len(made)
+        out = specialize(oar, *a, **kw)
+        built.extend(made[start:])
+        return out
+    monkeypatch.setattr(miner_mod, "specialization", specializing)
     res = learn(store, 0, config)
     monkeypatch.undo()
     rt_pairs = store.instances_of(0)

@@ -1,8 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
 
-import rulehier.miner as miner_mod
 from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import MinerConfig, open_groundings, specialization
 from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
@@ -12,8 +12,8 @@ from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             parse_rule, reverse_body, skolem, skolemize, var,
                             walk_rule)
 
-from helpers import (Path, R, generalize, random_rule, toy_store,
-                     zero_thresholds)
+from helpers import (Path, R, anchoring, generalize, random_rule,
+                     toy_store, zero_thresholds)
 
 
 def _interners():
@@ -174,6 +174,33 @@ def test_kind_classification():
         assert kind_of(parse_rule(text, ents, rels)) == kind, text
 
 
+def _kind_two_pass(rule: Rule) -> str:
+    """kind_of as it was written before its one-pass scan: the oracle."""
+    d = deduction_level(rule)
+    body_terms = {t for a in rule.body for t in a.terms}
+    if d == 0:
+        if VAR_Y not in body_terms:
+            return "OAR"
+        return "CAR" if VAR_X in body_terms else "OPEN"
+    head_const = not rule.head.obj.is_var and rule.head.subj == VAR_X
+    if head_const and d == 1:
+        return "HAR"
+    if (head_const and d == 2 and rule.body
+            and not dangling_term(rule).is_var):
+        return "BAR"
+    return "INSR"
+
+
+def test_kind_of_matches_the_two_pass_classification():
+    rng = random.Random(14)
+    kinds = Counter()
+    for _ in range(3000):
+        rule = random_rule(rng)
+        kinds[kind_of(rule)] += 1
+        assert kind_of(rule) == _kind_two_pass(rule), rule
+    assert set(kinds) == {"OAR", "CAR", "OPEN", "HAR", "BAR", "INSR"}
+
+
 def test_reverse_body():
     ents, rels = _interners()
     r = parse_rule("r0(X,Y) <- r1(Y,V0), r2(V0,X)", ents, rels)
@@ -250,7 +277,7 @@ def test_generalize_rejects_revisiting_walks():
 # ---------------------------------------------------------------------------
 # anchoring open rules
 
-def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
+def test_specialization_anchors_y_and_the_dangling_term():
     ents, rels = _interners()
     oar = parse_rule("r0(X,Y) <- r1(X,V0), r2(V1,V0)", ents, rels)
     assert dangling_term(oar) == var(1)
@@ -261,18 +288,40 @@ def test_specialization_anchors_y_and_the_dangling_term(monkeypatch):
     store = toy_store()
     rt = store.relations.get("Advises")
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
-    bound = []
-    monkeypatch.setattr(miner_mod, "instantiate",
-                        lambda rule, b: bound.append(set(b))
-                        or instantiate(rule, b))
     rt_pairs = store.instances_of(rt)
     specs, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
                               set(), sorted(rt_pairs),
                               zero_thresholds(MinerConfig()))
-    assert bound == [{VAR_Y}, {VAR_Y, var(0)}]
+    assert [set(anchoring(oar, r)) for r, _ in specs] == [
+        {VAR_Y}, {VAR_Y, var(0)}]
     assert [r for r, _ in specs] == [
         R("Advises(X,bob) <- Is_A(X,V0)", store),
         R("Advises(X,bob) <- Is_A(X,professor)", store)]
+
+
+@pytest.mark.parametrize("text, r1_obj, error", [
+    ("rt(X,X) <- r1(X,V0)", "d", ValueError),         # the head lacks Y
+    ("rt(X,Y) <- r1(X,X)", "a", StraightnessError)])  # X occurs thrice
+def test_specialization_raises_what_instantiate_raises(text, r1_obj, error):
+    # specialization builds its rules without instantiate, and checks the
+    # OAR once instead: an OAR whose anchorings instantiate rejects still
+    # raises, as soon as a candidate is kept
+    store = TripleStore()
+    a, b, _ = (store.entities.intern(e) for e in "abd")
+    rt, r1 = store.relations.intern("rt"), store.relations.intern("r1")
+    store.add_triple(rt, a, b, "train")
+    store.add_triple(r1, a, store.entities.get(r1_obj), "train")
+    oar = R(text, store)
+    assert kind_of(oar) == "OAR"
+    with pytest.raises(error):
+        instantiate(oar, {VAR_Y: b})
+    rt_pairs = store.instances_of(rt)
+    args = (oar, open_groundings(oar, store), rt_pairs, set(),
+            sorted(rt_pairs))
+    with pytest.raises(error):
+        specialization(*args, zero_thresholds(MinerConfig()))
+    # the same OAR with no kept candidate builds nothing and raises nothing
+    assert specialization(*args, MinerConfig(supp_f=1)) == ([], False)
 
 
 def test_specialization_rejects_non_oars():
@@ -363,3 +412,14 @@ def test_parse_format_round_trip_random():
         rule = random_rule(rng)
         text = format_rule(rule, ents, rels)
         assert parse_rule(text, ents, rels, intern=False) == rule
+
+
+def test_format_rule_memo_gives_the_same_text():
+    # write_rules shares one memo across a file's rules
+    ents, rels = _interners()
+    rng = random.Random(7)
+    rules = [random_rule(rng) for _ in range(500)]
+    memo: dict = {}
+    assert [format_rule(r, ents, rels, memo) for r in rules] == \
+        [format_rule(r, ents, rels) for r in rules]
+    assert set(memo) == {a for r in rules for a in r.atoms}
