@@ -1,16 +1,29 @@
 """Effect of the pruning knobs on a synthetic graph.
 
-Generates a random knowledge graph, re-splits it 6:2:2, and sweeps the
-prior-pruning support threshold with post-pruning on and off, reporting
-rule counts, open-rule classification, runtime and filtered MRR.
+Generates a random knowledge graph, re-splits it 6:2:2, writes it and a
+run config to a temporary directory, and runs `rulehier bench` over the
+prior-pruning support threshold, with post-pruning off and then on. Each
+row of the printed `bench.csv` gives the runtime, filtered MRR, rule count
+and open-rule classification of one threshold.
 Run with:  python3 demos/pruning_sweep.py
 """
 
 import random
-import time
+import tempfile
+from pathlib import Path
 
-from rulehier import (MinerConfig, SplitConfig, TripleStore, evaluate_kgc,
-                      learn, resplit)
+from rulehier import SplitConfig, TripleStore, resplit
+from rulehier.cli import main as rulehier
+
+MINER = """[miner]
+max_len = 2
+supp_f = 1
+hc_f = 0.0
+sc_f = 0.0
+overfit_threshold = 0.0
+walks_per_instance = 6
+seed = 0
+"""
 
 
 def synthetic_graph(seed=0, n_entities=30, n_relations=3, n_triples=260):
@@ -30,27 +43,19 @@ def synthetic_graph(seed=0, n_entities=30, n_relations=3, n_triples=260):
     return resplit(store, SplitConfig(seed=seed))
 
 
-def sweep(store, supp_h, post):
-    cfg = MinerConfig(max_len=2, supp_f=1, hc_f=0.0, sc_f=0.0,
-                      supp_h=supp_h, overfit_threshold=0.0,
-                      walks_per_instance=6, seed=0,
-                      enable_post_pruning=post)
-    t0 = time.monotonic()
-    results = {}
-    for rt in range(len(store.relations)):
-        if store.instances_of(rt):
-            results[rt] = learn(store, rt, cfg)
-    runtime = time.monotonic() - t0
-    summary = evaluate_kgc(store, {rt: r.rules for rt, r in results.items()})
-    return {
-        "rules": sum(len(r.rules) for r in results.values()),
-        "p_oars": sum(r.p_oars for r in results.values()),
-        "i_oars": sum(r.i_oars for r in results.values()),
-        "u_oars": sum(r.u_oars for r in results.values()),
-        "runtime": runtime,
-        "mrr": summary.mrr,
-        "rat": summary.rule_application_seconds,
-    }
+def sweep(work, thresholds="0,8,24,40", post="off"):
+    """Write the graph and a run config under `work`, run `rulehier bench`
+    there, and return the path of its bench.csv."""
+    work = Path(work)
+    data, out = work / "data", work / f"out_post_{post}"
+    synthetic_graph().write_directory(data)
+    config = work / "run.ini"
+    config.write_text(f"[dataset]\ndir = {data}\n\n[output]\ndir = {out}\n\n"
+                      f"{MINER}", encoding="utf-8")
+    if rulehier(["bench", "--config", str(config), "--thresholds",
+                 thresholds, "--post-prune", post]) != 0:
+        raise RuntimeError("rulehier bench failed")
+    return out / "bench.csv"
 
 
 def main():
@@ -58,17 +63,9 @@ def main():
     print(f"graph: {store.size('train')} train / {store.size('valid')} valid"
           f" / {store.size('test')} test triples,"
           f" {len(store.entities)} entities")
-    header = (f"{'supp_h':>6} {'post':>5} {'rules':>6} {'P':>4} {'I':>4} "
-              f"{'U':>4} {'mine_s':>7} {'MRR':>7} {'rat_s':>6}")
-    print(header)
-    print("-" * len(header))
-    for post in (False, True):
-        for supp_h in (0, 8, 24, 40):
-            row = sweep(store, supp_h, post)
-            print(f"{supp_h:>6} {str(post):>5} {row['rules']:>6} "
-                  f"{row['p_oars']:>4} {row['i_oars']:>4} {row['u_oars']:>4} "
-                  f"{row['runtime']:>7.2f} {row['mrr']:>7.4f} "
-                  f"{row['rat']:>6.2f}")
+    with tempfile.TemporaryDirectory() as work:
+        for post in ("off", "on"):
+            print(sweep(work, post=post).read_text(encoding="utf-8"), end="")
 
 
 if __name__ == "__main__":

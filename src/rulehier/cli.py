@@ -88,7 +88,11 @@ def _set(owner, name: str, key: str, value: str) -> None:
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            # one line: some configparser messages quote the bad line
+            raise ValueError(f"{path}: {exc}".replace("\n", " ")) from None
     cfg = RunConfig()
     for section in parser.sections():
         for key, value in parser[section].items():

@@ -1,5 +1,9 @@
 """Knowledge-graph-completion evaluation: rule application, maximum
 aggregation ranking with recursive tie-breaking, filtered MRR and Hits@k.
+
+Rules are applied per distinct body: each body is grounded once into a
+`miner.BodyIndex`, the index specialization reads, and every rule of the
+body answers from it.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .kgstore import TripleStore
-from .miner import CapExceeded, Measures, body_vars, ground_body
+from .miner import BodyIndex, Measures, ground_body
 from .rules import Rule
 
 
@@ -48,56 +52,17 @@ def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]
     return out
 
 
-class BodyIndex:
-    """One rule body's groundings, the entity tuples `ground_body` yields
-    (variable v at slot pos[v]), and the maps its rules read, each built
-    on first use and shared by every rule of the body:
-
-    - common(j): each value at slot j -> the entities used by every
-      grounding with that value, so some grounding with the value avoids
-      entity e iff e lies outside them;
-    - pairs(j, i): each value at slot j -> the values at slot i beside it.
-    """
-
-    def __init__(self, rule: Rule):
-        self.pos = {v: i for i, v in enumerate(body_vars(rule))}
-        self.consts = {t.idx for a in rule.body for t in a.terms
-                       if not t.is_var}
-        self.groundings: list[tuple[int, ...]] = []
-        self._common: dict[int, dict[int, set[int]]] = {}
-        self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
-
-    def common(self, j: int) -> dict[int, set[int]]:
-        out = self._common.get(j)
-        if out is None:
-            out = self._common[j] = {}
-            for g in self.groundings:
-                ents = out.get(g[j])
-                if ents is None:
-                    out[g[j]] = set(g)
-                else:
-                    ents.intersection_update(g)
-        return out
-
-    def pairs(self, j: int, i: int) -> dict[int, set[int]]:
-        out = self._pairs.get((j, i))
-        if out is None:
-            out = self._pairs[(j, i)] = defaultdict(set)
-            for g in self.groundings:
-                out[g[j]].add(g[i])
-        return out
-
-
-def _answers(rule: Rule, body: BodyIndex,
+def _answers(rule: Rule, body: BodyIndex, consts: set[int],
              wanted: dict[tuple[int, str], set[int]]) -> dict[tuple, set[int]]:
     """The entities `rule` suggests per wanted (rel, slot, known), read from
-    its body's index. A grounding counts unless it uses a head-only
-    constant; the rule suggests open value o for known k iff a counted
-    grounding binds the known term to k (a known constant must equal k)
-    and the open term to o. A known variable the body leaves unbound
-    takes any k that is no rule constant and lies outside the entities
-    the grounding uses; an open variable the body leaves unbound answers
-    only when it is the known variable itself.
+    its body's index, whose groundings avoid `consts`, the body's
+    constants. A grounding counts unless it uses a head-only constant; the
+    rule suggests open value o for known k iff a counted grounding binds
+    the known term to k (a known constant must equal k) and the open term
+    to o. A known variable the body leaves unbound takes any k that is no
+    rule constant and lies outside the entities the grounding uses; an
+    open variable the body leaves unbound answers only when it is the
+    known variable itself.
     """
     rel = rule.head.pred
     hs, ho = rule.head.subj, rule.head.obj
@@ -124,7 +89,7 @@ def _answers(rule: Rule, body: BodyIndex,
             # known variable binds k, and a known constant k is the only
             # head-only constant
             common = body.common(i)
-            for k in (ks - body.consts if known.is_var
+            for k in (ks - consts if known.is_var
                       else ks & {known.idx}):
                 cands = {o for o, ents in common.items() if k not in ents}
                 if cands:
@@ -132,7 +97,7 @@ def _answers(rule: Rule, body: BodyIndex,
         elif not open_term.is_var or open_term == known:
             # the body binds neither head term (a ground head, say): scan
             head_only = {t.idx for t in rule.head.terms
-                         if not t.is_var} - body.consts
+                         if not t.is_var} - consts
             counted = [g for g in body.groundings
                        if head_only.isdisjoint(g)]
             if not counted:
@@ -143,7 +108,7 @@ def _answers(rule: Rule, body: BodyIndex,
                     out[(rel, slot, known.idx)] = {o}
                 continue
             common = set(counted[0]).intersection(*counted[1:])
-            for k in ks - head_only - body.consts - common:
+            for k in ks - head_only - consts - common:
                 out[(rel, slot, k)] = {k if o is None else o}
     return out
 
@@ -169,15 +134,13 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
     vectors: dict[tuple, dict[int, list[float]]] = defaultdict(
         lambda: defaultdict(list))
     for group in by_body.values():
-        body = BodyIndex(group[0][0])
-        try:
-            for g in ground_body(group[0][0], store, cap, exclude=body.consts):
-                body.groundings.append(g)
-        except CapExceeded:
-            stats["capped_bodies"] += 1
+        first = group[0][0]
+        consts = {t.idx for a in first.body for t in a.terms if not t.is_var}
+        body = BodyIndex(first, ground_body(first, store, cap, exclude=consts))
+        stats["capped_bodies"] += body.capped
         stats["groundings"] += len(body.groundings)
         for rule, m in group:
-            for key, cands in _answers(rule, body, wanted).items():
+            for key, cands in _answers(rule, body, consts, wanted).items():
                 vec = vectors[key]
                 for cand in cands:
                     vec[cand].append(m.sc)

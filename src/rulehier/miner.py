@@ -5,9 +5,11 @@ abstract rules, visit those breadth-first over the atom-addition hierarchy,
 measuring each once and pruning subtrees below `supp_h`. A kept closed rule
 is filtered for relevance; a kept open rule is specialized from the grounding
 pass that measured it, support first and the dearer thresholds after, and
-post pruning drops dominated anchorings. Both hierarchies are recorded as
-their rules are made, with no subsumption check: an abstract rule's
-A-parent is its walk prefix, and a BAR's I-parent is the HAR of its anchor.
+post pruning drops dominated anchorings. That pass fills a `BodyIndex`, the
+grounding index that rule application (`evaluator`) reads too. Both
+hierarchies are recorded as their rules are made, with no subsumption
+check: an abstract rule's A-parent is its walk prefix, and a BAR's I-parent
+is the HAR of its anchor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import random
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                         bfs_with_pruning, union)
@@ -70,7 +71,6 @@ class MinerConfig:
     seed: int = 0
     enable_prior_pruning: bool = True
     enable_post_pruning: bool = True
-    overfit_instantiated_only: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -215,50 +215,82 @@ def _measures(supp: int, n_g: int, valid_supp: int, approx: bool,
     return Measures(supp, hc, sc, n_g, valid_supp, approx)
 
 
-class OpenGroundings(NamedTuple):
-    """An OAR's body groundings by the entity x that X binds: the grounding
-    tuples of x (in the order of `body_vars`, so a tuple holds exactly the
-    entities its grounding uses); the entities every grounding of x uses
-    (so (x, c) is in the OAR's head-grounding set iff c is outside
-    common[x]); the dangling term's slot in a tuple; and whether the
-    grounding cap hit."""
+class BodyIndex:
+    """One rule body's groundings, the entity tuples `ground_body` yields
+    (variable v at slot pos[v]), whether the grounding cap cut them short,
+    and the maps the body's rules read, each built on first use and shared:
 
-    by_x: dict[int, list[tuple[int, ...]]]
-    common: dict[int, set[int]]
-    tail_slot: int
-    capped: bool
+    - grouped(j): each value at slot j -> the groundings with that value;
+    - common(j): each value at slot j -> the entities used by every
+      grounding with that value, so some grounding with the value avoids
+      entity e iff e lies outside them;
+    - pairs(j, i): each value at slot j -> the values at slot i beside it.
+    """
+
+    def __init__(self, rule: Rule, groundings):
+        """Index `groundings`, one `ground_body` pass over `rule`'s body; a
+        pass that hits its cap keeps what it found and sets `capped`."""
+        self.pos = {v: i for i, v in enumerate(body_vars(rule))}
+        self.groundings: list[tuple[int, ...]] = []
+        self.capped = False
+        try:
+            for g in groundings:
+                self.groundings.append(g)
+        except CapExceeded:
+            self.capped = True
+        self._grouped: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+        self._common: dict[int, dict[int, set[int]]] = {}
+        self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
+
+    def grouped(self, j: int) -> dict[int, list[tuple[int, ...]]]:
+        out = self._grouped.get(j)
+        if out is None:
+            out = self._grouped[j] = defaultdict(list)
+            for g in self.groundings:
+                out[g[j]].append(g)
+        return out
+
+    def common(self, j: int) -> dict[int, set[int]]:
+        out = self._common.get(j)
+        if out is None:
+            out = self._common[j] = {}
+            for g in self.groundings:
+                ents = out.get(g[j])
+                if ents is None:
+                    out[g[j]] = set(g)
+                else:
+                    ents.intersection_update(g)
+        return out
+
+    def pairs(self, j: int, i: int) -> dict[int, set[int]]:
+        out = self._pairs.get((j, i))
+        if out is None:
+            out = self._pairs[(j, i)] = defaultdict(set)
+            for g in self.groundings:
+                out[g[j]].add(g[i])
+        return out
 
 
-def open_groundings(oar: Rule, store: TripleStore,
-                    cap: int = 0) -> OpenGroundings:
-    """Ground an OAR's body once, up to `cap` steps (see ground_body), and
-    index its grounding tuples by the entity in X's slot. The tuples are
-    kept as `ground_body` yields them; an OAR has no constants, so a tuple
-    is the set of entities its grounding uses."""
+def open_groundings(oar: Rule, store: TripleStore, cap: int = 0) -> BodyIndex:
+    """Ground an OAR's body once, up to `cap` steps (see ground_body), into
+    its index. An OAR has no constants, so a grounding tuple is the set of
+    entities its grounding uses, and (x, c) is in the OAR's head-grounding
+    set iff c lies outside common(X's slot)[x]."""
     if not oar.body or kind_of(oar) != "OAR":
         kind = kind_of(oar) if oar.body else "the top rule"
         raise KindError(f"expected an OAR with a body atom, got {kind}")
-    order = body_vars(oar)
-    xs, ts = order.index(VAR_X), order.index(dangling_term(oar))
-    by_x = defaultdict(list)
-    capped = False
-    try:
-        for g in ground_body(oar, store, cap):
-            by_x[g[xs]].append(g)
-    except CapExceeded:
-        capped = True
-    common = {x: set(gs[0]).intersection(*gs[1:]) for x, gs in by_x.items()}
-    return OpenGroundings(by_x, common, ts, capped)
+    return BodyIndex(oar, ground_body(oar, store, cap))
 
 
-def _open_measures(g: OpenGroundings, store: TripleStore, rt_pairs,
+def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
                    valid_pairs, cfg: MinerConfig) -> Measures:
     """An OAR's measures: Y ranges over the entities outside common[x]."""
+    common = body.common(body.pos[VAR_X])
+
     def hits(pairs) -> int:
-        return sum(x in g.common and y not in g.common[x] for x, y in pairs)
-    n_g = len(store.entities) * len(g.common) \
-        - sum(map(len, g.common.values()))
-    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), g.capped,
+        return sum(x in common and y not in common[x] for x, y in pairs)
+    n_g = len(store.entities) * len(common) - sum(map(len, common.values()))
+    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), body.capped,
                      len(rt_pairs), cfg)
 
 
@@ -290,18 +322,12 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         return _open_measures(open_groundings(rule, store, cfg.grounding_cap),
                               store, rt_pairs, valid_pairs, cfg)
 
-    xi = order.index(hx) if hx.is_var else None
-    yi = order.index(hy) if hy.is_var else None
-    g: set[tuple[int, int]] = set()
-    approx = False
-    try:
-        for b in ground_body(rule, store, cfg.grounding_cap):
-            g.add((hx.idx if xi is None else b[xi],
-                   hy.idx if yi is None else b[yi]))
-    except CapExceeded:
-        approx = True
-    return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs), approx,
-                     n_rt, cfg)
+    body = BodyIndex(rule, ground_body(rule, store, cfg.grounding_cap))
+    xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
+    g = {(hx.idx if xi is None else b[xi], hy.idx if yi is None else b[yi])
+         for b in body.groundings}
+    return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs),
+                     body.capped, n_rt, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +429,17 @@ def is_relevant(m: Measures, cfg: MinerConfig) -> bool:
     return m.supp > cfg.supp_f and m.hc > cfg.hc_f and m.sc > cfg.sc_f
 
 
-def overfit_keep(m: Measures, cfg: MinerConfig, rule_kind: str = "INSR") -> bool:
+def overfit_keep(m: Measures, cfg: MinerConfig, _kind: str = "") -> bool:
     """Validation-support ratio filter; threshold 0 keeps everything."""
+    # `_kind` is ignored; bench/layers.py still passes a rule kind
     if cfg.overfit_threshold <= 0:
-        return True
-    if cfg.overfit_instantiated_only and rule_kind in ("CAR", "OAR"):
         return True
     if m.supp == 0:
         return False
     return m.valid_supp / m.supp >= cfg.overfit_threshold
 
 
-def specialization(oar: Rule, groundings: OpenGroundings,
+def specialization(oar: Rule, body: BodyIndex,
                    rt_pairs: set[tuple[int, int]],
                    valid_pairs: set[tuple[int, int]],
                    instances: list[tuple[int, int]],
@@ -423,10 +448,12 @@ def specialization(oar: Rule, groundings: OpenGroundings,
     """Anchor an OAR into its relevant HARs and BARs.
 
     A HAR binds Y to an anchor c, a BAR also binds the dangling term to a
-    tail value t. `groundings`, which `open_groundings(oar, ...)` built (and
-    so checked that `oar` is an OAR), gives per x, and per x and t, the
-    entities all of its groundings use; (x, c) is in a candidate's head
-    groundings iff c is outside that intersection. The pass over
+    tail value t. `body`, which `open_groundings(oar, ...)` built (and so
+    checked that `oar` is an OAR), gives per x its groundings and the
+    entities all of them use; per x and t, the entities used by all of its
+    groundings with tail value t are intersected here, only for the tails
+    of surviving candidates. (x, c) is in a candidate's head groundings
+    iff c is outside that intersection. The pass over
     `instances` (the pairs of `rt_pairs`) that finds the candidates counts
     their support, so the thresholds run cheapest first: `supp_f` and
     `hc_f`, then |g| and `sc_f`, then the validation support and
@@ -441,17 +468,20 @@ def specialization(oar: Rule, groundings: OpenGroundings,
     OAR's head lacks Y or the OAR is not straight. Both are checked once,
     before the first kept rule, and raise `instantiate`'s errors.
     """
-    tail, ts = dangling_term(oar), groundings.tail_slot
+    tail = dangling_term(oar)
+    ts = body.pos[tail]
+    by_x = body.grouped(body.pos[VAR_X])
+    common_x = body.common(body.pos[VAR_X])
     # supp[(c, t)] in first-seen order: an instance (x, y) that some
     # grounding of x avoids supports the HAR (y, None) once, and the BAR
     # (y, t) once per distinct tail value t of those groundings (t != y,
     # since a grounding binds distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
     for x, y in sorted(instances):
-        if y in groundings.common.get(x, (y,)):
+        if y in common_x.get(x, (y,)):
             continue  # no grounding of x avoids y
         supp[(y, None)] = supp.get((y, None), 0) + 1
-        for t in dict.fromkeys(g[ts] for g in groundings.by_x[x]
+        for t in dict.fromkeys(g[ts] for g in by_x[x]
                                if y not in g):
             supp[(y, t)] = supp.get((y, t), 0) + 1
 
@@ -476,8 +506,8 @@ def specialization(oar: Rule, groundings: OpenGroundings,
     # tail values of the surviving BARs
     tails = {t for _, t in cands}
     common: dict[tuple[int, int | None], set[int]] = {
-        (x, None): ents for x, ents in groundings.common.items()}
-    for x, gs in groundings.by_x.items():
+        (x, None): ents for x, ents in common_x.items()}
+    for x, gs in by_x.items():
         for g in gs:
             t = g[ts]
             if t in tails:
@@ -505,7 +535,7 @@ def specialization(oar: Rule, groundings: OpenGroundings,
             continue
         valid = sum(c not in common.get((x, t), (c,))
                     for x in valid_by_c.get(c, ()))
-        m = _measures(supp[(c, t)], n_g, valid, groundings.capped, n_rt, cfg)
+        m = _measures(supp[(c, t)], n_g, valid, body.capped, n_rt, cfg)
         if not overfit_keep(m, cfg):
             continue
         if not out:
@@ -577,7 +607,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             result.skipped_oars += is_oar
             return True
         if not is_oar:
-            if is_relevant(m, cfg) and overfit_keep(m, cfg, "CAR"):
+            if is_relevant(m, cfg) and overfit_keep(m, cfg):
                 mined.append((rule, m))
             return True
         specs, truncated = specialization(rule, g, rt_pairs, valid_pairs,

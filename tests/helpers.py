@@ -123,6 +123,18 @@ def random_rule(rng: random.Random, max_len: int = 4) -> Rule:
             return rule
 
 
+def repeat_a_variable(rng: random.Random, rule: Rule) -> Rule:
+    """`rule` with one variable renamed to another it has, so that a
+    variable repeats, inside one atom or across atoms."""
+    variables = sorted({t for a in rule.atoms for t in a.terms if t.is_var})
+    if len(variables) < 2:
+        return rule
+    old, new = rng.sample(variables, 2)
+    atoms = [Atom(a.pred, *(new if t == old else t for t in a.terms))
+             for a in rule.atoms]
+    return Rule(atoms[0], tuple(atoms[1:]))
+
+
 def normalize_head_vars(rule: Rule) -> Rule:
     """Rename a fresh variable in a head slot to X / Y when unambiguous.
 
@@ -628,7 +640,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
     for rule in sorted(survivors, key=Rule.sort_key):
         m = measures[rule]
         if rule.body and kind_of(rule) == "CAR":
-            if is_relevant(m, cfg) and overfit_keep(m, cfg, "CAR"):
+            if is_relevant(m, cfg) and overfit_keep(m, cfg):
                 mined[rule] = m
         if rule not in oars:
             continue

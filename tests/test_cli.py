@@ -72,6 +72,9 @@ def test_load_config_sections_and_overrides(tmp_path):
 def test_load_config_rejects_unknown_keys(tmp_path):
     for old, new, name in (
             ("seed = 0", "bogus = 1", "miner.bogus"),
+            # a deleted option is an unknown one
+            ("seed = 0", "overfit_instantiated_only = true",
+             "miner.overfit_instantiated_only"),
             ("mode = all", "modee = list", "targets.modee"),
             ("[output]", "[evaluatr]\ncap = 3\n\n[output]", "evaluatr.cap"),
             ("[output]", "[run]\nworkerz = 8\n\n[output]", "run.workerz")):
@@ -486,3 +489,16 @@ def test_main_reports_errors(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--thresholds", "0,-1"]) == 1
     assert "supp_h" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("broken", ["dir = data\n",
+                                    "[miner]\nseed = 0\nseed = 1\n"],
+                         ids=["no-section-header", "repeated-key"])
+def test_malformed_config_file_is_an_error_line(tmp_path, capsys, broken):
+    cfg = tmp_path / "broken.ini"
+    cfg.write_text(broken)
+    with pytest.raises(ValueError, match=re.escape(str(cfg))):
+        load_config(cfg)
+    assert main(["learn", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+    assert err.count("\n") == 1   # one line, no traceback

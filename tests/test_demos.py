@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import os
 import subprocess
@@ -8,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-def test_demos_run():
+def test_demos_run(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     toy = subprocess.run([sys.executable, str(DEMOS / "academic_toy.py")],
@@ -19,5 +20,6 @@ def test_demos_run():
         "pruning_sweep", DEMOS / "pruning_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    row = sweep.sweep(sweep.synthetic_graph(), 0, False)
-    assert row["rules"] > 0 and 0 < row["mrr"] <= 1
+    with open(sweep.sweep(tmp_path, "0", "off"), newline="") as fh:
+        [row] = csv.DictReader(fh)
+    assert int(row["n_rules"]) > 0 and 0 < float(row["mrr"]) <= 1

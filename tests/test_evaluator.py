@@ -8,10 +8,10 @@ from rulehier.evaluator import (Query, evaluate_kgc, hits_at, mrr, queries_for,
                                 rank, suggest)
 from rulehier.kgstore import TripleStore
 from rulehier.miner import Measures, MinerConfig, learn
-from rulehier.rules import Atom, Rule
+from rulehier.rules import Rule
 
 from helpers import (N_PREDS, R, evaluate_kgc_oracle, random_kg, random_rule,
-                     suggest_oracle, toy_store)
+                     repeat_a_variable, suggest_oracle, toy_store)
 
 
 def triangle_with_test():
@@ -211,18 +211,6 @@ def test_evaluate_kgc_equals_the_per_query_oracle(seed):
                        suggest_oracle(q, rules, store).items()}
 
 
-def _repeat_a_variable(rng: random.Random, rule: Rule) -> Rule:
-    """`rule` with one variable renamed to another it has, so that a
-    variable repeats, inside one atom or across atoms."""
-    variables = sorted({t for a in rule.atoms for t in a.terms if t.is_var})
-    if len(variables) < 2:
-        return rule
-    old, new = rng.sample(variables, 2)
-    atoms = [Atom(a.pred, *(new if t == old else t for t in a.terms))
-             for a in rule.atoms]
-    return Rule(atoms[0], tuple(atoms[1:]))
-
-
 def _shapes(rule: Rule) -> set[str]:
     head = rule.head
     body_consts = {t for a in rule.body for t in a.terms if not t.is_var}
@@ -263,7 +251,7 @@ def test_shared_index_answers_random_rules_like_the_oracles(seed):
         assert len(rules) < 2000, SHAPES - answering
         rule = random_rule(rng, max_len=3)
         if rng.random() < 0.3:
-            rule = _repeat_a_variable(rng, rule)
+            rule = repeat_a_variable(rng, rule)
         rules.append(rule)
         if any(suggest_oracle(q, [(rule, Measures())], store)
                for q in queries):

@@ -11,17 +11,18 @@ from rulehier.hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union)
 from rulehier.kgstore import Interner, ParseError, TripleStore
-from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
-                            MinerConfig, body_vars, evaluate, generalization,
-                            ground_body, is_relevant, learn, open_groundings,
-                            overfit_keep, post_pruning, read_rules,
-                            specialization, write_rules)
+from rulehier.miner import (BodyIndex, CapExceeded, EmptyTargetError,
+                            Measures, MinerConfig, body_vars, evaluate,
+                            generalization, ground_body, is_relevant, learn,
+                            open_groundings, overfit_keep, post_pruning,
+                            read_rules, specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate, kind_of,
                             parse_rule)
 
-from helpers import (R, anchoring, edges_climb, generalization_oracle,
-                     ground_body_oracle, learn_oracle, random_kg,
+from helpers import (N_PREDS, R, anchoring, edges_climb,
+                     generalization_oracle, ground_body_oracle, learn_oracle,
+                     random_kg, random_rule, repeat_a_variable,
                      sample_walk_oracle, toy_store, zero_thresholds)
 
 
@@ -203,6 +204,67 @@ def test_ground_body_yields_the_oracle_groundings_as_tuples():
             capped += got[1]
         cases += 1
     assert cases > 500 and capped > 1000
+
+
+def _brute_force_maps(groundings, n_slots):
+    """The maps a BodyIndex offers, per slot and slot pair, computed value
+    by value from the grounding tuples."""
+    grouped, common, pairs = {}, {}, {}
+    for j in range(n_slots):
+        values = dict.fromkeys(g[j] for g in groundings)
+        grouped[j] = {v: [g for g in groundings if g[j] == v] for v in values}
+        common[j] = {v: set.intersection(*map(set, gs))
+                     for v, gs in grouped[j].items()}
+        for i in range(n_slots):
+            pairs[(j, i)] = {v: {g[i] for g in gs}
+                             for v, gs in grouped[j].items()}
+    return grouped, common, pairs
+
+
+def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
+    rng = random.Random(31)
+    loops = random_kg(rng, n_entities=10, n_relations=N_PREDS, n_train=70)
+    for e in range(0, 10, 3):   # self-loops, so repeated variables bind
+        loops.add_triple(e % N_PREDS, e, e, "train")
+    seen = Counter()
+    for store in (loops, hub_kg(rng)):
+        for _ in range(150):
+            rule = random_rule(rng, max_len=3)
+            if rng.random() < 0.4:
+                rule = repeat_a_variable(rng, rule)
+            if not rule.body:
+                continue
+            order = body_vars(rule)
+            consts = {t.idx for a in rule.body for t in a.terms
+                      if not t.is_var}
+            for cap in (0, 2, rng.randint(3, 30)):
+                body = BodyIndex(rule, ground_body(rule, store, cap, consts))
+                assert body.pos == {v: i for i, v in enumerate(order)}
+                found, hit = _capped(ground_body_oracle(rule, store, cap,
+                                                        consts))
+                want = [tuple(b[v] for v in order) for b in found]
+                assert body.groundings == want
+                assert body.capped == hit
+                grouped, common, pairs = _brute_force_maps(want, len(order))
+                for j in range(len(order)):
+                    assert dict(body.grouped(j)) == grouped[j]
+                    assert body.common(j) == common[j]
+                    assert body.common(j) is body.common(j)   # built once
+                    for i in range(len(order)):
+                        assert dict(body.pairs(j, i)) == pairs[(j, i)]
+                if kind_of(rule) == "OAR":
+                    oar = open_groundings(rule, store, cap)
+                    assert isinstance(oar, BodyIndex)
+                    assert (oar.groundings, oar.capped) == (want, hit)
+                seen["capped"] += hit
+                seen["exact under a cap"] += bool(cap) and not hit
+                if want:
+                    seen["grounded"] += 1
+                    seen["body constant"] += bool(consts)
+                    seen["repeated variable"] += any(
+                        a.subj == a.obj and a.subj.is_var for a in rule.body)
+                    seen["OAR"] += kind_of(rule) == "OAR"
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
 def test_evaluate_closed_rule_triangle():
@@ -428,12 +490,6 @@ def test_overfit_filter():
     assert not overfit_keep(Measures(supp=0, valid_supp=0), keep)
     off = MinerConfig(overfit_threshold=0.0)
     assert overfit_keep(Measures(supp=0, valid_supp=0), off)
-    abstract_exempt = MinerConfig(overfit_threshold=0.2,
-                                  overfit_instantiated_only=True)
-    assert overfit_keep(Measures(supp=10, valid_supp=0), abstract_exempt,
-                        "CAR")
-    assert not overfit_keep(Measures(supp=10, valid_supp=0), abstract_exempt,
-                            "BAR")
 
 
 def test_prior_pruning_chain():
