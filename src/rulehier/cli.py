@@ -74,7 +74,11 @@ def _coerce(key: str, value: str, like):
         return configparser.ConfigParser.BOOLEAN_STATES[word]
     if isinstance(like, tuple):
         return tuple(p.strip() for p in value.split(",") if p.strip())
-    return type(like)(value)
+    try:
+        return type(like)(value)
+    except ValueError:
+        kind = "an integer" if isinstance(like, int) else "a number"
+        raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
 
 
 def _owner(cfg: RunConfig, section: str):
@@ -234,16 +238,11 @@ def cmd_learn(args) -> int:
         write_rules(out_dir / f"rules_{names[rt]}.txt", res.rules,
                     store.entities, store.relations)
     _write_run_record(out_dir / "run_record.txt", cfg, names, results)
-    hierarchies = [res.hierarchy for res in results.values()
-                   if res.hierarchy is not None]
-    if hierarchies:
-        hmod.write_dot(hmod.union(*hierarchies), args.emit_hierarchy,
+    if args.emit_hierarchy:
+        merged = hmod.union(*(res.hierarchy for res in results.values()))
+        hmod.write_dot(merged, args.emit_hierarchy,
                        lambda r: format_rule(r, store.entities,
                                              store.relations))
-    elif args.emit_hierarchy:
-        print(f"warning: no hierarchy was built (prior and post pruning "
-              f"off, or no rule specialized); {args.emit_hierarchy} "
-              f"not written", file=sys.stderr)
     total = sum(len(r.rules) for r in results.values())
     print(f"learned {total} rules for {len(targets)} targets -> {out_dir}")
     return 0

@@ -69,7 +69,6 @@ class MinerConfig:
     grounding_cap: int = 0         # 0 = exact enumeration
     max_specs_per_oar: int = 0
     seed: int = 0
-    enable_prior_pruning: bool = True
     enable_post_pruning: bool = True
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class LearnResult:
     skipped_oars: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
-    # gen_time_budget, spec_time_budget and/or max_specs_per_oar
+    # gen_time_budget, spec_time_budget, grounding_cap, max_specs_per_oar
     truncated_by: set[str] = field(default_factory=set)
     abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
@@ -442,7 +441,6 @@ def overfit_keep(m: Measures, cfg: MinerConfig, _kind: str = "") -> bool:
 def specialization(oar: Rule, body: BodyIndex,
                    rt_pairs: set[tuple[int, int]],
                    valid_pairs: set[tuple[int, int]],
-                   instances: list[tuple[int, int]],
                    cfg: MinerConfig,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
     """Anchor an OAR into its relevant HARs and BARs.
@@ -454,8 +452,8 @@ def specialization(oar: Rule, body: BodyIndex,
     groundings with tail value t are intersected here, only for the tails
     of surviving candidates. (x, c) is in a candidate's head groundings
     iff c is outside that intersection. The pass over
-    `instances` (the pairs of `rt_pairs`) that finds the candidates counts
-    their support, so the thresholds run cheapest first: `supp_f` and
+    `rt_pairs`, in sorted order, that finds the candidates counts their
+    support, so the thresholds run cheapest first: `supp_f` and
     `hc_f`, then |g| and `sc_f`, then the validation support and
     `overfit_keep`. Returns (rules with measures, truncated flag): exactly
     the candidates that pass `is_relevant` and `overfit_keep`, each built
@@ -477,7 +475,7 @@ def specialization(oar: Rule, body: BodyIndex,
     # (y, t) once per distinct tail value t of those groundings (t != y,
     # since a grounding binds distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
-    for x, y in sorted(instances):
+    for x, y in sorted(rt_pairs):
         if y in common_x.get(x, (y,)):
             continue  # no grounding of x avoids y
         supp[(y, None)] = supp.get((y, None), 0) + 1
@@ -566,14 +564,19 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 
 def learn(store: TripleStore, rt: int, cfg: MinerConfig,
           collect_hierarchy: bool = False) -> LearnResult:
-    """Mine one target, measuring each abstract rule once (see `visit`).
-    Past `spec_time_budget`, counted from the end of generalization, kept
-    rules are still measured (so `p_oars` stays exact) but not mined."""
+    """Mine one target. Prior pruning's breadth-first traversal of the
+    A-hierarchy measures each abstract rule it reaches once, keeps it iff
+    supp >= `supp_h` (0 prunes nothing) and mines it (see `visit`). Past
+    `spec_time_budget`, counted from the end of generalization, kept rules
+    are still measured (so `p_oars` stays exact) but not mined. No mined
+    rule repeats: a HAR keeps its OAR's body, a BAR's OAR is its one body
+    constant lifted, and CARs, HARs and BARs differ in their number of
+    constants. With `collect_hierarchy`, `hierarchy` is the A-hierarchy
+    united with every I-hierarchy of post pruning."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     valid_pairs = store.instances_of(rt, "valid")
-    instances = sorted(rt_pairs)
 
     result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
@@ -582,11 +585,16 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     result.gen_seconds = t1 - t0
     result.abstract_rules = len(abstract)
     deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
-    supp_h = cfg.supp_h if cfg.enable_prior_pruning else 0
 
-    # when collecting: the A-hierarchy (if built), then every I-hierarchy,
-    # unioned once at the end
-    collected: list[Hierarchy] = []
+    # the rules are closed under walk prefixes, and a canonical rule's
+    # prefix is canonical: a rule's one A-parent has its atoms but the last
+    by_atoms = {r.atoms: r for r in abstract}
+    phi_a = Hierarchy(set(abstract), {
+        SubsumptionEdge(by_atoms[r.atoms[:-1]], r, A_EDGE)
+        for r in abstract if r.body})
+    # when collecting: the A-hierarchy, then every I-hierarchy, unioned
+    # once at the end
+    collected: list[Hierarchy] = [phi_a] if collect_hierarchy else []
     mined: list[tuple[Rule, Measures]] = []
 
     def visit(rule: Rule) -> bool:
@@ -598,7 +606,9 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             m = _open_measures(g, store, rt_pairs, valid_pairs, cfg)
         else:
             m = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
-        if m.supp < supp_h:
+        if m.approximate:
+            result.truncated_by.add("grounding_cap")
+        if m.supp < cfg.supp_h:
             return False
         if not rule.body:
             return True
@@ -611,7 +621,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
                 mined.append((rule, m))
             return True
         specs, truncated = specialization(rule, g, rt_pairs, valid_pairs,
-                                          instances, cfg)
+                                          cfg=cfg)
         if truncated:
             result.truncated_by.add("max_specs_per_oar")
         if not specs:
@@ -633,29 +643,12 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         mined.extend(specs)
         return True
 
-    if cfg.enable_prior_pruning:
-        # the rules are closed under walk prefixes, and a canonical rule's
-        # prefix is canonical: a rule's one A-parent has its atoms but the
-        # last
-        by_atoms = {r.atoms: r for r in abstract}
-        phi_a = Hierarchy(set(abstract), {
-            SubsumptionEdge(by_atoms[r.atoms[:-1]], r, A_EDGE)
-            for r in abstract if r.body})
-        if collect_hierarchy:
-            collected.append(phi_a)
-        bfs_with_pruning(phi_a, visit)
-    else:
-        for rule in abstract:
-            visit(rule)
+    bfs_with_pruning(phi_a, visit)
     result.p_oars = sum(kind_of(r) == "OAR" for r in abstract if r.body) \
         - result.i_oars - result.u_oars - result.skipped_oars
 
-    uniq: dict[Rule, Measures] = {}
-    for rule, m in mined:
-        uniq.setdefault(rule, m)
-    result.rules = sorted(uniq.items(),
-                          key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
-    if collected:
+    result.rules = sorted(mined, key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
+    if collect_hierarchy:
         result.hierarchy = union(*collected)
     result.spec_seconds = time.monotonic() - t1
     return result

@@ -628,7 +628,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
     abstract = generalization(store, rt, cfg)
     measures = {r: evaluate(r, store, rt_pairs, cfg, valid_pairs)
                 for r in abstract}
-    if cfg.enable_prior_pruning:
+    if cfg.supp_h > 0:
         survivors = bfs_with_pruning(
             build_a_hierarchy(abstract),
             lambda r: measures[r].supp >= cfg.supp_h)
@@ -646,7 +646,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
             continue
         specs, _ = specialization(
             rule, open_groundings(rule, store, cfg.grounding_cap), rt_pairs,
-            valid_pairs, sorted(rt_pairs), zero_thresholds(cfg))
+            valid_pairs, zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
         if not specs:

@@ -75,6 +75,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             # a deleted option is an unknown one
             ("seed = 0", "overfit_instantiated_only = true",
              "miner.overfit_instantiated_only"),
+            # supp_h = 0 is prior pruning that prunes nothing
+            ("seed = 0", "enable_prior_pruning = true",
+             "miner.enable_prior_pruning"),
             ("mode = all", "modee = list", "targets.modee"),
             ("[output]", "[evaluatr]\ncap = 3\n\n[output]", "evaluatr.cap"),
             ("[output]", "[run]\nworkerz = 8\n\n[output]", "run.workerz")):
@@ -84,7 +87,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(cfg_path)
     cfg_path = write_config(tmp_path, ".", ".")
     # --set takes the scalar run fields and the miner fields, not a section
-    for key in ("nope", "miner"):
+    for key in ("nope", "miner", "enable_prior_pruning"):
         with pytest.raises(KeyError, match=key):
             load_config(cfg_path, [f"{key}=1"])
 
@@ -130,9 +133,9 @@ def test_load_config_rejects_non_boolean_words(tmp_path, word):
                             extra=f"enable_post_pruning = {word}\n")
     with pytest.raises(ValueError, match="enable_post_pruning"):
         load_config(cfg_path)
-    with pytest.raises(ValueError, match="enable_prior_pruning"):
+    with pytest.raises(ValueError, match="enable_post_pruning"):
         load_config(write_config(tmp_path, ".", "."),
-                    [f"enable_prior_pruning={word}"])
+                    [f"enable_post_pruning={word}"])
 
 
 def test_load_config_accepts_configparser_boolean_words(tmp_path):
@@ -141,9 +144,42 @@ def test_load_config_accepts_configparser_boolean_words(tmp_path):
                        ("FALSE", False), ("Off", False)):
         cfg_path = write_config(tmp_path, ".", ".",
                                 extra=f"enable_post_pruning = {word}\n")
-        cfg = load_config(cfg_path, [f"enable_prior_pruning={word}"])
+        assert load_config(cfg_path).miner.enable_post_pruning is want
+        cfg = load_config(write_config(tmp_path, ".", "."),
+                          [f"enable_post_pruning={word}"])
         assert cfg.miner.enable_post_pruning is want
-        assert cfg.miner.enable_prior_pruning is want
+
+
+def test_a_bad_number_is_an_error_naming_its_key(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, ".", ".")
+    for item, want in (("supp_h=abc", "supp_h: expected an integer"),
+                       ("target_k=1.5", "target_k: expected an integer"),
+                       ("eta=fast", "eta: expected a number")):
+        with pytest.raises(ValueError, match=want):
+            load_config(cfg_path, [item])
+    cfg_path.write_text(cfg_path.read_text().replace("max_len = 2",
+                                                     "max_len = two"))
+    with pytest.raises(ValueError,
+                       match="miner.max_len: expected an integer"):
+        load_config(cfg_path)
+    cfg_path = write_config(tmp_path, ".", ".")
+    assert main(["learn", "--config", str(cfg_path),
+                 "--set", "supp_h=abc"]) == 1
+    assert capsys.readouterr().err == \
+        "error: supp_h: expected an integer, got 'abc'\n"
+
+
+def test_readme_sample_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(blocks[0])
+    cfg = load_config(cfg_path)
+    # the sample spells out the defaults
+    assert cfg.miner == MinerConfig()
+    assert (cfg.target_mode, cfg.target_k, cfg.eval_cap) == ("all", 20, 0)
 
 
 def test_set_target_list_splits_like_the_ini_key(tmp_path):
@@ -342,6 +378,7 @@ def test_learn_record_reports_approximations(tmp_path):
 
 @pytest.mark.parametrize("cause, value", [("gen_time_budget", "1e-9"),
                                           ("spec_time_budget", "1e-9"),
+                                          ("grounding_cap", "5"),
                                           ("max_specs_per_oar", "1")])
 def test_learn_record_names_what_truncated_each_target(tmp_path, cause,
                                                        value):
@@ -400,31 +437,6 @@ def test_learn_emit_hierarchy(tmp_path, monkeypatch):
     assert "style=solid" in text
     # one merge over the three targets' hierarchies
     assert [len(hs) for hs in calls] == [3]
-
-
-def test_learn_emit_hierarchy_without_prior_pruning(tmp_path, capsys):
-    ds = write_dataset(tmp_path, toy_store())
-    cfg = write_config(tmp_path, ds, tmp_path / "out",
-                       extra="enable_prior_pruning = false\n")
-    dot = tmp_path / "h.dot"
-    assert main(["learn", "--config", str(cfg),
-                 "--emit-hierarchy", str(dot)]) == 0
-    text = dot.read_text()
-    assert "style=dashed" in text  # the I-edges of post pruning
-    assert "style=solid" not in text  # no A-hierarchy was built
-    assert capsys.readouterr().err == ""
-
-
-def test_learn_emit_hierarchy_warns_when_none_is_built(tmp_path, capsys):
-    ds = write_dataset(tmp_path, toy_store())
-    cfg = write_config(tmp_path, ds, tmp_path / "out",
-                       extra="enable_prior_pruning = false\n"
-                             "enable_post_pruning = false\n")
-    dot = tmp_path / "h.dot"
-    assert main(["learn", "--config", str(cfg),
-                 "--emit-hierarchy", str(dot)]) == 0
-    assert not dot.exists()
-    assert "no hierarchy" in capsys.readouterr().err
 
 
 def test_learn_set_override_changes_output(tmp_path):

@@ -115,7 +115,7 @@ def _rule_sets():
                     specs, _ = specialization(
                         oar, open_groundings(oar, store), rt_pairs,
                         store.instances_of(rt, "valid"),
-                        sorted(rt_pairs), zero_thresholds(cfg))
+                        zero_thresholds(cfg))
                     yield [r for r, m in specs if is_relevant(m, cfg)]
 
 

@@ -156,7 +156,7 @@ def _grounding_cases(rng):
             for oar in oars[::3]:
                 rules += [r for r, _ in specialization(
                     oar, open_groundings(oar, store), rt_pairs, set(),
-                    sorted(rt_pairs), config)[0]]
+                    config)[0]]
             for rule in rules:
                 yield store, rule, None
                 if constants(rule):
@@ -532,7 +532,7 @@ def test_specialization_toy():
     rt_pairs = store.instances_of(rt)
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
     specs, truncated = specialization(oar, open_groundings(oar, store),
-                                      rt_pairs, set(), sorted(rt_pairs), cfg())
+                                      rt_pairs, set(), cfg())
     assert not truncated
     by_rule = {format_rule(r, store.entities, store.relations): m
                for r, m in specs}
@@ -576,8 +576,7 @@ def test_specialization_measures_match_evaluate():
                 continue
             for oar in oars_of(store, rt, config):
                 specs, _ = specialization(oar, open_groundings(oar, store),
-                                          rt_pairs, valid_pairs,
-                                          sorted(rt_pairs), config)
+                                          rt_pairs, valid_pairs, config)
                 for rule, m in specs:
                     ref = evaluate(rule, store, rt_pairs, config, valid_pairs)
                     assert (m.supp, m.groundings, m.valid_supp) == \
@@ -619,7 +618,7 @@ def _specialized_corpus(config):
                 continue
             for oar in oars_of(store, rt, config):
                 yield oar, (open_groundings(oar, store), rt_pairs,
-                            store.instances_of(rt, "valid"), sorted(rt_pairs))
+                            store.instances_of(rt, "valid"))
 
 
 @pytest.mark.parametrize("cap", [0, 1])
@@ -660,13 +659,11 @@ def test_specialization_cap_limits_hars_and_bars_separately():
     rt_pairs = store.instances_of(0)
     oar = R("r0(X,Y) <- r1(X,V0)", store)
     groundings = open_groundings(oar, store)
-    full, _ = specialization(oar, groundings, rt_pairs, set(),
-                             sorted(rt_pairs), cfg())
+    full, _ = specialization(oar, groundings, rt_pairs, set(), cfg())
     n_hars = sum(kind_of(r) == "HAR" for r, _ in full)
     n_bars = sum(kind_of(r) == "BAR" for r, _ in full)
     assert n_hars > 1 and n_bars > 1
     capped, truncated = specialization(oar, groundings, rt_pairs, set(),
-                                       sorted(rt_pairs),
                                        cfg(max_specs_per_oar=1))
     assert truncated
     kinds = sorted(kind_of(r) for r, _ in capped)
@@ -773,8 +770,7 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     candidates = relevant = 0
     for oar in oars:
         specs, _ = specialization(oar, open_groundings(oar, store),
-                                  rt_pairs, set(), sorted(rt_pairs),
-                                  zero_thresholds(config))
+                                  rt_pairs, set(), zero_thresholds(config))
         candidates += len(specs)
         relevant += sum(is_relevant(m, config) for _, m in specs)
     assert len(built) == relevant
@@ -792,13 +788,14 @@ def test_learn_prunes_through_prior_pruning(monkeypatch):
     assert learn(store, rt, cfg(supp_h=2)).p_oars == 2
     assert len(calls) == 1
     calls.clear()
-    learn(store, rt, cfg(supp_h=2, enable_prior_pruning=False))
-    assert calls == []
+    # supp_h 0 prunes nothing, through the same one traversal
+    assert learn(store, rt, cfg(supp_h=0)).p_oars == 0
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("prior", [True, False])
+@pytest.mark.parametrize("prune", [True, False])   # supp_h 8, or 0
 @pytest.mark.parametrize("post", [True, False])
-def test_learn_equals_the_three_pass_reference(monkeypatch, prior, post):
+def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
     dropped = []
     post_pruning = miner_mod.post_pruning
 
@@ -815,8 +812,8 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prior, post):
         for rt in range(3):
             if not store.instances_of(rt):
                 continue
-            config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1,
-                         enable_prior_pruning=prior,
+            config = cfg(supp_f=1, supp_h=8 if prune else 0,
+                         overfit_threshold=0.1,
                          enable_post_pruning=post)
             res = learn(store, rt, config)
             rules, counts = learn_oracle(store, rt, config)
@@ -826,7 +823,7 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prior, post):
             pruned += res.p_oars
             specialized += res.i_oars
     assert specialized > 0
-    assert (pruned > 0) == prior
+    assert (pruned > 0) == prune
     # so a wrong I-edge changes the rules compared above
     assert (sum(dropped) > 0) == post
 
@@ -871,6 +868,7 @@ def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
 
 @pytest.mark.parametrize("cause, value", [("gen_time_budget", 1e-9),
                                           ("spec_time_budget", 1e-9),
+                                          ("grounding_cap", 5),
                                           ("max_specs_per_oar", 1)])
 def test_truncated_by_names_the_approximation_that_took_effect(cause, value):
     rng = random.Random(6)
@@ -915,9 +913,9 @@ def test_grounding_cap_marks_measures_approximate():
         assert capped.groundings < evaluate(rule, store, rt_pairs,
                                             cfg()).groundings
     exact, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
-                              set(), sorted(rt_pairs), cfg())
+                              set(), cfg())
     capped, _ = specialization(oar, open_groundings(oar, store, 8), rt_pairs,
-                               set(), sorted(rt_pairs), cfg(grounding_cap=8))
+                               set(), cfg(grounding_cap=8))
     assert exact and not any(m.approximate for _, m in exact)
     assert capped and all(m.approximate for _, m in capped)
     res = learn(store, 0, cfg(grounding_cap=8))
@@ -962,8 +960,8 @@ def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
     specs_of = []   # per learn call, the specs of each specialized OAR
     specialize = miner_mod.specialization
 
-    def recorded(*a):
-        specs, truncated = specialize(*a)
+    def recorded(*a, **kw):
+        specs, truncated = specialize(*a, **kw)
         specs_of[-1].append(specs)
         return specs, truncated
     monkeypatch.setattr(miner_mod, "specialization", recorded)

@@ -290,8 +290,7 @@ def test_specialization_anchors_y_and_the_dangling_term():
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
     rt_pairs = store.instances_of(rt)
     specs, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
-                              set(), sorted(rt_pairs),
-                              zero_thresholds(MinerConfig()))
+                              set(), zero_thresholds(MinerConfig()))
     assert [set(anchoring(oar, r)) for r, _ in specs] == [
         {VAR_Y}, {VAR_Y, var(0)}]
     assert [r for r, _ in specs] == [
@@ -316,8 +315,7 @@ def test_specialization_raises_what_instantiate_raises(text, r1_obj, error):
     with pytest.raises(error):
         instantiate(oar, {VAR_Y: b})
     rt_pairs = store.instances_of(rt)
-    args = (oar, open_groundings(oar, store), rt_pairs, set(),
-            sorted(rt_pairs))
+    args = (oar, open_groundings(oar, store), rt_pairs, set())
     with pytest.raises(error):
         specialization(*args, zero_thresholds(MinerConfig()))
     # the same OAR with no kept candidate builds nothing and raises nothing
@@ -336,7 +334,7 @@ def test_specialization_rejects_non_oars():
         rule = parse_rule(text, ents, rels)
         with pytest.raises(KindError):
             specialization(rule, open_groundings(rule, store), set(), set(),
-                           [], config)
+                           config)
 
 
 def test_instantiate_har_and_bar():
