@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .rules import Rule
 from .subsumption import a_subsumes, i_subsumes
@@ -84,8 +84,8 @@ def build_a_hierarchy(rules: Iterable[Rule]) -> Hierarchy:
     """All single atom-addition edges over a set of rules.
 
     A rule whose one-atom-shorter generalization is not in the set is a
-    root; `generalization` samples every walk prefix, so on its output the
-    top rule is the only root.
+    root; `generalization` samples every walk prefix, so over the rules of
+    its walk keys the top rule is the only root.
     """
     return _build(rules, A_EDGE)
 
@@ -105,29 +105,31 @@ def union(*hierarchies: Hierarchy) -> Hierarchy:
     return Hierarchy(nodes, edges)
 
 
-def bfs_with_pruning(h: Hierarchy,
-                     visit: Callable[[Rule], bool]) -> set[Rule]:
+def bfs_with_pruning(h, visit: Callable[[Hashable], bool]) -> set:
     """Visit roots, then children of kept nodes, level by level.
 
-    visit(rule) returns True to keep the rule. A node is visited iff at
-    least one of its parents was kept, and at most once. Returns the kept
-    node set.
+    `h` needs only `roots` and `children(node)`: a `Hierarchy` of rules,
+    or `learn`'s trie of walk keys, whose nodes become rules only when
+    visited. visit(node) returns True to keep the node. A node is visited
+    iff at least one of its parents was kept, and at most once; a kept
+    node's children are queued in the order `children` gives them.
+    Returns the kept node set.
 
     The builders' and `learn`'s hierarchies are acyclic by construction:
-    every edge strictly raises (body length, deduction level). A-edges add one body
-    atom and I-edges add one constant. The `seen` set ends the traversal
-    on any input regardless.
+    every edge strictly raises (body length, deduction level). A-edges add
+    one body atom and I-edges add one constant. The `seen` set ends the
+    traversal on any input regardless.
     """
-    kept: set[Rule] = set()
-    seen: set[Rule] = set()
+    kept: set = set()
+    seen: set = set()
     frontier = list(h.roots)
     seen.update(frontier)
     while frontier:
-        next_frontier: list[Rule] = []
-        for rule in frontier:
-            if visit(rule):
-                kept.add(rule)
-                for child in h.children(rule):
+        next_frontier: list = []
+        for node in frontier:
+            if visit(node):
+                kept.add(node)
+                for child in h.children(node):
                     if child not in seen:
                         seen.add(child)
                         next_frontier.append(child)

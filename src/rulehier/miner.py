@@ -1,15 +1,18 @@
 """Walk-based rule mining with hierarchical pruning.
 
-Pipeline per target predicate: sample walks and generalize them into
-abstract rules, visit those breadth-first over the atom-addition hierarchy,
-measuring each once and pruning subtrees below `supp_h`. A kept closed rule
-is filtered for relevance; a kept open rule is specialized from the grounding
-pass that measured it, support first and the dearer thresholds after, and
-post pruning drops dominated anchorings. That pass fills a `BodyIndex`, the
-grounding index that rule application (`evaluator`) reads too. Both
-hierarchies are recorded as their rules are made, with no subsumption
-check: an abstract rule's A-parent is its walk prefix, and a BAR's I-parent
-is the HAR of its anchor.
+Pipeline per target predicate: sample walks into walk keys, one per
+distinct abstract rule, and visit them breadth-first over the
+atom-addition hierarchy, a trie whose parent of a key is its prefix. The
+traversal builds and measures each rule it reaches once and prunes
+subtrees below `supp_h`; a rule it does not reach is never built. A rule's
+body groundings extend those of its kept A-parent by one atom. A kept
+closed rule is filtered for relevance; a kept open rule is specialized
+from the grounding pass that measured it, support first and the dearer
+thresholds after, and post pruning drops dominated anchorings. That pass
+fills a `BodyIndex`, the grounding index that rule application
+(`evaluator`) reads too. Both hierarchies are recorded as their rules are
+made, with no subsumption check: an abstract rule's A-parent is its walk
+prefix, and a BAR's I-parent is the HAR of its anchor.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
+from typing import Collection
 
 from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                         bfs_with_pruning, union)
@@ -112,14 +116,21 @@ def body_vars(rule: Rule) -> tuple[Term, ...]:
 
 
 def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
-                exclude: set[int] | None = None):
+                exclude: set[int] | None = None, parent=None):
     """Yield object-identity body groundings as entity tuples in the order
     of `body_vars(rule)`: distinct variables bind distinct entities outside
     `exclude` (the rule's constants when None), and an atom repeating a
     variable matches self-loops. The body is compiled once into a slot plan
     for a depth-first search over one value list. When `cap` candidate
     extensions have been examined (cap 0 = unlimited), yields the
-    groundings found so far and raises CapExceeded."""
+    groundings found so far and raises CapExceeded.
+
+    `parent`, when given, holds the tuples this function yields for the
+    body without its last atom, under the same exclusions. If that atom
+    binds one new variable from a bound one and no cap is set, each parent
+    tuple is extended by one index lookup, which yields what the search
+    would, in its order; otherwise `parent` is ignored. Under a cap the
+    search runs, so the cap counts the same steps either way."""
     order = body_vars(rule)
     slot = {t: i for i, t in enumerate(order + tuple(dict.fromkeys(
         t for a in rule.body for t in a.terms if not t.is_var)))}
@@ -139,8 +150,19 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
 
     has_train, by_relation = store.has_train, store.by_relation
     used = set(constants(rule) if exclude is None else exclude)
-    limit = cap or float("inf")
     out: list[tuple[int, ...]] = []
+    kind, pred, a, _, index = plan[-1] if plan else ("", 0, 0, 0, None)
+    if parent is not None and not cap and kind == "extend" \
+            and a < len(order) - 1:
+        # the new variable is the last slot, and a search would end each
+        # parent grounding g with this atom's candidates outside g
+        for g in parent:
+            for c in index.get((pred, g[a]), ()):
+                if c not in g and c not in used:
+                    out.append(g + (c,))
+        yield from out
+        return
+    limit = cap or float("inf")
     steps = 0
 
     def rec(i: int) -> None:
@@ -270,15 +292,17 @@ class BodyIndex:
         return out
 
 
-def open_groundings(oar: Rule, store: TripleStore, cap: int = 0) -> BodyIndex:
-    """Ground an OAR's body once, up to `cap` steps (see ground_body), into
-    its index. An OAR has no constants, so a grounding tuple is the set of
-    entities its grounding uses, and (x, c) is in the OAR's head-grounding
-    set iff c lies outside common(X's slot)[x]."""
+def open_groundings(oar: Rule, store: TripleStore, cap: int = 0,
+                    parent=None) -> BodyIndex:
+    """Ground an OAR's body once, up to `cap` steps, into its index; with
+    `parent`, the groundings of its body but the last atom, by extending
+    them (see ground_body). An OAR has no constants, so a grounding tuple
+    is the set of entities its grounding uses, and (x, c) is in the OAR's
+    head-grounding set iff c lies outside common(X's slot)[x]."""
     if not oar.body or kind_of(oar) != "OAR":
         kind = kind_of(oar) if oar.body else "the top rule"
         raise KindError(f"expected an OAR with a body atom, got {kind}")
-    return BodyIndex(oar, ground_body(oar, store, cap))
+    return BodyIndex(oar, ground_body(oar, store, cap, parent=parent))
 
 
 def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
@@ -295,13 +319,15 @@ def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
 
 def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
              cfg: MinerConfig,
-             valid_pairs: set[tuple[int, int]] | None = None) -> Measures:
+             valid_pairs: set[tuple[int, int]] | None = None,
+             parent=None) -> Measures:
     """Exact (up to cap) support / head coverage / smooth confidence.
 
     The head-grounding set g is induced by grounding the body over the
-    train split under object identity. The only open rules measured are
-    OARs, whose Y, not bound by the body, ranges over every entity outside
-    the grounding; any other open rule raises ValueError.
+    train split under object identity; `parent` may hold the groundings of
+    the body but its last atom (see ground_body). The only open rules
+    measured are OARs, whose Y, not bound by the body, ranges over every
+    entity outside the grounding; any other open rule raises ValueError.
     """
     valid_pairs = valid_pairs or set()
     n_rt = len(rt_pairs)
@@ -318,10 +344,12 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         raise ValueError("rule body binds neither head term")
     if free:
         # open_groundings raises KindError, a ValueError, on a non-OAR
-        return _open_measures(open_groundings(rule, store, cfg.grounding_cap),
+        return _open_measures(open_groundings(rule, store, cfg.grounding_cap,
+                                              parent),
                               store, rt_pairs, valid_pairs, cfg)
 
-    body = BodyIndex(rule, ground_body(rule, store, cfg.grounding_cap))
+    body = BodyIndex(rule, ground_body(rule, store, cfg.grounding_cap,
+                                       parent=parent))
     xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
     g = {(hx.idx if xi is None else b[xi], hy.idx if yi is None else b[yi])
          for b in body.groundings}
@@ -376,21 +404,21 @@ def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
 
 
 def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
-                   result: LearnResult | None = None) -> list[Rule]:
-    """Sample walks from every train instance and abstract them.
+                   result: LearnResult | None = None) -> list[tuple[int, ...]]:
+    """Sample walks from every train instance and abstract them into walk
+    keys, sorted; `walk_rule(rt, key)` is a key's abstract rule.
 
-    Every walk prefix is abstracted too, so sampled rule sets stay closed
-    under generalization. Prefixes are deduplicated by their key, and a
-    rule is built only for a straight key not seen before. The top rule
-    is always included. When `gen_time_budget` stops sampling before the
-    last instance, it is added to `result.truncated_by`.
+    Every straight walk prefix is kept, so the keys are closed under
+    prefixes: a key's A-parent is `key[:-3]`, and the top rule's key, (),
+    is always included. Sorted keys are in their rules' `Rule.sort_key`
+    order. When `gen_time_budget` stops sampling before the last instance,
+    it is added to `result.truncated_by`.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     rng = random.Random(f"{cfg.seed}:{rt}")
-    rules = [Rule(Atom(rt, VAR_X, VAR_Y))]
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = {()}
     deadline = time.monotonic() + cfg.gen_time_budget \
         if cfg.gen_time_budget else None
     for i, (x, y) in enumerate(instances):
@@ -414,10 +442,31 @@ def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
                     uses[key[k - 1]] += 1
                     if uses[key[k - 2]] > 2 or uses[key[k - 1]] > 2:
                         break  # not straight, nor any longer prefix
-                    if key[:k] not in seen:
-                        seen.add(key[:k])
-                        rules.append(walk_rule(rt, key[:k]))
-    return sorted(rules, key=Rule.sort_key)
+                    seen.add(key[:k])
+    return sorted(seen)
+
+
+def _is_oar_key(key: tuple[int, ...]) -> bool:
+    """Whether a walk key's rule is an OAR: it has a body, and Y (id 1) is
+    not in it. X is, since every walk starts there, so the rule is a CAR
+    otherwise."""
+    return bool(key) and Y not in key[1::3] and Y not in key[2::3]
+
+
+class _WalkTrie:
+    """The A-hierarchy over `generalization`'s sorted walk keys, as
+    `bfs_with_pruning` reads it: the top rule's key () is the root, and a
+    key's children are the keys that extend it by one step, in order."""
+
+    roots = ((),)
+
+    def __init__(self, keys: list[tuple[int, ...]]):
+        self._children = defaultdict(list)
+        for key in keys[1:]:   # keys[0] is ()
+            self._children[key[:-3]].append(key)
+
+    def children(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return self._children.get(key, [])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +488,7 @@ def overfit_keep(m: Measures, cfg: MinerConfig, _kind: str = "") -> bool:
 
 
 def specialization(oar: Rule, body: BodyIndex,
-                   rt_pairs: set[tuple[int, int]],
+                   rt_pairs: Collection[tuple[int, int]],
                    valid_pairs: set[tuple[int, int]],
                    cfg: MinerConfig,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
@@ -451,13 +500,16 @@ def specialization(oar: Rule, body: BodyIndex,
     entities all of them use; per x and t, the entities used by all of its
     groundings with tail value t are intersected here, only for the tails
     of surviving candidates. (x, c) is in a candidate's head groundings
-    iff c is outside that intersection. The pass over
-    `rt_pairs`, in sorted order, that finds the candidates counts their
-    support, so the thresholds run cheapest first: `supp_f` and
-    `hc_f`, then |g| and `sc_f`, then the validation support and
-    `overfit_keep`. Returns (rules with measures, truncated flag): exactly
-    the candidates that pass `is_relevant` and `overfit_keep`, each built
-    only if kept; with zero thresholds, every candidate (each has supp >= 1).
+    iff c is outside that intersection. The pass over the target's train
+    pairs `rt_pairs` that finds the candidates counts their support, so
+    the thresholds run cheapest first: `supp_f` and `hc_f`, then |g| and
+    `sc_f`, then the validation support and `overfit_keep`. Candidates
+    come in the order `rt_pairs` first shows their anchors, the order
+    `max_specs_per_oar` truncates; `learn` passes the pairs sorted, and
+    sorts them once per target. Returns (rules with measures, truncated
+    flag): exactly the candidates that pass `is_relevant` and
+    `overfit_keep`, each built only if kept; with zero thresholds, every
+    candidate (each has supp >= 1).
 
     A kept rule is the OAR with Y replaced by const(c) and the dangling
     term by const(t): what `instantiate(oar, bindings)` returns, without
@@ -475,7 +527,7 @@ def specialization(oar: Rule, body: BodyIndex,
     # (y, t) once per distinct tail value t of those groundings (t != y,
     # since a grounding binds distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
-    for x, y in sorted(rt_pairs):
+    for x, y in rt_pairs:
         if y in common_x.get(x, (y,)):
             continue  # no grounding of x avoids y
         supp[(y, None)] = supp.get((y, None), 0) + 1
@@ -565,52 +617,72 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 def learn(store: TripleStore, rt: int, cfg: MinerConfig,
           collect_hierarchy: bool = False) -> LearnResult:
     """Mine one target. Prior pruning's breadth-first traversal of the
-    A-hierarchy measures each abstract rule it reaches once, keeps it iff
-    supp >= `supp_h` (0 prunes nothing) and mines it (see `visit`). Past
-    `spec_time_budget`, counted from the end of generalization, kept rules
-    are still measured (so `p_oars` stays exact) but not mined. No mined
-    rule repeats: a HAR keeps its OAR's body, a BAR's OAR is its one body
-    constant lifted, and CARs, HARs and BARs differ in their number of
-    constants. With `collect_hierarchy`, `hierarchy` is the A-hierarchy
+    A-hierarchy, a trie over walk keys, builds and measures each abstract
+    rule it reaches once, keeps it iff supp >= `supp_h` (0 prunes nothing)
+    and mines it (see `visit`); a rule it does not reach is never built.
+    With no grounding cap, a rule's body groundings extend those of its
+    kept A-parent, which are dropped once the parent's children are
+    visited. Past `spec_time_budget`, counted from the end of
+    generalization, kept rules are still measured (so `p_oars` stays
+    exact) but not mined. No mined rule repeats: a HAR keeps its OAR's
+    body, a BAR's OAR is its one body constant lifted, and CARs, HARs and
+    BARs differ in their number of constants. With `collect_hierarchy`,
+    every abstract rule is built, and `hierarchy` is the A-hierarchy
     united with every I-hierarchy of post pruning."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     valid_pairs = store.instances_of(rt, "valid")
+    # specialization's anchors are first seen in sorted pair order
+    sorted_pairs = sorted(rt_pairs)
 
     result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
-    abstract = generalization(store, rt, cfg, result)
+    keys = generalization(store, rt, cfg, result)
     t1 = time.monotonic()
     result.gen_seconds = t1 - t0
-    result.abstract_rules = len(abstract)
+    result.abstract_rules = len(keys)
     deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
 
-    # the rules are closed under walk prefixes, and a canonical rule's
-    # prefix is canonical: a rule's one A-parent has its atoms but the last
-    by_atoms = {r.atoms: r for r in abstract}
-    phi_a = Hierarchy(set(abstract), {
-        SubsumptionEdge(by_atoms[r.atoms[:-1]], r, A_EDGE)
-        for r in abstract if r.body})
+    trie = _WalkTrie(keys)
     # when collecting: the A-hierarchy, then every I-hierarchy, unioned
     # once at the end
-    collected: list[Hierarchy] = [phi_a] if collect_hierarchy else []
+    collected: list[Hierarchy] = []
+    rules: dict[tuple[int, ...], Rule] = {}
+    if collect_hierarchy:
+        rules = {key: walk_rule(rt, key) for key in keys}
+        collected.append(Hierarchy(set(rules.values()), {
+            SubsumptionEdge(rules[key[:-3]], r, A_EDGE)
+            for key, r in rules.items() if key}))
     mined: list[tuple[Rule, Measures]] = []
+    # a kept OAR's groundings, and how many of its children are still to
+    # be visited
+    pending: dict[tuple[int, ...], list] = {}
 
-    def visit(rule: Rule) -> bool:
-        """Measure a rule, keep it iff supp >= supp_h and mine it: filter a
-        CAR, specialize an OAR from the grounding pass that measured it."""
-        is_oar = bool(rule.body) and kind_of(rule) != "CAR"
+    def visit(key: tuple[int, ...]) -> bool:
+        """Build a key's rule, measure it, keep it iff supp >= supp_h and
+        mine it: filter a CAR, specialize an OAR from the grounding pass
+        that measured it."""
+        rule = rules[key] if rules else walk_rule(rt, key)
+        up = pending.get(key[:-3])   # never the top rule's: not an OAR
+        if up is not None:
+            up[1] -= 1
+            if not up[1]:
+                del pending[key[:-3]]
+        parent = up[0] if up else None
+        is_oar = _is_oar_key(key)
         if is_oar:
-            g = open_groundings(rule, store, cfg.grounding_cap)
+            g = open_groundings(rule, store, cfg.grounding_cap, parent)
             m = _open_measures(g, store, rt_pairs, valid_pairs, cfg)
         else:
-            m = evaluate(rule, store, rt_pairs, cfg, valid_pairs)
+            m = evaluate(rule, store, rt_pairs, cfg, valid_pairs, parent)
         if m.approximate:
             result.truncated_by.add("grounding_cap")
         if m.supp < cfg.supp_h:
             return False
-        if not rule.body:
+        if is_oar and not cfg.grounding_cap and trie.children(key):
+            pending[key] = [g.groundings, len(trie.children(key))]
+        if not key:
             return True
         if deadline and time.monotonic() > deadline:
             result.truncated_by.add("spec_time_budget")
@@ -620,7 +692,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             if is_relevant(m, cfg) and overfit_keep(m, cfg):
                 mined.append((rule, m))
             return True
-        specs, truncated = specialization(rule, g, rt_pairs, valid_pairs,
+        specs, truncated = specialization(rule, g, sorted_pairs, valid_pairs,
                                           cfg=cfg)
         if truncated:
             result.truncated_by.add("max_specs_per_oar")
@@ -643,8 +715,8 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         mined.extend(specs)
         return True
 
-    bfs_with_pruning(phi_a, visit)
-    result.p_oars = sum(kind_of(r) == "OAR" for r in abstract if r.body) \
+    bfs_with_pruning(trie, visit)
+    result.p_oars = sum(map(_is_oar_key, keys)) \
         - result.i_oars - result.u_oars - result.skipped_oars
 
     result.rules = sorted(mined, key=lambda rm: (-rm[1].sc, rm[0].sort_key()))

@@ -37,7 +37,7 @@ from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
 from rulehier.rules import (X, Y, Atom, Rule, StraightnessError, Term, VAR_X,
                             VAR_Y, body_length, const, constants,
                             deduction_level, is_connected, is_straight,
-                            kind_of, parse_rule, var)
+                            kind_of, parse_rule, var, walk_rule)
 
 N_PREDS = 5
 N_CONSTS = 6
@@ -277,6 +277,11 @@ def random_kg(rng: random.Random, n_entities: int = 20, n_relations: int = 4,
 
 # ---------------------------------------------------------------------------
 # per-prefix generalization oracle
+
+def walk_rules(store: TripleStore, rt: int, cfg) -> list[Rule]:
+    """The abstract rules of `generalization`'s walk keys, in its order."""
+    return [walk_rule(rt, key) for key in generalization(store, rt, cfg)]
+
 
 @dataclass(frozen=True)
 class Path:
@@ -625,7 +630,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
     """
     rt_pairs = store.instances_of(rt, "train")
     valid_pairs = store.instances_of(rt, "valid")
-    abstract = generalization(store, rt, cfg)
+    abstract = walk_rules(store, rt, cfg)
     measures = {r: evaluate(r, store, rt_pairs, cfg, valid_pairs)
                 for r in abstract}
     if cfg.supp_h > 0:
@@ -645,8 +650,8 @@ def learn_oracle(store: TripleStore, rt: int, cfg
         if rule not in oars:
             continue
         specs, _ = specialization(
-            rule, open_groundings(rule, store, cfg.grounding_cap), rt_pairs,
-            valid_pairs, zero_thresholds(cfg))
+            rule, open_groundings(rule, store, cfg.grounding_cap),
+            sorted(rt_pairs), valid_pairs, zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
         if not specs:

@@ -13,16 +13,15 @@ import pytest
 from rulehier.evaluator import evaluate_kgc
 from rulehier.hierarchy import build_a_hierarchy, build_i_hierarchy, union
 from rulehier.kgstore import Interner
-from rulehier.miner import (MinerConfig, evaluate, generalization,
-                            is_relevant, learn, open_groundings,
-                            specialization, write_rules)
+from rulehier.miner import (MinerConfig, evaluate, is_relevant, learn,
+                            open_groundings, specialization, write_rules)
 from rulehier.rules import kind_of, parse_rule
 from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
 
 from helpers import (R, generalization_closure, is_proper, learn_oracle,
                      random_generalization, random_kg, random_rule, toy_store,
-                     zero_thresholds)
+                     walk_rules, zero_thresholds)
 
 
 def _report(n: int, ok: bool, desc: str) -> None:
@@ -133,7 +132,7 @@ def test_criterion_4_support_monotonicity():
         rt_pairs = store.instances_of(rt)
         if not rt_pairs:
             continue
-        abstract = generalization(store, rt, config)
+        abstract = walk_rules(store, rt, config)
         supp = {r: evaluate(r, store, rt_pairs, config).supp
                 for r in abstract}
         phi_a = build_a_hierarchy(abstract)
@@ -181,7 +180,7 @@ def test_criterion_5_prior_pruning_safety():
         aug = learn(store, rt, config_aug)
         if dict(base.rules) != dict(aug.rules):
             mismatches += 1
-        abstract = generalization(store, rt, config_aug)
+        abstract = walk_rules(store, rt, config_aug)
         low = [r for r in abstract
                if r.body and kind_of(r) == "OAR"
                and evaluate(r, store, rt_pairs, config_aug).supp

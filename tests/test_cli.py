@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from rulehier import hierarchy
+from rulehier import hierarchy, miner
 from rulehier.cli import (RunConfig, config_echo, load_config, main,
                           select_targets)
 from rulehier.kgstore import TripleStore
 from rulehier.miner import MinerConfig, read_rules
+from rulehier.rules import format_rule
 
-from helpers import TOY_TRIPLES, random_kg, toy_store
+from helpers import TOY_TRIPLES, random_kg, toy_store, walk_rules
 
 
 def write_dataset(tmp_path, store):
@@ -437,6 +438,45 @@ def test_learn_emit_hierarchy(tmp_path, monkeypatch):
     assert "style=solid" in text
     # one merge over the three targets' hierarchies
     assert [len(hs) for hs in calls] == [3]
+
+
+def test_learn_emit_hierarchy_under_pruning_equals_the_builders(tmp_path,
+                                                               monkeypatch):
+    # learn builds only the abstract rules prior pruning reaches, yet the
+    # DOT file holds every one: the builders' A-hierarchy over all walk
+    # rules, united with the I-hierarchy of each specialized OAR
+    specs_of = []
+    specialize = miner.specialization
+
+    def recorded(*a, **kw):
+        specs, truncated = specialize(*a, **kw)
+        specs_of.append(specs)
+        return specs, truncated
+    monkeypatch.setattr(miner, "specialization", recorded)
+    store = random_kg(random.Random(17), n_entities=14, n_relations=3,
+                      n_train=70, n_valid=25)
+    ds = write_dataset(tmp_path, store)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    dot = tmp_path / "h.dot"
+    sets = ["supp_f=1", "supp_h=8"]
+    assert main(["learn", "--config", str(cfg), *(
+        arg for item in sets for arg in ("--set", item)),
+        "--emit-hierarchy", str(dot)]) == 0
+    monkeypatch.undo()
+    record = (out / "run_record.txt").read_text()
+    assert sum(int(n) for n in re.findall(r"\.p_oars = (\d+)", record)) > 0
+    run = load_config(cfg, sets)
+    store = TripleStore.from_directory(run.dataset_dir)
+    oracle = hierarchy.union(
+        *(hierarchy.build_a_hierarchy(walk_rules(store, rt, run.miner))
+          for rt in select_targets(store, run)),
+        *(hierarchy.build_i_hierarchy([r for r, _ in s]) for s in specs_of))
+    want = tmp_path / "oracle.dot"
+    hierarchy.write_dot(oracle, want, lambda r: format_rule(
+        r, store.entities, store.relations))
+    assert dot.read_text() == want.read_text()
+    assert "style=dashed" in want.read_text()
 
 
 def test_learn_set_override_changes_output(tmp_path):

@@ -5,13 +5,14 @@ from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union, write_dot)
 from rulehier.kgstore import Interner
-from rulehier.miner import (MinerConfig, generalization, is_relevant,
-                            open_groundings, specialization)
+from rulehier.miner import (MinerConfig, is_relevant, open_groundings,
+                            specialization)
 from rulehier.rules import Rule, format_rule, kind_of, parse_rule
 from rulehier.subsumption import a_subsumes, i_subsumes, sa_subsumes
 
 from helpers import (R, edges_climb, generalization_closure, is_proper,
-                     random_kg, random_rule, toy_store, zero_thresholds)
+                     random_kg, random_rule, toy_store, walk_rules,
+                     zero_thresholds)
 
 
 def _family():
@@ -108,7 +109,7 @@ def _rule_sets():
             rt_pairs = store.instances_of(rt)
             if not rt_pairs:
                 continue
-            abstract = generalization(store, rt, cfg)
+            abstract = walk_rules(store, rt, cfg)
             yield abstract
             for oar in abstract:
                 if oar.body and kind_of(oar) == "OAR":

@@ -18,12 +18,13 @@ from rulehier.miner import (BodyIndex, CapExceeded, EmptyTargetError,
                             read_rules, specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate, kind_of,
-                            parse_rule)
+                            parse_rule, walk_rule)
 
 from helpers import (N_PREDS, R, anchoring, edges_climb,
                      generalization_oracle, ground_body_oracle, learn_oracle,
                      random_kg, random_rule, repeat_a_variable,
-                     sample_walk_oracle, toy_store, zero_thresholds)
+                     sample_walk_oracle, toy_store, walk_rules,
+                     zero_thresholds)
 
 
 def cfg(**kw):
@@ -151,7 +152,7 @@ def _grounding_cases(rng):
     for store in stores:
         for rt in range(3):
             rt_pairs = store.instances_of(rt)
-            rules = generalization(store, rt, config) if rt_pairs else []
+            rules = walk_rules(store, rt, config) if rt_pairs else []
             oars = [r for r in rules if r.body and kind_of(r) == "OAR"]
             for oar in oars[::3]:
                 rules += [r for r, _ in specialization(
@@ -267,6 +268,57 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
     assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
+def _reached_keys(monkeypatch, store, rt, config):
+    """The walk keys whose rules `learn` builds, in the order it builds
+    them."""
+    keys = []
+    walk = miner_mod.walk_rule
+    monkeypatch.setattr(miner_mod, "walk_rule",
+                        lambda pred, key: keys.append(key) or walk(pred, key))
+    learn(store, rt, config)
+    monkeypatch.undo()
+    return keys
+
+
+def test_extending_the_parent_groundings_equals_grounding_from_scratch(
+        monkeypatch):
+    # every walk body learn reaches, grounded from its A-parent's tuples,
+    # gives the search's tuples in its order with its cap outcome; under a
+    # cap (even one that cuts the parent) the parent's tuples are ignored
+    rng = random.Random(23)
+    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70)
+              for _ in range(2)] + [hub_kg(rng)]
+    seen = Counter()
+    for store in stores:
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            config = cfg(max_len=3, supp_h=2, walks_per_instance=4)
+            for key in _reached_keys(monkeypatch, store, rt, config):
+                if len(key) < 6:
+                    continue   # the top rule's children have no groundings
+                rule, up = walk_rule(rt, key), walk_rule(rt, key[:-3])
+                order = body_vars(rule)
+                for cap in (0, 1, 3, 8, 25, 90):
+                    parent, parent_hit = _capped(ground_body(up, store, cap))
+                    want = _capped(ground_body(rule, store, cap))
+                    found, hit = _capped(ground_body_oracle(rule, store, cap))
+                    assert want == ([tuple(b[v] for v in order)
+                                     for b in found], hit)
+                    assert _capped(ground_body(rule, store, cap,
+                                               parent=parent)) == want
+                    if kind_of(rule) == "OAR":
+                        body = open_groundings(rule, store, cap, parent)
+                        assert (body.groundings, body.capped) == want
+                    seen["parent capped"] += parent_hit
+                    seen["capped"] += hit and not parent_hit
+                    seen["extended"] += not cap and bool(want[0])
+                # without a cap, the parent's tuples are what is extended
+                assert list(ground_body(rule, store, parent=[])) == []
+                seen["OAR" if kind_of(rule) == "OAR" else "CAR"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
 def test_evaluate_closed_rule_triangle():
     store, (rt, _), (a, b, c) = triangle_store()
     rt_pairs = store.instances_of(rt)
@@ -313,7 +365,7 @@ def test_evaluate_matches_naive_oracle_on_random_kgs():
             rt_pairs = store.instances_of(rt)
             if not rt_pairs:
                 continue
-            for rule in generalization(store, rt, config):
+            for rule in walk_rules(store, rt, config):
                 expect = naive_measures(rule, store, rt_pairs, config)
                 got = evaluate(rule, store, rt_pairs, config)
                 assert (got.supp, got.groundings) == \
@@ -339,7 +391,7 @@ def test_evaluate_valid_support():
 def test_generalization_toy_rules():
     store = toy_store()
     rt = store.relations.get("Advises")
-    rules = generalization(store, rt, cfg())
+    rules = walk_rules(store, rt, cfg())
     assert R("Advises(X,Y) <-", store) in rules
     assert R("Advises(X,Y) <- Publishes(X,V0)", store) in rules
     assert R("Advises(X,Y) <- Is_A(X,V0)", store) in rules
@@ -350,13 +402,18 @@ def test_generalization_prefix_closed_and_deterministic():
     rng = random.Random(1)
     store = random_kg(rng, n_entities=15, n_relations=3, n_train=60)
     config = cfg(max_len=3)
-    rules = generalization(store, 0, config)
-    assert rules == generalization(store, 0, config)
-    ruleset = set(rules)
-    for rule in rules:
-        if rule.body:
-            from rulehier.rules import Rule
-            assert Rule(rule.head, rule.body[:-1]) in ruleset
+    keys = generalization(store, 0, config)
+    assert keys == generalization(store, 0, config)
+    assert keys[0] == () and len(keys) > 1
+    keyset = set(keys)
+    for key in keys[1:]:
+        assert key[:-3] in keyset
+    # one rule per key, and the sorted keys are in their rules' order
+    rules = [walk_rule(0, key) for key in keys]
+    assert len(set(rules)) == len(keys)
+    assert rules == sorted(rules, key=Rule.sort_key)
+    for key, rule in zip(keys[1:], rules[1:]):
+        assert walk_rule(0, key[:-3]) == Rule(rule.head, rule.body[:-1])
 
 
 def test_sampled_rules_keep_their_parent_so_the_top_is_the_only_root():
@@ -370,7 +427,7 @@ def test_sampled_rules_keep_their_parent_so_the_top_is_the_only_root():
         for rt in range(3):
             if not store.instances_of(rt):
                 continue
-            rules = generalization(store, rt, cfg(max_len=max_len))
+            rules = walk_rules(store, rt, cfg(max_len=max_len))
             ruleset = set(rules)
             assert len(rules) > 1
             for rule in rules:
@@ -414,7 +471,8 @@ def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
                                          store, rt, config)
                 want, oracle_draws = _with_draws(
                     monkeypatch, generalization_oracle, store, rt, config)
-                assert got == want and len(got) > 1
+                assert [walk_rule(rt, key) for key in got] == want
+                assert len(got) > 1
                 assert draws == oracle_draws and draws
 
 
@@ -448,8 +506,7 @@ def test_generalization_never_walks_originating_triple():
     rt = store.relations.intern("rt")
     a, b = store.entities.intern("a"), store.entities.intern("b")
     store.add_triple(rt, a, b, "train")
-    rules = generalization(store, rt, cfg())
-    assert rules == [R("rt(X,Y) <-", store)]
+    assert generalization(store, rt, cfg()) == [()]
 
 
 def test_generalization_empty_target():
@@ -558,7 +615,7 @@ def hub_kg(rng: random.Random) -> TripleStore:
 
 
 def oars_of(store, rt, config):
-    return [r for r in generalization(store, rt, config)
+    return [r for r in walk_rules(store, rt, config)
             if r.body and kind_of(r) == "OAR"]
 
 
@@ -828,6 +885,67 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
     assert (sum(dropped) > 0) == post
 
 
+@pytest.mark.parametrize("grounding_cap, max_specs", [(7, 0), (60, 0),
+                                                     (0, 1)])
+def test_learn_under_caps_equals_the_three_pass_reference(grounding_cap,
+                                                          max_specs):
+    # a capped learn grounds every rule from scratch, as the reference
+    # does, and truncates each OAR's anchorings in the same order
+    rng = random.Random(17)
+    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
+                        n_valid=25) for _ in range(2)] + [hub_kg(rng)]
+    truncated = 0
+    for store in stores:
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1,
+                         grounding_cap=grounding_cap,
+                         max_specs_per_oar=max_specs)
+            res = learn(store, rt, config)
+            rules, counts = learn_oracle(store, rt, config)
+            assert res.rules == rules
+            assert (res.p_oars, res.i_oars, res.u_oars) == counts
+            truncated += bool(res.truncated_by)
+    assert truncated > 0
+
+
+def test_learn_builds_only_the_rules_it_visits(monkeypatch):
+    built, visited, kept = [], [], []
+    walk, bfs = miner_mod.walk_rule, miner_mod.bfs_with_pruning
+    monkeypatch.setattr(miner_mod, "walk_rule",
+                        lambda pred, key: built.append(key) or walk(pred, key))
+
+    def traversal(trie, visit):
+        kept.append(bfs(trie, lambda key: visited.append(key)
+                        or visit(key)))
+        return kept[-1]
+    monkeypatch.setattr(miner_mod, "bfs_with_pruning", traversal)
+    rng = random.Random(17)
+    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
+                        n_valid=25) for _ in range(2)] + [hub_kg(rng)]
+    unbuilt = 0
+    for store in stores:
+        for rt in range(3):
+            if not store.instances_of(rt):
+                continue
+            config = cfg(supp_f=1, supp_h=8)
+            keys = generalization(store, rt, config)
+            rules = [walk(rt, key) for key in keys]
+            for collect in (False, True):
+                built.clear()
+                visited.clear()
+                res = learn(store, rt, config, collect_hierarchy=collect)
+                # each visited rule is built once; collecting builds all
+                assert built == (keys if collect else visited)
+                assert res.abstract_rules == len(rules)
+                assert res.p_oars == sum(
+                    kind_of(r) == "OAR" for key, r in zip(keys, rules)
+                    if r.body and key not in kept[-1])
+            unbuilt += len(keys) - len(visited)
+    assert unbuilt > 0
+
+
 @pytest.mark.parametrize("budget", [0.0, 1e-9])
 def test_learn_accounts_for_every_oar(budget):
     rng = random.Random(6)
@@ -836,7 +954,7 @@ def test_learn_accounts_for_every_oar(budget):
         config = cfg(supp_h=supp_h, spec_time_budget=budget)
         res = learn(store, 0, config)
         n_oars = sum(kind_of(r) == "OAR"
-                     for r in generalization(store, 0, config) if r.body)
+                     for r in walk_rules(store, 0, config) if r.body)
         assert res.p_oars + res.i_oars + res.u_oars + res.skipped_oars \
             == n_oars
         # measuring goes on past the deadline, so p_oars stays exact
@@ -861,7 +979,7 @@ def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
             grounded.clear()
             res = learn(store, rt, cfg(supp_f=1, supp_h=2))
             assert grounded and max(grounded.values()) == 1
-            assert set(grounded) <= set(generalization(store, rt, cfg()))
+            assert set(grounded) <= set(walk_rules(store, rt, cfg()))
             specialized += res.i_oars + res.u_oars
     assert specialized > 0
 
@@ -889,12 +1007,11 @@ def test_learn_records_generalization_time():
 def test_gen_time_budget_stop_is_reported():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
-    top = Rule(Atom(0, VAR_X, VAR_Y))
     # the deadline has passed before the first instance is sampled
     stopped = learn(store, 0, cfg(gen_time_budget=1e-9))
     assert stopped.truncated
     assert stopped.abstract_rules == 1
-    assert generalization(store, 0, cfg(gen_time_budget=1e-9)) == [top]
+    assert generalization(store, 0, cfg(gen_time_budget=1e-9)) == [()]
     full = learn(store, 0, cfg())
     assert not full.truncated
     assert full.abstract_rules == len(generalization(store, 0, cfg())) > 1
@@ -977,9 +1094,11 @@ def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
                 learned.append((store, rt, learn(store, rt, config,
                                                  collect_hierarchy=True)))
     monkeypatch.undo()
+    # prior pruning skips rules, and the hierarchy still holds every one
+    assert sum(res.p_oars for _, _, res in learned) > 0
     kinds = Counter()
     for (store, rt, res), specs in zip(learned, specs_of):
-        oracle = union(build_a_hierarchy(generalization(store, rt, config)),
+        oracle = union(build_a_hierarchy(walk_rules(store, rt, config)),
                        *(build_i_hierarchy([r for r, _ in s]) for s in specs))
         assert res.hierarchy.nodes == oracle.nodes
         assert res.hierarchy.edges == oracle.edges
