@@ -180,20 +180,17 @@ def _learn_all(store: TripleStore, cfg: RunConfig, targets: list[int],
 
 def cmd_split(args) -> int:
     ratios = tuple(float(x) for x in args.ratios.split(","))
-    store = TripleStore()
-    loaded = False
-    for split in SPLITS:
-        p = Path(args.in_dir) / f"{split}.txt"
-        if p.exists():
-            store.load_triples(p, split)
-            loaded = True
-    if not loaded:
-        for p in sorted(Path(args.in_dir).glob("*.txt")):
+    try:
+        store = TripleStore.from_directory(args.in_dir)
+    except FileNotFoundError:   # no split files: every .txt file is train
+        store = TripleStore()
+        paths = sorted(Path(args.in_dir).glob("*.txt"))
+        if not paths:
+            print(f"error: no .txt triple files in {args.in_dir}",
+                  file=sys.stderr)
+            return 1
+        for p in paths:
             store.load_triples(p, "train")
-            loaded = True
-    if not loaded:
-        print(f"error: no .txt triple files in {args.in_dir}", file=sys.stderr)
-        return 1
     out = resplit(store, SplitConfig(ratios=ratios, seed=args.seed))
     out.write_directory(args.out_dir)
     sizes = {s: out.size(s) for s in SPLITS}
@@ -250,8 +247,10 @@ def cmd_learn(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
-    store = TripleStore.from_directory(cfg.dataset_dir)
     rules_dir = Path(args.rules or cfg.output_dir)
+    if not rules_dir.is_dir():
+        raise FileNotFoundError(f"rules directory {rules_dir} not found")
+    store = TripleStore.from_directory(cfg.dataset_dir)
     rules_by_rel = {}
     for path in sorted(rules_dir.glob("rules_*.txt")):
         for rule, m in read_rules(path, store.entities, store.relations):

@@ -67,8 +67,9 @@ class SplitConfig:
         if len(self.ratios) != 3:
             raise ValueError(f"expected three split ratios, "
                              f"got {len(self.ratios)}")
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("split ratios must be non-negative")
+        if not all(0 <= r <= 1 for r in self.ratios):   # also rejects NaN
+            raise ValueError(f"split ratios must each lie in [0, 1], "
+                             f"got {self.ratios!r}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError("split ratios must sum to 1")
 

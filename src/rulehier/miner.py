@@ -71,7 +71,6 @@ class MinerConfig:
     gen_time_budget: float = 0.0   # seconds, 0 = unconstrained
     spec_time_budget: float = 0.0
     grounding_cap: int = 0         # 0 = exact enumeration
-    max_specs_per_oar: int = 0
     seed: int = 0
     enable_post_pruning: bool = True
 
@@ -87,6 +86,10 @@ class MinerConfig:
 
 @dataclass
 class LearnResult:
+    """One target's mined rules, sorted by descending sc and then by
+    `Rule.sort_key`, so independent of the order of its train pairs; its
+    OAR counts, stage timings and the approximations that took effect."""
+
     target: int
     rules: list[tuple[Rule, Measures]]
     p_oars: int = 0
@@ -95,7 +98,7 @@ class LearnResult:
     skipped_oars: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
-    # gen_time_budget, spec_time_budget, grounding_cap, max_specs_per_oar
+    # gen_time_budget, spec_time_budget, grounding_cap
     truncated_by: set[str] = field(default_factory=set)
     abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
@@ -503,13 +506,12 @@ def specialization(oar: Rule, body: BodyIndex,
     iff c is outside that intersection. The pass over the target's train
     pairs `rt_pairs` that finds the candidates counts their support, so
     the thresholds run cheapest first: `supp_f` and `hc_f`, then |g| and
-    `sc_f`, then the validation support and `overfit_keep`. Candidates
-    come in the order `rt_pairs` first shows their anchors, the order
-    `max_specs_per_oar` truncates; `learn` passes the pairs sorted, and
-    sorts them once per target. Returns (rules with measures, truncated
-    flag): exactly the candidates that pass `is_relevant` and
-    `overfit_keep`, each built only if kept; with zero thresholds, every
-    candidate (each has supp >= 1).
+    `sc_f`, then the validation support and `overfit_keep`. Returns
+    (rules with measures, False): exactly the candidates that pass
+    `is_relevant` and `overfit_keep`, each built only if kept; with zero
+    thresholds, every candidate (each has supp >= 1). The order of
+    `rt_pairs` decides only the order of the rules, not which are kept.
+    The second item is constant; bench/layers.py unpacks a pair.
 
     A kept rule is the OAR with Y replaced by const(c) and the dangling
     term by const(t): what `instantiate(oar, bindings)` returns, without
@@ -522,10 +524,10 @@ def specialization(oar: Rule, body: BodyIndex,
     ts = body.pos[tail]
     by_x = body.grouped(body.pos[VAR_X])
     common_x = body.common(body.pos[VAR_X])
-    # supp[(c, t)] in first-seen order: an instance (x, y) that some
-    # grounding of x avoids supports the HAR (y, None) once, and the BAR
-    # (y, t) once per distinct tail value t of those groundings (t != y,
-    # since a grounding binds distinct entities)
+    # supp[(c, t)]: an instance (x, y) that some grounding of x avoids
+    # supports the HAR (y, None) once, and the BAR (y, t) once per distinct
+    # tail value t of those groundings (t != y, since a grounding binds
+    # distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
     for x, y in rt_pairs:
         if y in common_x.get(x, (y,)):
@@ -534,22 +536,11 @@ def specialization(oar: Rule, body: BodyIndex,
         for t in dict.fromkeys(g[ts] for g in by_x[x]
                                if y not in g):
             supp[(y, t)] = supp.get((y, t), 0) + 1
-
-    # the cap limits HARs and BARs separately, so cap=1 yields at most one
-    # HAR plus its first BAR
-    hars = [ct for ct in supp if ct[1] is None]
-    bars = [ct for ct in supp if ct[1] is not None]
-    cap = cfg.max_specs_per_oar
-    truncated = bool(cap) and (len(hars) > cap or len(bars) > cap)
-    if cap:
-        hars = hars[:cap]
-        kept = {c for c, _ in hars}
-        bars = [cb for cb in bars if cb[0] in kept][:cap]
     n_rt = len(rt_pairs)
-    cands = [ct for ct in hars + bars
+    cands = [ct for ct in supp
              if supp[ct] > cfg.supp_f and supp[ct] / n_rt > cfg.hc_f]
     if not cands:
-        return [], truncated
+        return [], False
 
     # the entities used by every grounding of x (key (x, None)) and by
     # every grounding of x whose tail value is t (key (x, t)), for the
@@ -599,7 +590,7 @@ def specialization(oar: Rule, body: BodyIndex,
         atoms = [Atom(p, bind.get(s, s), bind.get(o, o))
                  for p, s, o in oar.atoms]
         out.append((Rule(atoms[0], tuple(atoms[1:])), m))
-    return out, truncated
+    return out, False
 
 
 def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
@@ -626,15 +617,15 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     generalization, kept rules are still measured (so `p_oars` stays
     exact) but not mined. No mined rule repeats: a HAR keeps its OAR's
     body, a BAR's OAR is its one body constant lifted, and CARs, HARs and
-    BARs differ in their number of constants. With `collect_hierarchy`,
-    every abstract rule is built, and `hierarchy` is the A-hierarchy
-    united with every I-hierarchy of post pruning."""
+    BARs differ in their number of constants. Each kept OAR is specialized
+    over the target's train pairs as stored, in no set order: its kept
+    anchorings do not depend on it, and the rules are sorted at the end.
+    With `collect_hierarchy`, every abstract rule is built, and `hierarchy`
+    is the A-hierarchy united with every I-hierarchy of post pruning."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     valid_pairs = store.instances_of(rt, "valid")
-    # specialization's anchors are first seen in sorted pair order
-    sorted_pairs = sorted(rt_pairs)
 
     result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
@@ -692,10 +683,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             if is_relevant(m, cfg) and overfit_keep(m, cfg):
                 mined.append((rule, m))
             return True
-        specs, truncated = specialization(rule, g, sorted_pairs, valid_pairs,
-                                          cfg=cfg)
-        if truncated:
-            result.truncated_by.add("max_specs_per_oar")
+        specs, _ = specialization(rule, g, rt_pairs, valid_pairs, cfg=cfg)
         if not specs:
             result.u_oars += 1
             return True

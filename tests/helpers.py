@@ -651,7 +651,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
             continue
         specs, _ = specialization(
             rule, open_groundings(rule, store, cfg.grounding_cap),
-            sorted(rt_pairs), valid_pairs, zero_thresholds(cfg))
+            rt_pairs, valid_pairs, zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
         if not specs:

@@ -79,6 +79,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             # supp_h = 0 is prior pruning that prunes nothing
             ("seed = 0", "enable_prior_pruning = true",
              "miner.enable_prior_pruning"),
+            # every relevant anchoring is kept: there is no spec cap
+            ("seed = 0", "max_specs_per_oar = 1", "miner.max_specs_per_oar"),
             ("mode = all", "modee = list", "targets.modee"),
             ("[output]", "[evaluatr]\ncap = 3\n\n[output]", "evaluatr.cap"),
             ("[output]", "[run]\nworkerz = 8\n\n[output]", "run.workerz")):
@@ -88,7 +90,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(cfg_path)
     cfg_path = write_config(tmp_path, ".", ".")
     # --set takes the scalar run fields and the miner fields, not a section
-    for key in ("nope", "miner", "enable_prior_pruning"):
+    for key in ("nope", "miner", "enable_prior_pruning", "max_specs_per_oar"):
         with pytest.raises(KeyError, match=key):
             load_config(cfg_path, [f"{key}=1"])
 
@@ -117,7 +119,6 @@ def test_load_config_range_checks_values(tmp_path):
     for item, name in (("eta=-1", "eta"), ("walks_per_instance=0",
                                             "walks_per_instance"),
                        ("grounding_cap=-1", "grounding_cap"),
-                       ("max_specs_per_oar=-1", "max_specs_per_oar"),
                        ("eval_cap=-1", "eval_cap"),
                        ("target_k=-1", "target_k")):
         with pytest.raises(ValueError, match=name):
@@ -261,7 +262,8 @@ def test_split_command_rejects_wrong_ratio_count(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()
     (src / "all.txt").write_text("".join(f"a{i}\tr\tb{i}\n" for i in range(9)))
-    for ratios in ("0.5,0.5", "0.5,0.25,0.25,0"):
+    for ratios in ("0.5,0.5", "0.5,0.25,0.25,0", "nan,0.5,0.5",
+                   "0.5,nan,0.5"):
         out = tmp_path / ratios
         assert main(["split", str(src), str(out), "--ratios", ratios]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -379,8 +381,7 @@ def test_learn_record_reports_approximations(tmp_path):
 
 @pytest.mark.parametrize("cause, value", [("gen_time_budget", "1e-9"),
                                           ("spec_time_budget", "1e-9"),
-                                          ("grounding_cap", "5"),
-                                          ("max_specs_per_oar", "1")])
+                                          ("grounding_cap", "5")])
 def test_learn_record_names_what_truncated_each_target(tmp_path, cause,
                                                        value):
     ds = write_dataset(tmp_path, full_store())
@@ -420,6 +421,25 @@ def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
     # the summary format is unchanged: same keys, no counters
     assert [line.split(" = ")[0] for line in capped.splitlines()] == \
         [line.split(" = ")[0] for line in exact.splitlines()]
+
+
+def test_eval_rejects_a_missing_rules_directory(tmp_path, capsys):
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    nope = tmp_path / "nope"
+    # --rules, then the output.dir fallback; neither directory exists
+    for extra, missing in ((["--rules", str(nope)], nope), ([], out)):
+        assert main(["eval", "--config", str(cfg), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "MRR" not in capsys.readouterr().out
+        assert not out.exists()
+    # a directory with no rule files is an empty rule set
+    nope.mkdir()
+    assert main(["eval", "--config", str(cfg), "--rules", str(nope)]) == 0
+    assert "warning: empty rule set" in capsys.readouterr().err
+    assert (out / "summary.txt").exists()
 
 
 def test_learn_emit_hierarchy(tmp_path, monkeypatch):

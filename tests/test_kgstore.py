@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rulehier.kgstore import (EmptyStatisticError, Interner, ParseError,
@@ -92,6 +94,11 @@ def test_split_config_validation():
         SplitConfig(ratios=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         SplitConfig(ratios=(-0.2, 0.6, 0.6))
+    # NaN fails every comparison, so each ratio must lie in [0, 1]
+    for ratios in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
+                   (1.5, -0.25, -0.25)):
+        with pytest.raises(ValueError, match=re.escape(repr(ratios))):
+            SplitConfig(ratios=ratios)
     # exactly one ratio per split
     for ratios in ((0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (1.0,)):
         with pytest.raises(ValueError, match="three"):

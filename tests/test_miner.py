@@ -143,21 +143,28 @@ def _capped(groundings):
 
 def _grounding_cases(rng):
     """(store, rule, exclude) triples: every rule `generalization` draws on
-    random and hub graphs and the HARs and BARs of its OARs, a rule with
-    constants also with its body constants excluded as eval does, and
-    rules repeating a variable on a graph with self-loops."""
+    random and hub graphs and, for every third OAR, its first HAR and a BAR
+    on that HAR's anchor; a rule with constants also with its body
+    constants excluded as eval does, and rules repeating a variable on a
+    graph with self-loops."""
     stores = [random_kg(rng, n_entities=12, n_relations=3, n_train=40)
               for _ in range(2)] + [hub_kg(rng)]
-    config = cfg(max_len=3, walks_per_instance=2, max_specs_per_oar=1)
+    config = cfg(max_len=3, walks_per_instance=2)
     for store in stores:
         for rt in range(3):
             rt_pairs = store.instances_of(rt)
             rules = walk_rules(store, rt, config) if rt_pairs else []
             oars = [r for r in rules if r.body and kind_of(r) == "OAR"]
             for oar in oars[::3]:
-                rules += [r for r, _ in specialization(
+                specs = sorted((r for r, _ in specialization(
                     oar, open_groundings(oar, store), rt_pairs, set(),
-                    config)[0]]
+                    config)[0]), key=Rule.sort_key)
+                har = next((r for r in specs if kind_of(r) == "HAR"), None)
+                if har is not None:
+                    # each supporting instance also supports a BAR on c
+                    rules += [har, next(
+                        r for r in specs if kind_of(r) == "BAR"
+                        and r.head.obj == har.head.obj)]
             for rule in rules:
                 yield store, rule, None
                 if constants(rule):
@@ -531,7 +538,7 @@ def test_relevance_thresholds_are_strict():
     ("hc_f", -0.5), ("sc_f", -0.5), ("supp_h", -1), ("eta", -1.0),
     ("eta", float("nan")), ("overfit_threshold", -0.1),
     ("gen_time_budget", -1.0), ("spec_time_budget", -1.0),
-    ("grounding_cap", -1), ("max_specs_per_oar", -1), ("seed", -1)])
+    ("grounding_cap", -1), ("seed", -1)])
 def test_miner_config_rejects_out_of_range_values(name, bad):
     with pytest.raises(ValueError, match=name):
         MinerConfig(**{name: bad})
@@ -678,23 +685,20 @@ def _specialized_corpus(config):
                             store.instances_of(rt, "valid"))
 
 
-@pytest.mark.parametrize("cap", [0, 1])
-def test_specialization_equals_filtering_every_candidate(cap):
+def test_specialization_equals_filtering_every_candidate():
     # each threshold alone drops some candidates, and the list returned
     # under it is the zero-threshold list filtered by the public checks
-    configs = [cfg(max_specs_per_oar=cap, **kw) for kw in (
+    configs = [cfg(**kw) for kw in (
         dict(supp_f=1), dict(hc_f=0.1), dict(sc_f=0.1),
         dict(overfit_threshold=0.5))]
     compared = [0] * len(configs)
     kept = [0] * len(configs)
     for oar, args in _specialized_corpus(cfg()):
-        every, truncated = specialization(oar, *args,
-                                          cfg(max_specs_per_oar=cap))
+        every, _ = specialization(oar, *args, cfg())
         for i, config in enumerate(configs):
-            got, got_truncated = specialization(oar, *args, config)
+            got, _ = specialization(oar, *args, config)
             assert got == [(r, m) for r, m in every if is_relevant(m, config)
                            and overfit_keep(m, config)]
-            assert got_truncated == truncated
             compared[i] += len(every)
             kept[i] += len(got)
     assert all(0 < k < n for k, n in zip(kept, compared)), (kept, compared)
@@ -710,24 +714,22 @@ def test_specialization_candidates_have_support():
     assert candidates > 0
 
 
-def test_specialization_cap_limits_hars_and_bars_separately():
-    rng = random.Random(2)
-    store = random_kg(rng, n_entities=12, n_relations=2, n_train=60)
-    rt_pairs = store.instances_of(0)
-    oar = R("r0(X,Y) <- r1(X,V0)", store)
-    groundings = open_groundings(oar, store)
-    full, _ = specialization(oar, groundings, rt_pairs, set(), cfg())
-    n_hars = sum(kind_of(r) == "HAR" for r, _ in full)
-    n_bars = sum(kind_of(r) == "BAR" for r, _ in full)
-    assert n_hars > 1 and n_bars > 1
-    capped, truncated = specialization(oar, groundings, rt_pairs, set(),
-                                       cfg(max_specs_per_oar=1))
-    assert truncated
-    kinds = sorted(kind_of(r) for r, _ in capped)
-    assert kinds == ["BAR", "HAR"]
-    har = next(r for r, _ in capped if kind_of(r) == "HAR")
-    bar = next(r for r, _ in capped if kind_of(r) == "BAR")
-    assert bar.head.obj == har.head.obj  # the BAR anchors the kept HAR
+def test_specialization_does_not_depend_on_pair_order():
+    # the same rules with the same measures, whatever order the target's
+    # train pairs come in
+    kept = 0
+    for config in (cfg(), cfg(supp_f=1, sc_f=0.1, overfit_threshold=0.5)):
+        for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
+            shuffled = sorted(rt_pairs)
+            random.Random(len(rt_pairs)).shuffle(shuffled)
+            got = [sorted(specialization(oar, body, pairs, valid, config)[0],
+                          key=lambda rm: rm[0].sort_key())
+                   for pairs in (rt_pairs, sorted(rt_pairs),
+                                 sorted(rt_pairs, reverse=True), shuffled)]
+            assert all(specs == got[0] for specs in got[1:])
+            kept += len(got[0])
+    assert kept > 0
+
 
 
 # ---------------------------------------------------------------------------
@@ -885,12 +887,9 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
     assert (sum(dropped) > 0) == post
 
 
-@pytest.mark.parametrize("grounding_cap, max_specs", [(7, 0), (60, 0),
-                                                     (0, 1)])
-def test_learn_under_caps_equals_the_three_pass_reference(grounding_cap,
-                                                          max_specs):
-    # a capped learn grounds every rule from scratch, as the reference
-    # does, and truncates each OAR's anchorings in the same order
+@pytest.mark.parametrize("grounding_cap", [7, 60])
+def test_learn_under_caps_equals_the_three_pass_reference(grounding_cap):
+    # a capped learn grounds every rule from scratch, as the reference does
     rng = random.Random(17)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
                         n_valid=25) for _ in range(2)] + [hub_kg(rng)]
@@ -900,8 +899,7 @@ def test_learn_under_caps_equals_the_three_pass_reference(grounding_cap,
             if not store.instances_of(rt):
                 continue
             config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1,
-                         grounding_cap=grounding_cap,
-                         max_specs_per_oar=max_specs)
+                         grounding_cap=grounding_cap)
             res = learn(store, rt, config)
             rules, counts = learn_oracle(store, rt, config)
             assert res.rules == rules
@@ -986,8 +984,7 @@ def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
 
 @pytest.mark.parametrize("cause, value", [("gen_time_budget", 1e-9),
                                           ("spec_time_budget", 1e-9),
-                                          ("grounding_cap", 5),
-                                          ("max_specs_per_oar", 1)])
+                                          ("grounding_cap", 5)])
 def test_truncated_by_names_the_approximation_that_took_effect(cause, value):
     rng = random.Random(6)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
