@@ -7,12 +7,13 @@ traversal builds and measures each rule it reaches once and prunes
 subtrees below `supp_h`; a rule it does not reach is never built. A rule's
 body groundings extend those of its kept A-parent by one atom. A kept
 closed rule is filtered for relevance; a kept open rule is specialized
-from the grounding pass that measured it, support first and the dearer
-thresholds after, and post pruning drops dominated anchorings. That pass
-fills a `BodyIndex`, the grounding index that rule application
-(`evaluator`) reads too. Both hierarchies are recorded as their rules are
-made, with no subsumption check: an abstract rule's A-parent is its walk
-prefix, and a BAR's I-parent is the HAR of its anchor.
+from the grounding pass that measured it, support first (each anchor's
+HAR before any of its BARs) and the dearer thresholds after, and post
+pruning drops dominated anchorings. That pass fills a `BodyIndex`, the
+grounding index that rule application (`evaluator`) reads too. Both
+hierarchies are recorded as their rules are made, with no subsumption
+check: an abstract rule's A-parent is its walk prefix, and a BAR's
+I-parent is the HAR of its anchor.
 """
 
 from __future__ import annotations
@@ -258,8 +259,7 @@ class BodyIndex:
         self.groundings: list[tuple[int, ...]] = []
         self.capped = False
         try:
-            for g in groundings:
-                self.groundings.append(g)
+            self.groundings.extend(groundings)   # keeps items before a raise
         except CapExceeded:
             self.capped = True
         self._grouped: dict[int, dict[int, list[tuple[int, ...]]]] = {}
@@ -382,7 +382,7 @@ def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
     id) triple per step, where x has id 0, y id 1 and every other entity
     the next id from 2 in walk order.
     """
-    ids = {x: X, y: Y}
+    ids = {y: Y, x: X}   # a self-loop instance walks from x as X
     fresh = 2
     key: list[int] = []
     visited = {x}
@@ -503,15 +503,20 @@ def specialization(oar: Rule, body: BodyIndex,
     entities all of them use; per x and t, the entities used by all of its
     groundings with tail value t are intersected here, only for the tails
     of surviving candidates. (x, c) is in a candidate's head groundings
-    iff c is outside that intersection. The pass over the target's train
-    pairs `rt_pairs` that finds the candidates counts their support, so
-    the thresholds run cheapest first: `supp_f` and `hc_f`, then |g| and
-    `sc_f`, then the validation support and `overfit_keep`. Returns
-    (rules with measures, False): exactly the candidates that pass
-    `is_relevant` and `overfit_keep`, each built only if kept; with zero
-    thresholds, every candidate (each has supp >= 1). The order of
-    `rt_pairs` decides only the order of the rules, not which are kept.
-    The second item is constant; bench/layers.py unpacks a pair.
+    iff c is outside that intersection.
+
+    Support comes first, HARs before BARs. A pass over the target's train
+    pairs `rt_pairs` counts each anchor's HAR support. Every pair that
+    supports BAR (c, t) supports HAR c, so an anchor is live iff its HAR
+    passes `supp_f` and `hc_f`, and tail values are enumerated only for
+    the pairs of live anchors; with none, the body's groundings are never
+    grouped. The dearer thresholds follow: |g| and `sc_f`, then the
+    validation support and `overfit_keep`. Returns (rules with measures,
+    False): exactly the candidates that pass `is_relevant` and
+    `overfit_keep`, each built only if kept; with zero thresholds, every
+    candidate (each has supp >= 1). The order of `rt_pairs` decides only
+    the order of the rules, not which are kept. The second item is
+    constant; bench/layers.py unpacks a pair.
 
     A kept rule is the OAR with Y replaced by const(c) and the dangling
     term by const(t): what `instantiate(oar, bindings)` returns, without
@@ -520,27 +525,35 @@ def specialization(oar: Rule, body: BodyIndex,
     OAR's head lacks Y or the OAR is not straight. Both are checked once,
     before the first kept rule, and raise `instantiate`'s errors.
     """
+    n_rt = len(rt_pairs)
+
+    def passes(n: int) -> bool:
+        return n > cfg.supp_f and n / n_rt > cfg.hc_f
+
+    common_x = body.common(body.pos[VAR_X])
+    # an instance (x, y) that some grounding of x avoids supports the HAR
+    # on anchor y
+    hits = [(x, y) for x, y in rt_pairs if y not in common_x.get(x, (y,))]
+    har = Counter(y for _, y in hits)
+    live = {c for c, n in har.items() if passes(n)}
+    if not live:
+        return [], False
+
     tail = dangling_term(oar)
     ts = body.pos[tail]
     by_x = body.grouped(body.pos[VAR_X])
-    common_x = body.common(body.pos[VAR_X])
-    # supp[(c, t)]: an instance (x, y) that some grounding of x avoids
-    # supports the HAR (y, None) once, and the BAR (y, t) once per distinct
-    # tail value t of those groundings (t != y, since a grounding binds
-    # distinct entities)
+    # supp[(c, t)]: the HAR (c, None), and the BAR (c, t) once per instance
+    # (x, c) whose groundings that avoid c have tail value t (t != c, since
+    # a grounding binds distinct entities)
     supp: dict[tuple[int, int | None], int] = {}
-    for x, y in rt_pairs:
-        if y in common_x.get(x, (y,)):
-            continue  # no grounding of x avoids y
-        supp[(y, None)] = supp.get((y, None), 0) + 1
-        for t in dict.fromkeys(g[ts] for g in by_x[x]
-                               if y not in g):
+    for x, y in hits:
+        if y not in live:
+            continue
+        if (y, None) not in supp:
+            supp[(y, None)] = har[y]
+        for t in dict.fromkeys(g[ts] for g in by_x[x] if y not in g):
             supp[(y, t)] = supp.get((y, t), 0) + 1
-    n_rt = len(rt_pairs)
-    cands = [ct for ct in supp
-             if supp[ct] > cfg.supp_f and supp[ct] / n_rt > cfg.hc_f]
-    if not cands:
-        return [], False
+    cands = [ct for ct in supp if passes(supp[ct])]
 
     # the entities used by every grounding of x (key (x, None)) and by
     # every grounding of x whose tail value is t (key (x, t)), for the
@@ -703,7 +716,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         mined.extend(specs)
         return True
 
-    bfs_with_pruning(trie, visit)
+    kept = bfs_with_pruning(trie, visit)
     result.p_oars = sum(map(_is_oar_key, keys)) \
         - result.i_oars - result.u_oars - result.skipped_oars
 
@@ -711,6 +724,13 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     if collect_hierarchy:
         result.hierarchy = union(*collected)
     result.spec_seconds = time.monotonic() - t1
+    # a trie key has one parent, so the visited keys are the root and the
+    # children of the kept ones
+    log.debug("relation %d: %d walk keys, %d visited, %d kept; OARs "
+              "p/i/u %d/%d/%d; %d rules; gen %.3f s, spec %.3f s", rt,
+              len(keys), 1 + sum(len(trie.children(k)) for k in kept),
+              len(kept), result.p_oars, result.i_oars, result.u_oars,
+              len(result.rules), result.gen_seconds, result.spec_seconds)
     return result
 
 

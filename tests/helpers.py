@@ -319,7 +319,7 @@ def generalize(path: Path) -> Rule:
     """
     head = path.atoms[0]
     e0, e1 = head.subj.idx, head.obj.idx
-    mapping: dict[int, Term] = {e0: VAR_X, e1: VAR_Y}
+    mapping: dict[int, Term] = {e1: VAR_Y, e0: VAR_X}
     fresh = 0
     atoms = [Atom(head.pred, VAR_X, VAR_Y)]
     for atom in path.atoms[1:]:
@@ -372,7 +372,7 @@ def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
                        length: int, rng: random.Random) -> tuple[int, ...]:
     """One walk's key, filtering every step's neighbours anew (the first
     step included), with the miner's RNG draws."""
-    ids = {x: X, y: Y}
+    ids = {y: Y, x: X}   # x is X on a self-loop instance too
     fresh = 2
     key: list[int] = []
     visited = {x}

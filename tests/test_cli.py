@@ -400,6 +400,22 @@ def test_learn_record_names_what_truncated_each_target(tmp_path, cause,
         [t == "True" for t in _record_values(record, "truncated")]
 
 
+def test_verbose_learn_logs_each_target(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="rulehier.miner")
+    ds = write_dataset(tmp_path, full_store())
+    cfg = write_config(tmp_path, ds, tmp_path / "out")
+    assert main(["-v", "learn", "--config", str(cfg)]) == 0
+    # one line per target: mode = all learns each of the three relations
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "rulehier.miner"]
+    found = [re.fullmatch(
+        r"relation (\d+): \d+ walk keys, \d+ visited, \d+ kept; "
+        r"OARs p/i/u \d+/\d+/\d+; \d+ rules; gen [\d.]+ s, spec [\d.]+ s",
+        line) for line in lines]
+    assert all(found), lines
+    assert [m.group(1) for m in found] == ["0", "1", "2"]
+
+
 def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
                                                       caplog):
     caplog.set_level(logging.DEBUG, logger="rulehier.cli")

@@ -1,7 +1,7 @@
 import inspect
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -227,6 +227,30 @@ def _brute_force_maps(groundings, n_slots):
             pairs[(j, i)] = {v: {g[i] for g in gs}
                              for v, gs in grouped[j].items()}
     return grouped, common, pairs
+
+
+def test_body_index_keeps_the_tuples_yielded_before_the_cap():
+    def capped_pass(tuples):
+        yield from tuples
+        raise CapExceeded
+
+    rule = R("rt(X,Y) <- r0(X,V0)", triangle_store()[0])
+    tuples = [(0, 2), (1, 2), (2, 0)]
+    for n in range(len(tuples) + 1):
+        body = BodyIndex(rule, capped_pass(tuples[:n]))
+        assert body.groundings == tuples[:n] and body.capped
+    body = BodyIndex(rule, iter(tuples))
+    assert body.groundings == tuples and not body.capped
+    # and what a capped grounding pass yields before it raises
+    rng = random.Random(5)
+    capped = 0
+    for store, rule, exclude in _grounding_cases(rng):
+        for cap in (1, 3, 8):
+            found, hit = _capped(ground_body(rule, store, cap, exclude))
+            body = BodyIndex(rule, ground_body(rule, store, cap, exclude))
+            assert (body.groundings, body.capped) == (found, hit)
+            capped += hit and bool(found)
+    assert capped
 
 
 def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
@@ -466,8 +490,10 @@ def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
     # keyed prefixes build each rule once; the oracle builds one rule per
     # prefix with generalize() and must see the same walks
     rng = random.Random(seed)
+    # the self-loop graph has instances (x, x), whose walks start at X
     graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
-                        n_train=50 + 10 * seed), hub_kg(rng)]
+                        n_train=50 + 10 * seed), hub_kg(rng),
+              selfloop_store()[0]]
     for store in graphs:
         for max_len in (1, 2, 3):
             config = cfg(max_len=max_len, seed=seed, walks_per_instance=4)
@@ -488,8 +514,10 @@ def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
     # generalization filters x's neighbours once per instance; the oracle
     # filters them anew for every walk and must draw the same keys
     rng = random.Random(seed)
+    # the self-loop graph has instances (x, x), whose walks start at X
     graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
-                        n_train=50 + 10 * seed), hub_kg(rng)]
+                        n_train=50 + 10 * seed), hub_kg(rng),
+              selfloop_store()[0]]
     for store in graphs:
         config = cfg(max_len=3, seed=seed, walks_per_instance=4)
         for rt in range(3):
@@ -685,14 +713,26 @@ def _specialized_corpus(config):
                             store.instances_of(rt, "valid"))
 
 
+def _anchors(specs, config):
+    """The anchors of a zero-threshold specialization whose HARs pass and
+    fail `supp_f` and `hc_f` under `config`: (live, dead)."""
+    hars = {r.head.obj.idx: m for r, m in specs if kind_of(r) == "HAR"}
+    live = {c for c, m in hars.items()
+            if m.supp > config.supp_f and m.hc > config.hc_f}
+    return live, set(hars) - live
+
+
 def test_specialization_equals_filtering_every_candidate():
     # each threshold alone drops some candidates, and the list returned
-    # under it is the zero-threshold list filtered by the public checks
+    # under it is the zero-threshold list filtered by the public checks;
+    # under supp_f and hc_f, some anchors' HARs pass and others' fail, so
+    # their BARs are never counted
     configs = [cfg(**kw) for kw in (
-        dict(supp_f=1), dict(hc_f=0.1), dict(sc_f=0.1),
-        dict(overfit_threshold=0.5))]
+        dict(supp_f=1), dict(hc_f=0.1), dict(supp_f=2, hc_f=0.08),
+        dict(sc_f=0.1), dict(overfit_threshold=0.5))]
     compared = [0] * len(configs)
     kept = [0] * len(configs)
+    anchors = [Counter() for _ in configs]
     for oar, args in _specialized_corpus(cfg()):
         every, _ = specialization(oar, *args, cfg())
         for i, config in enumerate(configs):
@@ -701,7 +741,55 @@ def test_specialization_equals_filtering_every_candidate():
                            and overfit_keep(m, config)]
             compared[i] += len(every)
             kept[i] += len(got)
+            live, dead = _anchors(every, config)
+            anchors[i].update(live=len(live), dead=len(dead))
     assert all(0 < k < n for k, n in zip(kept, compared)), (kept, compared)
+    assert all(a["live"] and a["dead"] for a in anchors[:3]), anchors
+
+
+class _ReadsRecorded(defaultdict):
+    """A grouping dict that records the keys read by subscript."""
+
+    def __init__(self, grouped):
+        super().__init__(list, grouped)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_specialization_enumerates_tails_of_live_anchors_only():
+    # the groundings of x are read only for an instance (x, c) that
+    # supports the HAR of a live anchor c
+    live_reads = dead_anchors = 0
+    config = cfg(supp_f=1, hc_f=0.08)
+    for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
+        every, _ = specialization(oar, body, rt_pairs, valid, cfg())
+        live, dead = _anchors(every, config)
+        j = body.pos[VAR_X]
+        common_x = body.common(j)
+        body._grouped[j] = recorded = _ReadsRecorded(body.grouped(j))
+        specialization(oar, body, rt_pairs, valid, config)
+        assert recorded.read == {x for x, c in rt_pairs if c in live
+                                 and c not in common_x.get(x, (c,))}
+        live_reads += len(recorded.read)
+        dead_anchors += len(dead)
+    assert live_reads and dead_anchors
+
+
+def test_specialization_with_no_live_anchor_groups_nothing():
+    # no HAR passes supp_f, so no BAR can, and the body's groundings are
+    # never grouped
+    store = toy_store()
+    rt = store.relations.get("Advises")
+    oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
+    body = open_groundings(oar, store)
+    rt_pairs = store.instances_of(rt)
+    assert specialization(oar, body, rt_pairs, set(), cfg(supp_f=1)) \
+        == ([], False)
+    assert body._grouped == {}
+    assert specialization(oar, body, rt_pairs, set(), cfg())[0]
 
 
 def test_specialization_candidates_have_support():
@@ -1035,6 +1123,24 @@ def test_grounding_cap_marks_measures_approximate():
     res = learn(store, 0, cfg(grounding_cap=8))
     assert any(m.approximate for _, m in res.rules)
     assert not any(m.approximate for _, m in learn(store, 0, cfg()).rules)
+
+
+def test_learn_self_loop_instance_walks_from_x():
+    # walks from an instance (x, x) start at X; no grounding of x avoids
+    # x, so the instance supports no mined rule
+    store, (a, b, c) = selfloop_store()
+    r = store.relations.get("r")
+    rt_pairs = store.instances_of(r)
+    assert {(a, a), (c, c)} < rt_pairs
+    for max_len in (1, 2, 3):
+        config = cfg(max_len=max_len)
+        res = learn(store, r, config)
+        rules, counts = learn_oracle(store, r, config)
+        assert res.rules == rules and res.rules
+        assert (res.p_oars, res.i_oars, res.u_oars) == counts
+        rest = rt_pairs - {(a, a), (c, c)}
+        assert all(evaluate(rule, store, rest, config).supp == m.supp
+                   for rule, m in res.rules)
 
 
 def test_learn_empty_target():
