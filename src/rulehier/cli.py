@@ -142,6 +142,8 @@ def select_targets(store: TripleStore, cfg: RunConfig) -> list[int]:
             rid = store.relations.get(name)
             if rid is None:
                 raise KeyError(f"unknown predicate {name!r}")
+            if rid in out:
+                raise ValueError(f"predicate {name!r} is listed twice")
             out.append(rid)
         return out
     counts = {r: len(pairs) for r in range(len(store.relations))
@@ -208,13 +210,10 @@ def _write_run_record(path, cfg: RunConfig, names: list[str],
         for rt, res in sorted(results.items()):
             name = names[rt]
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
-            for key in ("p_oars", "i_oars", "u_oars", "skipped_oars",
-                        "truncated"):
+            for key in ("p_oars", "i_oars", "u_oars", "truncated"):
                 fh.write(f"target.{name}.{key} = {getattr(res, key)}\n")
-            # a set: written in MinerConfig field order, the same every run
-            causes = [f.name for f in fields(MinerConfig)
-                      if f.name in res.truncated_by]
-            fh.write(f"target.{name}.truncated_by = {','.join(causes)}\n")
+            fh.write(f"target.{name}.truncated_by = "
+                     f"{','.join(sorted(res.truncated_by))}\n")
             fh.write(f"target.{name}.abstract_rules = {res.abstract_rules}\n")
             fh.write(f"target.{name}.approximate_rules = "
                      f"{sum(m.approximate for _, m in res.rules)}\n")
@@ -405,7 +404,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is its message's repr
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -185,12 +185,6 @@ class TripleStore:
         """Incident train edges (relation, other, direction), not a copy."""
         return self.by_entity.get(entity, ())
 
-    def objects(self, rel: int, subj: int) -> list[int]:
-        return self.fwd_index.get((rel, subj), [])
-
-    def subjects(self, rel: int, obj: int) -> list[int]:
-        return self.bwd_index.get((rel, obj), [])
-
     def reverse_triple_fraction(self, same_relation_only: bool = False) -> float:
         """Fraction of valid/test triples whose reverse is a train triple."""
         eval_triples = self.splits["valid"] + self.splits["test"]

@@ -69,8 +69,6 @@ class MinerConfig:
     eta: float = 5.0
     overfit_threshold: float = 0.1
     walks_per_instance: int = 10
-    gen_time_budget: float = 0.0   # seconds, 0 = unconstrained
-    spec_time_budget: float = 0.0
     grounding_cap: int = 0         # 0 = exact enumeration
     seed: int = 0
     enable_post_pruning: bool = True
@@ -96,10 +94,9 @@ class LearnResult:
     p_oars: int = 0
     i_oars: int = 0
     u_oars: int = 0
-    skipped_oars: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
-    # gen_time_budget, spec_time_budget, grounding_cap
+    # {"grounding_cap"} when the cap cut short any rule's measures
     truncated_by: set[str] = field(default_factory=set)
     abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
@@ -406,31 +403,22 @@ def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
     return tuple(key)
 
 
-def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
-                   result: LearnResult | None = None) -> list[tuple[int, ...]]:
+def generalization(store: TripleStore, rt: int,
+                   cfg: MinerConfig) -> list[tuple[int, ...]]:
     """Sample walks from every train instance and abstract them into walk
     keys, sorted; `walk_rule(rt, key)` is a key's abstract rule.
 
     Every straight walk prefix is kept, so the keys are closed under
     prefixes: a key's A-parent is `key[:-3]`, and the top rule's key, (),
     is always included. Sorted keys are in their rules' `Rule.sort_key`
-    order. When `gen_time_budget` stops sampling before the last instance,
-    it is added to `result.truncated_by`.
+    order.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     rng = random.Random(f"{cfg.seed}:{rt}")
     seen: set[tuple[int, ...]] = {()}
-    deadline = time.monotonic() + cfg.gen_time_budget \
-        if cfg.gen_time_budget else None
-    for i, (x, y) in enumerate(instances):
-        if deadline and time.monotonic() > deadline:
-            log.info("relation %d: gen_time_budget stopped sampling after "
-                     "%d of %d instances", rt, i, len(instances))
-            if result is not None:
-                result.truncated_by.add("gen_time_budget")
-            break
+    for x, y in instances:
         # x's first steps, for a walk of length 1 (y allowed) or longer
         firsts = [_steps(store, rt, x, y, x, {x}, last) for last in (0, 1)]
         for length in range(1, cfg.max_len + 1):
@@ -626,15 +614,13 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     and mines it (see `visit`); a rule it does not reach is never built.
     With no grounding cap, a rule's body groundings extend those of its
     kept A-parent, which are dropped once the parent's children are
-    visited. Past `spec_time_budget`, counted from the end of
-    generalization, kept rules are still measured (so `p_oars` stays
-    exact) but not mined. No mined rule repeats: a HAR keeps its OAR's
-    body, a BAR's OAR is its one body constant lifted, and CARs, HARs and
-    BARs differ in their number of constants. Each kept OAR is specialized
-    over the target's train pairs as stored, in no set order: its kept
-    anchorings do not depend on it, and the rules are sorted at the end.
-    With `collect_hierarchy`, every abstract rule is built, and `hierarchy`
-    is the A-hierarchy united with every I-hierarchy of post pruning."""
+    visited. No mined rule repeats: a HAR keeps its OAR's body, a BAR's
+    OAR is its one body constant lifted, and CARs, HARs and BARs differ in
+    their number of constants. Each kept OAR is specialized over the
+    target's train pairs as stored, in no set order: its kept anchorings
+    do not depend on it, and the rules are sorted at the end. With
+    `collect_hierarchy`, every abstract rule is built, and `hierarchy` is
+    the A-hierarchy united with every I-hierarchy of post pruning."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")
@@ -642,11 +628,10 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
 
     result = LearnResult(target=rt, rules=[])
     t0 = time.monotonic()
-    keys = generalization(store, rt, cfg, result)
+    keys = generalization(store, rt, cfg)
     t1 = time.monotonic()
     result.gen_seconds = t1 - t0
     result.abstract_rules = len(keys)
-    deadline = t1 + cfg.spec_time_budget if cfg.spec_time_budget else None
 
     trie = _WalkTrie(keys)
     # when collecting: the A-hierarchy, then every I-hierarchy, unioned
@@ -688,10 +673,6 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
             pending[key] = [g.groundings, len(trie.children(key))]
         if not key:
             return True
-        if deadline and time.monotonic() > deadline:
-            result.truncated_by.add("spec_time_budget")
-            result.skipped_oars += is_oar
-            return True
         if not is_oar:
             if is_relevant(m, cfg) and overfit_keep(m, cfg):
                 mined.append((rule, m))
@@ -718,7 +699,7 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
 
     kept = bfs_with_pruning(trie, visit)
     result.p_oars = sum(map(_is_oar_key, keys)) \
-        - result.i_oars - result.u_oars - result.skipped_oars
+        - result.i_oars - result.u_oars
 
     result.rules = sorted(mined, key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
     if collect_hierarchy:

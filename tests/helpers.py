@@ -403,8 +403,8 @@ def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
 
 
 def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
-    """`generalization` without the time budget, one `generalize` call
-    per walk prefix."""
+    """`generalization` as abstract rules, one `generalize` call per walk
+    prefix."""
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
         raise EmptyTargetError(f"relation {rt} has no train instances")
@@ -472,9 +472,9 @@ def ground_body_oracle(rule: Rule, store: TripleStore, cap: int = 0,
                 used.difference_update((cs, co))
             return
         if s is not None:
-            cands, free = store.objects(atom.pred, s), atom.obj
+            cands, free = store.fwd_index.get((atom.pred, s), []), atom.obj
         else:
-            cands, free = store.subjects(atom.pred, o), atom.subj
+            cands, free = store.bwd_index.get((atom.pred, o), []), atom.subj
         for cand in cands:
             steps += 1
             if cap and steps > cap:

@@ -31,8 +31,8 @@ def test_load_triples_and_indices(tmp_path):
     assert store.size("train") == 3
     a, b, c = (store.entities.get(x) for x in "abc")
     r, s = store.relations.get("r"), store.relations.get("s")
-    assert store.objects(r, a) == [b]
-    assert store.subjects(r, c) == [b]
+    assert store.fwd_index[(r, a)] == [b]
+    assert store.bwd_index[(r, c)] == [b]
     assert store.has_train(r, a, b)
     assert not store.has_train(s, a, b)
     assert store.instances_of(r, "train") == {(a, b), (b, c)}

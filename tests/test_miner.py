@@ -565,7 +565,6 @@ def test_relevance_thresholds_are_strict():
     ("max_len", 0), ("walks_per_instance", 0), ("supp_f", -1),
     ("hc_f", -0.5), ("sc_f", -0.5), ("supp_h", -1), ("eta", -1.0),
     ("eta", float("nan")), ("overfit_threshold", -0.1),
-    ("gen_time_budget", -1.0), ("spec_time_budget", -1.0),
     ("grounding_cap", -1), ("seed", -1)])
 def test_miner_config_rejects_out_of_range_values(name, bad):
     with pytest.raises(ValueError, match=name):
@@ -886,14 +885,6 @@ def test_learn_overfit_filter_drops_unvalidated_rules():
     assert res.rules == []
 
 
-def test_learn_spec_time_budget_reports_skips():
-    rng = random.Random(6)
-    store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
-    res = learn(store, 0, cfg(max_len=3, spec_time_budget=1e-9))
-    assert res.truncated
-    assert res.skipped_oars > 0
-
-
 def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     rng = random.Random(5)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
@@ -966,7 +957,6 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
             rules, counts = learn_oracle(store, rt, config)
             assert res.rules == rules
             assert (res.p_oars, res.i_oars, res.u_oars) == counts
-            assert res.skipped_oars == 0
             pruned += res.p_oars
             specialized += res.i_oars
     assert specialized > 0
@@ -1032,20 +1022,15 @@ def test_learn_builds_only_the_rules_it_visits(monkeypatch):
     assert unbuilt > 0
 
 
-@pytest.mark.parametrize("budget", [0.0, 1e-9])
-def test_learn_accounts_for_every_oar(budget):
+def test_learn_accounts_for_every_oar():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
     for supp_h in (0, 10):
-        config = cfg(supp_h=supp_h, spec_time_budget=budget)
+        config = cfg(supp_h=supp_h)
         res = learn(store, 0, config)
         n_oars = sum(kind_of(r) == "OAR"
                      for r in walk_rules(store, 0, config) if r.body)
-        assert res.p_oars + res.i_oars + res.u_oars + res.skipped_oars \
-            == n_oars
-        # measuring goes on past the deadline, so p_oars stays exact
-        assert res.p_oars == learn(store, 0, cfg(supp_h=supp_h)).p_oars
-        assert (res.skipped_oars > 0) == bool(budget)
+        assert res.p_oars + res.i_oars + res.u_oars == n_oars
         assert (supp_h > 0) == (res.p_oars > 0)
 
 
@@ -1070,14 +1055,11 @@ def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
     assert specialized > 0
 
 
-@pytest.mark.parametrize("cause, value", [("gen_time_budget", 1e-9),
-                                          ("spec_time_budget", 1e-9),
-                                          ("grounding_cap", 5)])
-def test_truncated_by_names_the_approximation_that_took_effect(cause, value):
+def test_truncated_by_names_the_approximation_that_took_effect():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
-    res = learn(store, 0, cfg(**{cause: value}))
-    assert res.truncated_by == {cause}
+    res = learn(store, 0, cfg(grounding_cap=5))
+    assert res.truncated_by == {"grounding_cap"}
     assert res.truncated
     full = learn(store, 0, cfg())
     assert full.truncated_by == set() and not full.truncated
@@ -1087,19 +1069,6 @@ def test_learn_records_generalization_time():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
     assert learn(store, 0, cfg()).gen_seconds > 0
-
-
-def test_gen_time_budget_stop_is_reported():
-    rng = random.Random(6)
-    store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
-    # the deadline has passed before the first instance is sampled
-    stopped = learn(store, 0, cfg(gen_time_budget=1e-9))
-    assert stopped.truncated
-    assert stopped.abstract_rules == 1
-    assert generalization(store, 0, cfg(gen_time_budget=1e-9)) == [()]
-    full = learn(store, 0, cfg())
-    assert not full.truncated
-    assert full.abstract_rules == len(generalization(store, 0, cfg())) > 1
 
 
 def test_grounding_cap_marks_measures_approximate():
