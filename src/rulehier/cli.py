@@ -38,16 +38,15 @@ class RunConfig:
     target_k: int = 20
     target_seed: int = 0
     target_list: tuple[str, ...] = ()
-    eval_cap: int = 0
     miner: MinerConfig = None
 
     def __post_init__(self):
         if self.miner is None:
             self.miner = MinerConfig()
-        for name in ("target_k", "eval_cap"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if self.target_mode not in ("all", "random", "list"):
+            raise ValueError(f"unknown target mode {self.target_mode!r}")
+        if not self.target_k >= 0:
+            raise ValueError(f"target_k must be >= 0, got {self.target_k!r}")
 
 
 # (section, key) -> RunConfig field (MinerConfig field in [miner]), in
@@ -58,7 +57,6 @@ _KEYS = {("dataset", "dir"): "dataset_dir",
          ("targets", "k"): "target_k",
          ("targets", "seed"): "target_seed",
          ("targets", "predicates"): "target_list",
-         ("evaluator", "cap"): "eval_cap",
          **{("miner", f.name): f.name for f in fields(MinerConfig)}}
 # --set key -> its section
 _OVERRIDES = {name: section for (section, _), name in _KEYS.items()}
@@ -150,12 +148,10 @@ def select_targets(store: TripleStore, cfg: RunConfig) -> list[int]:
               if (pairs := store.instances_of(r, "train"))}
     if cfg.target_mode == "all":
         return sorted(counts)
-    if cfg.target_mode == "random":
-        eligible = sorted(r for r, n in counts.items()
-                          if n >= cfg.miner.supp_f + 1)
-        k = min(cfg.target_k, len(eligible))
-        return sorted(random.Random(cfg.target_seed).sample(eligible, k))
-    raise ValueError(f"unknown target mode {cfg.target_mode!r}")
+    eligible = sorted(r for r, n in counts.items()
+                      if n >= cfg.miner.supp_f + 1)
+    k = min(cfg.target_k, len(eligible))
+    return sorted(random.Random(cfg.target_seed).sample(eligible, k))
 
 
 def _file_names(relations: Interner) -> list[str]:
@@ -210,13 +206,8 @@ def _write_run_record(path, cfg: RunConfig, names: list[str],
         for rt, res in sorted(results.items()):
             name = names[rt]
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
-            for key in ("p_oars", "i_oars", "u_oars", "truncated"):
+            for key in ("p_oars", "i_oars", "u_oars", "abstract_rules"):
                 fh.write(f"target.{name}.{key} = {getattr(res, key)}\n")
-            fh.write(f"target.{name}.truncated_by = "
-                     f"{','.join(sorted(res.truncated_by))}\n")
-            fh.write(f"target.{name}.abstract_rules = {res.abstract_rules}\n")
-            fh.write(f"target.{name}.approximate_rules = "
-                     f"{sum(m.approximate for _, m in res.rules)}\n")
             fh.write(f"target.{name}.gen_seconds = {res.gen_seconds:.3f}\n")
             fh.write(f"target.{name}.spec_seconds = {res.spec_seconds:.3f}\n")
 
@@ -256,11 +247,8 @@ def cmd_eval(args) -> int:
             rules_by_rel.setdefault(rule.head.pred, []).append((rule, m))
     if not any(rules_by_rel.values()):
         print("warning: empty rule set, MRR will be 0", file=sys.stderr)
-    summary = evaluate_kgc(store, rules_by_rel, cap=cfg.eval_cap)
+    summary = evaluate_kgc(store, rules_by_rel)
     log.debug("rule application: %s", summary.stats)
-    if summary.stats["capped_bodies"]:
-        print(f"warning: eval cap reached in {summary.stats['capped_bodies']} "
-              "rule bodies; their rules' answers are partial", file=sys.stderr)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "predictions.txt", "w", encoding="utf-8") as fh:
@@ -325,7 +313,7 @@ def cmd_bench(args) -> int:
             results = _learn_all(store, cfg, targets)
             runtime = time.monotonic() - t0
             rules_by_rel = {rt: res.rules for rt, res in results.items()}
-            summary = evaluate_kgc(store, rules_by_rel, cap=cfg.eval_cap)
+            summary = evaluate_kgc(store, rules_by_rel)
             writer.writerow([
                 supp_h, post, f"{runtime:.3f}", f"{summary.mrr:.6f}",
                 sum(len(r.rules) for r in results.values()),

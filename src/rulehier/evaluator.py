@@ -114,12 +114,11 @@ def _answers(rule: Rule, body: BodyIndex, consts: set[int],
 
 
 def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
-                 store: TripleStore, cap: int
+                 store: TripleStore
                  ) -> tuple[dict[tuple, dict[int, list[float]]], dict]:
     """Candidate entity -> sc vector per query key, and pass counts. Each
-    body of a queried relation's rules is grounded once; a capped pass
-    keeps the groundings found before the cap. A rule answers the queries
-    of its head relation.
+    body of a queried relation's rules is grounded once. A rule answers
+    the queries of its head relation.
     """
     wanted: dict[tuple[int, str], set[int]] = defaultdict(set)
     for q in queries:
@@ -129,15 +128,13 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
     for rule, m in rules:
         if rule.head.pred in rels:
             by_body[rule.body].append((rule, m))
-    stats = {"bodies_grounded": len(by_body), "groundings": 0,
-             "capped_bodies": 0}
+    stats = {"bodies_grounded": len(by_body), "groundings": 0}
     vectors: dict[tuple, dict[int, list[float]]] = defaultdict(
         lambda: defaultdict(list))
     for group in by_body.values():
         first = group[0][0]
         consts = {t.idx for a in first.body for t in a.terms if not t.is_var}
-        body = BodyIndex(first, ground_body(first, store, cap, exclude=consts))
-        stats["capped_bodies"] += body.capped
+        body = BodyIndex(first, ground_body(first, store, exclude=consts))
         stats["groundings"] += len(body.groundings)
         for rule, m in group:
             for key, cands in _answers(rule, body, consts, wanted).items():
@@ -148,10 +145,10 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
 
 
 def suggest(query: Query, rules: list[tuple[Rule, Measures]],
-            store: TripleStore, cap: int = 0) -> dict[int, list[float]]:
+            store: TripleStore) -> dict[int, list[float]]:
     """Candidate entity -> vector of sc values of the suggesting rules."""
     key = (query.rel, query.slot, query.known)
-    return dict(_suggest_all([query], rules, store, cap)[0].get(key, {}))
+    return dict(_suggest_all([query], rules, store)[0].get(key, {}))
 
 
 def rank(candidates: dict[int, list[float]],
@@ -189,20 +186,18 @@ class KgcSummary:
     hits: dict[int, float]
     rule_application_seconds: float
     records: list[tuple[Query, int | None, list[tuple[int, float]]]]
-    stats: dict[str, int]   # queries, bodies_grounded, groundings, capped_bodies
+    stats: dict[str, int]   # queries, bodies_grounded, groundings
 
 
-def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
-                 cap: int = 0) -> KgcSummary:
+def evaluate_kgc(store: TripleStore,
+                 rules_by_rel: dict[int, list]) -> KgcSummary:
     """Answer the head and tail test queries of every relation in
     rules_by_rel and aggregate metrics; each record keeps the query's top
     10 candidates.
 
     Each distinct rule body is grounded once over the train split and
-    answers derive from those groundings. `cap` (0 = exact) bounds the
-    candidate extensions one body's pass examines; stats["capped_bodies"]
-    counts the capped passes. Rule application time covers grounding,
-    filtering and ranking over the full query set.
+    answers derive from those groundings. Rule application time covers
+    grounding, filtering and ranking over the full query set.
     """
     rels = set(rules_by_rel)
     queries = queries_for(store, rels)
@@ -219,7 +214,7 @@ def evaluate_kgc(store: TripleStore, rules_by_rel: dict[int, list],
     records = []
     t0 = time.monotonic()
     vectors, counts = _suggest_all(queries, [
-        rm for rms in rules_by_rel.values() for rm in rms], store, cap)
+        rm for rms in rules_by_rel.values() for rm in rms], store)
     for q in queries:
         known = set(truths.get((q.rel, q.known, q.slot), set()))
         known.discard(q.answer)

@@ -47,9 +47,6 @@ class Hierarchy:
         return sorted((n for n in self.nodes if not self._parents.get(n)),
                       key=Rule.sort_key)
 
-    def edge_pairs(self) -> set[tuple[Rule, Rule]]:
-        return {(e.parent, e.child) for e in self.edges}
-
 
 def _build(rules: Iterable[Rule], kind: str) -> Hierarchy:
     """Single-step edges of one kind, decided only between rules that have

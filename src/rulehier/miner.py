@@ -22,7 +22,7 @@ import logging
 import random
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Collection
 
 from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
@@ -43,10 +43,6 @@ class EmptyTargetError(ValueError):
     """The target predicate has no train instances."""
 
 
-class CapExceeded(Exception):
-    """Grounding enumeration hit the configured cap."""
-
-
 @dataclass
 class Measures:
     """Per-rule quality statistics on the train split."""
@@ -56,7 +52,6 @@ class Measures:
     sc: float = 0.0
     groundings: int = 0
     valid_supp: int = 0
-    approximate: bool = False
 
 
 @dataclass
@@ -69,7 +64,6 @@ class MinerConfig:
     eta: float = 5.0
     overfit_threshold: float = 0.1
     walks_per_instance: int = 10
-    grounding_cap: int = 0         # 0 = exact enumeration
     seed: int = 0
     enable_post_pruning: bool = True
 
@@ -87,7 +81,7 @@ class MinerConfig:
 class LearnResult:
     """One target's mined rules, sorted by descending sc and then by
     `Rule.sort_key`, so independent of the order of its train pairs; its
-    OAR counts, stage timings and the approximations that took effect."""
+    OAR counts and stage timings."""
 
     target: int
     rules: list[tuple[Rule, Measures]]
@@ -96,14 +90,8 @@ class LearnResult:
     u_oars: int = 0
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
-    # {"grounding_cap"} when the cap cut short any rule's measures
-    truncated_by: set[str] = field(default_factory=set)
     abstract_rules: int = 0
     hierarchy: Hierarchy | None = None
-
-    @property
-    def truncated(self) -> bool:
-        return bool(self.truncated_by)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +104,19 @@ def body_vars(rule: Rule) -> tuple[Term, ...]:
                                if t.is_var))
 
 
-def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
+def ground_body(rule: Rule, store: TripleStore,
                 exclude: set[int] | None = None, parent=None):
     """Yield object-identity body groundings as entity tuples in the order
     of `body_vars(rule)`: distinct variables bind distinct entities outside
     `exclude` (the rule's constants when None), and an atom repeating a
     variable matches self-loops. The body is compiled once into a slot plan
-    for a depth-first search over one value list. When `cap` candidate
-    extensions have been examined (cap 0 = unlimited), yields the
-    groundings found so far and raises CapExceeded.
+    for a depth-first search over one value list.
 
     `parent`, when given, holds the tuples this function yields for the
     body without its last atom, under the same exclusions. If that atom
-    binds one new variable from a bound one and no cap is set, each parent
-    tuple is extended by one index lookup, which yields what the search
-    would, in its order; otherwise `parent` is ignored. Under a cap the
-    search runs, so the cap counts the same steps either way."""
+    binds one new variable from a bound one, each parent tuple is extended
+    by one index lookup, which yields what the search would, in its order;
+    otherwise `parent` is ignored."""
     order = body_vars(rule)
     slot = {t: i for i, t in enumerate(order + tuple(dict.fromkeys(
         t for a in rule.body for t in a.terms if not t.is_var)))}
@@ -153,8 +138,7 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
     used = set(constants(rule) if exclude is None else exclude)
     out: list[tuple[int, ...]] = []
     kind, pred, a, _, index = plan[-1] if plan else ("", 0, 0, 0, None)
-    if parent is not None and not cap and kind == "extend" \
-            and a < len(order) - 1:
+    if parent is not None and kind == "extend" and a < len(order) - 1:
         # the new variable is the last slot, and a search would end each
         # parent grounding g with this atom's candidates outside g
         for g in parent:
@@ -163,11 +147,8 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
                     out.append(g + (c,))
         yield from out
         return
-    limit = cap or float("inf")
-    steps = 0
 
     def rec(i: int) -> None:
-        nonlocal steps
         kind, pred, a, b, index = plan[i]
         leaf = i == len(plan) - 1
         if kind == "check":
@@ -177,10 +158,7 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
         cands = index.get((pred, vals[a]), ()) if kind == "extend" \
             else by_relation.get(pred, ())
         loop = a == b   # a scan of one variable: it binds one entity
-        if leaf:   # count candidates at once, up to the cap
-            over = steps + len(cands) > limit
-            cands = cands[:limit - steps] if over else cands
-            steps += len(cands)
+        if leaf:
             head = tuple(vals[:a if kind == "scan" else b])   # new slots last
             if kind == "extend":
                 for c in cands:
@@ -190,8 +168,6 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
                 for s, o in cands:
                     if (s == o) == loop and s not in used and o not in used:
                         out.append(head + ((s,) if loop else (s, o)))
-            if over:
-                raise CapExceeded
             return
         # a fact check right after this step binds nothing, so it runs here,
         # with no `used` update and no call of its own
@@ -201,9 +177,6 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
         else:
             check = None
         for c in cands:
-            steps += 1
-            if steps > limit:
-                raise CapExceeded
             if kind == "extend":
                 if c in used:
                     continue
@@ -222,25 +195,21 @@ def ground_body(rule: Rule, store: TripleStore, cap: int = 0,
             rec(nxt)
             used.difference_update(new)
 
-    try:
-        rec(0) if plan else out.append(())
-    except CapExceeded:
-        yield from out
-        raise
+    rec(0) if plan else out.append(())
     yield from out
 
 
-def _measures(supp: int, n_g: int, valid_supp: int, approx: bool,
-              n_rt: int, cfg: MinerConfig) -> Measures:
+def _measures(supp: int, n_g: int, valid_supp: int, n_rt: int,
+              cfg: MinerConfig) -> Measures:
     hc = supp / n_rt if n_rt else 0.0
     sc = supp / (cfg.eta + n_g) if (cfg.eta + n_g) > 0 else 0.0
-    return Measures(supp, hc, sc, n_g, valid_supp, approx)
+    return Measures(supp, hc, sc, n_g, valid_supp)
 
 
 class BodyIndex:
     """One rule body's groundings, the entity tuples `ground_body` yields
-    (variable v at slot pos[v]), whether the grounding cap cut them short,
-    and the maps the body's rules read, each built on first use and shared:
+    (variable v at slot pos[v]), and the maps the body's rules read, each
+    built on first use and shared:
 
     - grouped(j): each value at slot j -> the groundings with that value;
     - common(j): each value at slot j -> the entities used by every
@@ -250,15 +219,9 @@ class BodyIndex:
     """
 
     def __init__(self, rule: Rule, groundings):
-        """Index `groundings`, one `ground_body` pass over `rule`'s body; a
-        pass that hits its cap keeps what it found and sets `capped`."""
+        """Index `groundings`, one `ground_body` pass over `rule`'s body."""
         self.pos = {v: i for i, v in enumerate(body_vars(rule))}
-        self.groundings: list[tuple[int, ...]] = []
-        self.capped = False
-        try:
-            self.groundings.extend(groundings)   # keeps items before a raise
-        except CapExceeded:
-            self.capped = True
+        self.groundings: list[tuple[int, ...]] = list(groundings)
         self._grouped: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._common: dict[int, dict[int, set[int]]] = {}
         self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
@@ -292,17 +255,16 @@ class BodyIndex:
         return out
 
 
-def open_groundings(oar: Rule, store: TripleStore, cap: int = 0,
-                    parent=None) -> BodyIndex:
-    """Ground an OAR's body once, up to `cap` steps, into its index; with
-    `parent`, the groundings of its body but the last atom, by extending
-    them (see ground_body). An OAR has no constants, so a grounding tuple
-    is the set of entities its grounding uses, and (x, c) is in the OAR's
+def open_groundings(oar: Rule, store: TripleStore, parent=None) -> BodyIndex:
+    """Ground an OAR's body once into its index; with `parent`, the
+    groundings of its body but the last atom, by extending them (see
+    ground_body). An OAR has no constants, so a grounding tuple is the set
+    of entities its grounding uses, and (x, c) is in the OAR's
     head-grounding set iff c lies outside common(X's slot)[x]."""
     if not oar.body or kind_of(oar) != "OAR":
         kind = kind_of(oar) if oar.body else "the top rule"
         raise KindError(f"expected an OAR with a body atom, got {kind}")
-    return BodyIndex(oar, ground_body(oar, store, cap, parent=parent))
+    return BodyIndex(oar, ground_body(oar, store, parent=parent))
 
 
 def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
@@ -313,15 +275,15 @@ def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
     def hits(pairs) -> int:
         return sum(x in common and y not in common[x] for x, y in pairs)
     n_g = len(store.entities) * len(common) - sum(map(len, common.values()))
-    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), body.capped,
-                     len(rt_pairs), cfg)
+    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), len(rt_pairs),
+                     cfg)
 
 
 def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
              cfg: MinerConfig,
              valid_pairs: set[tuple[int, int]] | None = None,
              parent=None) -> Measures:
-    """Exact (up to cap) support / head coverage / smooth confidence.
+    """Exact support / head coverage / smooth confidence.
 
     The head-grounding set g is induced by grounding the body over the
     train split under object identity; `parent` may hold the groundings of
@@ -335,7 +297,7 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         # top rule: the empty body constrains nothing; measures are
         # analytic and |g| is recorded as |E|^2
         return _measures(n_rt, len(store.entities) ** 2, len(valid_pairs),
-                         False, n_rt, cfg)
+                         n_rt, cfg)
 
     hx, hy = rule.head.subj, rule.head.obj
     order = body_vars(rule)
@@ -344,17 +306,15 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         raise ValueError("rule body binds neither head term")
     if free:
         # open_groundings raises KindError, a ValueError, on a non-OAR
-        return _open_measures(open_groundings(rule, store, cfg.grounding_cap,
-                                              parent),
+        return _open_measures(open_groundings(rule, store, parent),
                               store, rt_pairs, valid_pairs, cfg)
 
-    body = BodyIndex(rule, ground_body(rule, store, cfg.grounding_cap,
-                                       parent=parent))
+    body = BodyIndex(rule, ground_body(rule, store, parent=parent))
     xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
     g = {(hx.idx if xi is None else b[xi], hy.idx if yi is None else b[yi])
          for b in body.groundings}
-    return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs),
-                     body.capped, n_rt, cfg)
+    return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs), n_rt,
+                     cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +537,7 @@ def specialization(oar: Rule, body: BodyIndex,
             continue
         valid = sum(c not in common.get((x, t), (c,))
                     for x in valid_by_c.get(c, ()))
-        m = _measures(supp[(c, t)], n_g, valid, body.capped, n_rt, cfg)
+        m = _measures(supp[(c, t)], n_g, valid, n_rt, cfg)
         if not overfit_keep(m, cfg):
             continue
         if not out:
@@ -612,11 +572,10 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     A-hierarchy, a trie over walk keys, builds and measures each abstract
     rule it reaches once, keeps it iff supp >= `supp_h` (0 prunes nothing)
     and mines it (see `visit`); a rule it does not reach is never built.
-    With no grounding cap, a rule's body groundings extend those of its
-    kept A-parent, which are dropped once the parent's children are
-    visited. No mined rule repeats: a HAR keeps its OAR's body, a BAR's
-    OAR is its one body constant lifted, and CARs, HARs and BARs differ in
-    their number of constants. Each kept OAR is specialized over the
+    A rule's body groundings extend those of its kept A-parent, which are
+    dropped once the parent's children are visited. No mined rule repeats:
+    a HAR keeps its OAR's body, a BAR's OAR is its one body constant
+    lifted, and CARs, HARs and BARs differ in their number of constants. Each kept OAR is specialized over the
     target's train pairs as stored, in no set order: its kept anchorings
     do not depend on it, and the rules are sorted at the end. With
     `collect_hierarchy`, every abstract rule is built, and `hierarchy` is
@@ -661,15 +620,13 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
         parent = up[0] if up else None
         is_oar = _is_oar_key(key)
         if is_oar:
-            g = open_groundings(rule, store, cfg.grounding_cap, parent)
+            g = open_groundings(rule, store, parent)
             m = _open_measures(g, store, rt_pairs, valid_pairs, cfg)
         else:
             m = evaluate(rule, store, rt_pairs, cfg, valid_pairs, parent)
-        if m.approximate:
-            result.truncated_by.add("grounding_cap")
         if m.supp < cfg.supp_h:
             return False
-        if is_oar and not cfg.grounding_cap and trie.children(key):
+        if is_oar and trie.children(key):
             pending[key] = [g.groundings, len(trie.children(key))]
         if not key:
             return True

@@ -114,10 +114,6 @@ class Rule:
     def atoms(self) -> tuple[Atom, ...]:
         return self._atoms
 
-    def __getitem__(self, i: int) -> Atom:
-        """Positional accessor: [0] is the head, [1..n] the body."""
-        return self._atoms[i]
-
     def sort_key(self) -> tuple[Atom, ...]:
         """The atoms, head first. Atoms compare as (pred, (is_var, idx),
         (is_var, idx)) tuples: by predicate, then term by term."""
@@ -135,11 +131,6 @@ def constants(rule: Rule) -> set[int]:
     return {t.idx for a in rule.atoms for t in a.terms if not t.is_var}
 
 
-def deduction_level(rule: Rule) -> int:
-    """Number of distinct constants in the rule."""
-    return len(constants(rule))
-
-
 def _occurrences(rule: Rule) -> dict[Term, int]:
     counts: dict[Term, int] = {}
     for atom in rule.atoms:
@@ -151,17 +142,6 @@ def _occurrences(rule: Rule) -> dict[Term, int]:
 def is_straight(rule: Rule) -> bool:
     """Every term occurs at most twice across head and body."""
     return all(c <= 2 for c in _occurrences(rule).values())
-
-
-def is_connected(rule: Rule) -> bool:
-    """Every body atom shares a term with its predecessor (head first)."""
-    prev = set(rule.head.terms)
-    for atom in rule.body:
-        cur = set(atom.terms)
-        if not prev & cur:
-            return False
-        prev = cur
-    return True
 
 
 def dangling_term(rule: Rule) -> Term:

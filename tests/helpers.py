@@ -2,13 +2,13 @@
 
 The random-rule generator produces connected, straight chain rules over a
 small vocabulary (5 predicates, 6 constants, body length 0-4), matching the
-corpus the property suites run on. The random-KG generator produces small
-dense graphs where mining finds a non-trivial mix of rule kinds. The
+corpus the property suites run on; `is_connected` and `deduction_level` are
+the syntactic checks only the tests use. The random-KG generator produces
+small dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
 builders' hierarchies acyclic. The rule-application oracle grounds a rule
-body once per (query, rule) pair, with the query's known entity bound,
-by scanning every train fact; under a cap it checks each grounding of the
-capped pass against the query instead. The grounding oracle is the recursive,
+body once per (query, rule) pair, with the query's known entity bound, by
+scanning every train fact. The grounding oracle is the recursive,
 dict-yielding form of `ground_body`. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
 per prefix; its walk oracle filters every step's neighbours anew, the
@@ -30,13 +30,11 @@ from rulehier.evaluator import Query, queries_for, rank
 from rulehier.hierarchy import (Hierarchy, bfs_with_pruning,
                                 build_a_hierarchy, build_i_hierarchy)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import (CapExceeded, EmptyTargetError, Measures,
-                            evaluate, generalization, is_relevant,
-                            open_groundings, overfit_keep, post_pruning,
-                            specialization)
+from rulehier.miner import (EmptyTargetError, Measures, evaluate,
+                            generalization, is_relevant, open_groundings,
+                            overfit_keep, post_pruning, specialization)
 from rulehier.rules import (X, Y, Atom, Rule, StraightnessError, Term, VAR_X,
-                            VAR_Y, body_length, const, constants,
-                            deduction_level, is_connected, is_straight,
+                            VAR_Y, body_length, const, constants, is_straight,
                             kind_of, parse_rule, var, walk_rule)
 
 N_PREDS = 5
@@ -68,6 +66,25 @@ def R(text: str, store_or_interners) -> Rule:
     else:
         ents, rels = store_or_interners
     return parse_rule(text, ents, rels, intern=True)
+
+
+# ---------------------------------------------------------------------------
+# syntactic checks
+
+def deduction_level(rule: Rule) -> int:
+    """Number of distinct constants in the rule."""
+    return len(constants(rule))
+
+
+def is_connected(rule: Rule) -> bool:
+    """Every body atom shares a term with its predecessor (head first)."""
+    prev = set(rule.head.terms)
+    for atom in rule.body:
+        cur = set(atom.terms)
+        if not prev & cur:
+            return False
+        prev = cur
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +242,11 @@ def generalization_closure(seeds, limit: int = 0) -> set[Rule] | None:
 # ---------------------------------------------------------------------------
 # hierarchy oracles
 
+def edge_pairs(h: Hierarchy) -> set[tuple[Rule, Rule]]:
+    """A hierarchy's edges as (parent, child) pairs."""
+    return {(e.parent, e.child) for e in h.edges}
+
+
 def is_proper(h: Hierarchy, decider: Callable[[Rule, Rule], bool]) -> bool:
     """Edge set equals the transitive reduction of the decider relation."""
     nodes = sorted(h.nodes, key=Rule.sort_key)
@@ -234,7 +256,7 @@ def is_proper(h: Hierarchy, decider: Callable[[Rule, Rule], bool]) -> bool:
                      if p != q and decider(p, q))
     if not nx.is_directed_acyclic_graph(g):
         return False
-    return h.edge_pairs() == set(nx.transitive_reduction(g).edges())
+    return edge_pairs(h) == set(nx.transitive_reduction(g).edges())
 
 
 def edges_climb(h: Hierarchy) -> bool:
@@ -428,22 +450,19 @@ def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
 # ---------------------------------------------------------------------------
 # body grounding oracle
 
-def ground_body_oracle(rule: Rule, store: TripleStore, cap: int = 0,
+def ground_body_oracle(rule: Rule, store: TripleStore,
                        exclude: set[int] | None = None):
     """`ground_body` as a recursive generator: yield each object-identity
-    body grounding as a var-Term -> entity dict, with the kernel's visit
-    order, step counting and `cap` (CapExceeded once `cap` candidate
-    extensions have been examined, 0 = unlimited)."""
+    body grounding as a var-Term -> entity dict, in the kernel's visit
+    order."""
     consts = constants(rule) if exclude is None else exclude
     binding: dict = {}
     used: set[int] = set()
-    steps = 0
 
     def admissible(e: int) -> bool:
         return e not in used and e not in consts
 
     def rec(i: int):
-        nonlocal steps
         if i == len(rule.body):
             yield dict(binding)
             return
@@ -457,9 +476,6 @@ def ground_body_oracle(rule: Rule, store: TripleStore, cap: int = 0,
         if s is None and o is None:
             loop = atom.subj == atom.obj   # one variable binds one entity
             for cs, co in store.by_relation.get(atom.pred, []):
-                steps += 1
-                if cap and steps > cap:
-                    raise CapExceeded
                 if (cs == co) != loop or not admissible(cs) \
                         or not admissible(co):
                     continue
@@ -476,9 +492,6 @@ def ground_body_oracle(rule: Rule, store: TripleStore, cap: int = 0,
         else:
             cands, free = store.bwd_index.get((atom.pred, o), []), atom.subj
         for cand in cands:
-            steps += 1
-            if cap and steps > cap:
-                raise CapExceeded
             if not admissible(cand):
                 continue
             binding[free] = cand
@@ -525,17 +538,12 @@ def reference_groundings(rule: Rule, store: TripleStore, binding: dict):
     yield from rec(0, dict(binding))
 
 
-def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore,
-                      cap: int = 0) -> set[int]:
+def apply_rule_oracle(rule: Rule, query: Query,
+                      store: TripleStore) -> set[int]:
     """Entities the rule suggests for the query's open slot, grounding the
-    body with the known head term bound to the query's known entity. With
-    `cap`, the groundings are those a capped pass over the body finds
-    (`ground_body_oracle` with the body's constants excluded, as `eval`
-    grounds), each checked against the query on its own."""
+    body with the known head term bound to the query's known entity."""
     known, open_term = (rule.head.subj, rule.head.obj) \
         if query.slot == "head" else (rule.head.obj, rule.head.subj)
-    if cap:
-        return _apply_to_capped_pass(rule, query, store, cap, known, open_term)
     if known.is_var:
         initial = {known: query.known}
     elif known.idx != query.known:
@@ -551,49 +559,17 @@ def apply_rule_oracle(rule: Rule, query: Query, store: TripleStore,
     return out
 
 
-def _apply_to_capped_pass(rule: Rule, query: Query, store: TripleStore,
-                          cap: int, known: Term, open_term: Term) -> set[int]:
-    consts = constants(rule)
-    body_consts = {t.idx for a in rule.body for t in a.terms if not t.is_var}
-    found = []
-    try:
-        for b in ground_body_oracle(rule, store, cap, exclude=body_consts):
-            found.append(b)
-    except CapExceeded:
-        pass
-    out = set()
-    for b in found:
-        if consts & set(b.values()):
-            continue   # object identity: a variable never binds a constant
-        if not known.is_var:
-            if known.idx != query.known:
-                continue
-        elif known in b:
-            if b[known] != query.known:
-                continue
-        elif query.known in consts or query.known in b.values():
-            continue
-        else:
-            b = {**b, known: query.known}
-        if not open_term.is_var:
-            out.add(open_term.idx)
-        elif open_term in b:
-            out.add(b[open_term])
-    return out
-
-
-def suggest_oracle(query: Query, rules, store: TripleStore, cap: int = 0):
+def suggest_oracle(query: Query, rules, store: TripleStore):
     vectors: dict[int, list[float]] = {}
     for rule, m in rules:
         if rule.head.pred != query.rel:
             continue
-        for cand in apply_rule_oracle(rule, query, store, cap):
+        for cand in apply_rule_oracle(rule, query, store):
             vectors.setdefault(cand, []).append(m.sc)
     return vectors
 
 
-def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict,
-                        cap: int = 0) -> list:
+def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
     """evaluate_kgc's records, one query and one rule at a time."""
     truths: dict[tuple[int, int, str], set[int]] = {}
     for split in ("train", "valid", "test"):
@@ -602,7 +578,7 @@ def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict,
             truths.setdefault((rel, obj, "tail"), set()).add(subj)
     records = []
     for q in queries_for(store, set(rules_by_rel)):
-        vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store, cap)
+        vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store)
         known = truths.get((q.rel, q.known, q.slot), set()) - {q.answer}
         ranking = rank(vectors, known)
         top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
@@ -650,7 +626,7 @@ def learn_oracle(store: TripleStore, rt: int, cfg
         if rule not in oars:
             continue
         specs, _ = specialization(
-            rule, open_groundings(rule, store, cfg.grounding_cap),
+            rule, open_groundings(rule, store),
             rt_pairs, valid_pairs, zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]

@@ -19,9 +19,9 @@ from rulehier.rules import kind_of, parse_rule
 from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
 
-from helpers import (R, generalization_closure, is_proper, learn_oracle,
-                     random_generalization, random_kg, random_rule, toy_store,
-                     walk_rules, zero_thresholds)
+from helpers import (R, edge_pairs, generalization_closure, is_proper,
+                     learn_oracle, random_generalization, random_kg,
+                     random_rule, toy_store, walk_rules, zero_thresholds)
 
 
 def _report(n: int, ok: bool, desc: str) -> None:
@@ -76,7 +76,7 @@ def test_criterion_2_worked_examples():
               if a != b and oi_subsumes(a, b)}
     oi_ok = oi_rel == {("p8", "p4"), ("p7", "p8"), ("p7", "p4")}
     a_edges = {(names[a], names[b]) for a, b in
-               build_a_hierarchy([p4, p7, p8]).edge_pairs()}
+               edge_pairs(build_a_hierarchy([p4, p7, p8]))}
     a_ok = a_edges == {("p7", "p8"), ("p8", "p4")}
 
     ents, rels = Interner(), Interner()
@@ -136,7 +136,7 @@ def test_criterion_4_support_monotonicity():
         supp = {r: evaluate(r, store, rt_pairs, config).supp
                 for r in abstract}
         phi_a = build_a_hierarchy(abstract)
-        for parent, child in phi_a.edge_pairs():
+        for parent, child in edge_pairs(phi_a):
             edges += 1
             if supp[child] > supp[parent]:
                 violations += 1
@@ -148,7 +148,7 @@ def test_criterion_4_support_monotonicity():
                                       zero_thresholds(config))
             measures = dict(specs)
             phi_i = build_i_hierarchy(list(measures))
-            for parent, child in phi_i.edge_pairs():
+            for parent, child in edge_pairs(phi_i):
                 edges += 1
                 if measures[child].supp > measures[parent].supp:
                     violations += 1

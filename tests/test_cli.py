@@ -60,13 +60,13 @@ def test_load_config_sections_and_overrides(tmp_path):
     ds = tmp_path / "d"
     cfg_path = write_config(tmp_path, ds, tmp_path / "o",
                             extra="supp_h = 2\nenable_post_pruning = off\n")
-    cfg = load_config(cfg_path, ["eta=7.5", "eval_cap=3", "target_mode=random"])
+    cfg = load_config(cfg_path, ["eta=7.5", "target_k=3", "target_mode=random"])
     assert cfg.dataset_dir == str(ds)
     assert cfg.miner.supp_f == 0
     assert cfg.miner.supp_h == 2
     assert cfg.miner.enable_post_pruning is False
     assert cfg.miner.eta == 7.5
-    assert cfg.eval_cap == 3
+    assert cfg.target_k == 3
     assert cfg.target_mode == "random"
 
 
@@ -83,6 +83,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             ("seed = 0", "max_specs_per_oar = 1", "miner.max_specs_per_oar"),
             # one config and seed give one rule set: there is no time budget
             ("seed = 0", "gen_time_budget = 1", "miner.gen_time_budget"),
+            # every measure and every answer is exact: there is no cap
+            ("seed = 0", "grounding_cap = 5", "miner.grounding_cap"),
+            ("[output]", "[evaluator]\ncap = 3\n\n[output]", "evaluator.cap"),
             ("mode = all", "modee = list", "targets.modee"),
             ("[output]", "[evaluatr]\ncap = 3\n\n[output]", "evaluatr.cap"),
             ("[output]", "[run]\nworkerz = 8\n\n[output]", "run.workerz")):
@@ -92,10 +95,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(cfg_path)
     cfg_path = write_config(tmp_path, ".", ".")
     # --set takes the scalar run fields and the miner fields, not a section
-    for key in ("nope", "miner", "enable_prior_pruning", "max_specs_per_oar",
-                "gen_time_budget"):
-        with pytest.raises(KeyError, match=key):
-            load_config(cfg_path, [f"{key}=1"])
+    for key, value in (("nope", 1), ("miner", 1), ("enable_prior_pruning", 1),
+                       ("max_specs_per_oar", 1), ("gen_time_budget", 1),
+                       ("grounding_cap", 5), ("eval_cap", 3)):
+        with pytest.raises(KeyError, match=f"unknown override '{key}'"):
+            load_config(cfg_path, [f"{key}={value}"])
 
 
 def test_run_workers_accepts_only_one(tmp_path):
@@ -121,15 +125,12 @@ def test_load_config_range_checks_values(tmp_path):
     cfg_path = write_config(tmp_path, ".", ".")
     for item, name in (("eta=-1", "eta"), ("walks_per_instance=0",
                                             "walks_per_instance"),
-                       ("grounding_cap=-1", "grounding_cap"),
-                       ("eval_cap=-1", "eval_cap"),
                        ("target_k=-1", "target_k")):
         with pytest.raises(ValueError, match=name):
             load_config(cfg_path, [item])
-    for name in ("eval_cap", "target_k"):
-        with pytest.raises(ValueError, match=name):
-            RunConfig(**{name: -1})
-    assert load_config(cfg_path, ["eval_cap=0", "eta=0"]).miner.eta == 0
+    with pytest.raises(ValueError, match="target_k"):
+        RunConfig(target_k=-1)
+    assert load_config(cfg_path, ["target_k=0", "eta=0"]).miner.eta == 0
 
 
 @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
@@ -184,7 +185,7 @@ def test_readme_sample_config_loads(tmp_path):
     cfg = load_config(cfg_path)
     # the sample spells out the defaults
     assert cfg.miner == MinerConfig()
-    assert (cfg.target_mode, cfg.target_k, cfg.eval_cap) == ("all", 20, 0)
+    assert (cfg.target_mode, cfg.target_k) == ("all", 20)
 
 
 def test_set_target_list_splits_like_the_ini_key(tmp_path):
@@ -235,6 +236,27 @@ def test_select_targets_modes():
     picked = select_targets(store, cfg)
     assert len(picked) == 2
     assert picked == select_targets(store, cfg)  # seeded
+
+
+def test_an_unknown_target_mode_is_an_error(tmp_path, capsys):
+    # a config error, found before any mining or evaluation starts
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    rules = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = tmp_path / "bad.ini"
+    bad.write_text(cfg.read_text().replace("mode = all", "mode = bogus"))
+    for command in ("learn", "eval"):
+        for args in (["--config", str(bad)],
+                     ["--config", str(cfg), "--set", "target_mode=bogus"]):
+            assert main([command, *args]) == 1
+            assert capsys.readouterr().err == \
+                "error: unknown target mode 'bogus'\n"
+    # eval wrote no summary, and learn left the rule files as they were
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == rules
+    with pytest.raises(ValueError, match="bogus"):
+        RunConfig(target_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -363,38 +385,17 @@ def _record_values(record: str, key: str) -> list[str]:
     return re.findall(rf"^target\.[^.]+\.{key} = (.*)$", record, re.M)
 
 
-def test_learn_record_reports_approximations(tmp_path):
+def test_learn_record_lists_each_targets_counts_and_timings(tmp_path):
     ds = write_dataset(tmp_path, full_store())
     out = tmp_path / "out"
     cfg = write_config(tmp_path, ds, out)
     assert main(["learn", "--config", str(cfg)]) == 0
     record = (out / "run_record.txt").read_text()
-    assert _record_values(record, "truncated") == ["False"] * 3
+    keys = re.findall(r"^target\.r0\.(\w+) = ", record, re.M)
+    assert keys == ["rules", "p_oars", "i_oars", "u_oars", "abstract_rules",
+                    "gen_seconds", "spec_seconds"]
+    assert len(re.findall(r"^target\.", record, re.M)) == 3 * len(keys)
     assert all(int(n) > 1 for n in _record_values(record, "abstract_rules"))
-    assert _record_values(record, "approximate_rules") == ["0"] * 3
-
-    assert main(["learn", "--config", str(cfg),
-                 "--set", "grounding_cap=5"]) == 0
-    record = (out / "run_record.txt").read_text()
-    assert sum(int(n) for n in _record_values(record,
-                                              "approximate_rules")) > 0
-
-
-def test_learn_record_names_what_truncated_each_target(tmp_path):
-    ds = write_dataset(tmp_path, full_store())
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, ds, out)
-    assert main(["learn", "--config", str(cfg)]) == 0
-    record = (out / "run_record.txt").read_text()
-    assert _record_values(record, "truncated_by") == [""] * 3
-
-    assert main(["learn", "--config", str(cfg),
-                 "--set", "grounding_cap=5"]) == 0
-    record = (out / "run_record.txt").read_text()
-    causes = _record_values(record, "truncated_by")
-    assert set(causes) <= {"", "grounding_cap"} and "grounding_cap" in causes
-    assert [c == "grounding_cap" for c in causes] == \
-        [t == "True" for t in _record_values(record, "truncated")]
 
 
 def test_verbose_learn_logs_each_target(tmp_path, caplog):
@@ -413,8 +414,7 @@ def test_verbose_learn_logs_each_target(tmp_path, caplog):
     assert [m.group(1) for m in found] == ["0", "1", "2"]
 
 
-def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
-                                                      caplog):
+def test_verbose_eval_logs_its_counters(tmp_path, capsys, caplog):
     caplog.set_level(logging.DEBUG, logger="rulehier.cli")
     ds = write_dataset(tmp_path, full_store())
     out = tmp_path / "out"
@@ -423,17 +423,12 @@ def test_eval_warns_only_when_the_cap_truncates_a_body(tmp_path, capsys,
     capsys.readouterr()
     assert main(["-v", "eval", "--config", str(cfg)]) == 0
     assert "warning" not in capsys.readouterr().err
-    exact = (out / "summary.txt").read_text()
-    assert "capped_bodies': 0" in caplog.text
-    assert "bodies_grounded" in caplog.text
-    assert main(["eval", "--config", str(cfg), "--set", "eval_cap=1"]) == 0
-    err = capsys.readouterr().err
-    assert re.search(r"^warning: eval cap reached in [1-9]\d* rule bodies",
-                     err, re.M)
-    capped = (out / "summary.txt").read_text()
-    # the summary format is unchanged: same keys, no counters
-    assert [line.split(" = ")[0] for line in capped.splitlines()] == \
-        [line.split(" = ")[0] for line in exact.splitlines()]
+    stats = re.search(r"rule application: (\{.*\})", caplog.text).group(1)
+    assert re.findall(r"'(\w+)': \d+", stats) == [
+        "queries", "bodies_grounded", "groundings"]
+    # the summary holds the metrics, not the counters
+    summary = (out / "summary.txt").read_text()
+    assert "groundings" not in summary
 
 
 def test_eval_rejects_a_missing_rules_directory(tmp_path, capsys):
@@ -482,9 +477,9 @@ def test_learn_emit_hierarchy_under_pruning_equals_the_builders(tmp_path,
     specialize = miner.specialization
 
     def recorded(*a, **kw):
-        specs, truncated = specialize(*a, **kw)
+        specs, flag = specialize(*a, **kw)
         specs_of.append(specs)
-        return specs, truncated
+        return specs, flag
     monkeypatch.setattr(miner, "specialization", recorded)
     store = random_kg(random.Random(17), n_entities=14, n_relations=3,
                       n_train=70, n_valid=25)
@@ -568,7 +563,7 @@ def test_main_reports_errors(tmp_path, capsys):
     # so is an out-of-range value, before any mining starts
     cfg = write_config(tmp_path, write_dataset(tmp_path, full_store()),
                        tmp_path / "o")
-    for item in ("eta=-1", "max_len=0", "eval_cap=-1"):
+    for item in ("eta=-1", "max_len=0", "target_k=-1"):
         assert main(["learn", "--config", str(cfg), "--set", item]) == 1
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["bench", "--config", str(cfg), "--thresholds", "0,-1"]) == 1

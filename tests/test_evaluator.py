@@ -236,8 +236,7 @@ SHAPES = {"constant head subject", "constant head object",
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_index_answers_random_rules_like_the_oracles(seed):
     """Every rule of a body group answers from the group's shared index as
-    the per-query oracle does (under a cap, as the oracle does from the
-    capped pass's groundings). Rules are drawn until each shape in SHAPES
+    the per-query oracle does. Rules are drawn until each shape in SHAPES
     has a rule that answers some query."""
     rng = random.Random(100 + seed)
     store = random_kg(rng, n_entities=8, n_relations=N_PREDS, n_train=90,
@@ -261,16 +260,12 @@ def test_shared_index_answers_random_rules_like_the_oracles(seed):
         m = Measures(sc=rng.choice((0.1, 0.2, 0.3)))
         rules_by_rel.setdefault(rule.head.pred, []).append((rule, m))
     flat = [rm for rms in rules_by_rel.values() for rm in rms]
-    for cap in (0, 4, 25):
-        summary = evaluate_kgc(store, rules_by_rel, cap=cap)
-        assert summary.records == evaluate_kgc_oracle(store, rules_by_rel,
-                                                      cap)
-        assert bool(summary.stats["capped_bodies"]) == bool(cap)
-        for q in queries:
-            got = {e: sorted(v)
-                   for e, v in suggest(q, flat, store, cap).items()}
-            assert got == {e: sorted(v) for e, v in
-                           suggest_oracle(q, flat, store, cap).items()}
+    summary = evaluate_kgc(store, rules_by_rel)
+    assert summary.records == evaluate_kgc_oracle(store, rules_by_rel)
+    for q in queries:
+        got = {e: sorted(v) for e, v in suggest(q, flat, store).items()}
+        assert got == {e: sorted(v) for e, v in
+                       suggest_oracle(q, flat, store).items()}
 
 
 def test_rules_repeating_a_variable_answer_like_the_oracle():
@@ -326,7 +321,7 @@ def test_relations_without_test_triples_are_never_grounded(monkeypatch):
     summary = evaluate_kgc(store, rules_by_rel)
     assert grounded == [queried.body]
     assert summary.stats == {"queries": 2, "bodies_grounded": 1,
-                             "groundings": 2, "capped_bodies": 0}
+                             "groundings": 2}
 
 
 def _toy_with_tests():
@@ -347,24 +342,6 @@ def _toy_with_tests():
         rules_by_rel.setdefault(rule.head.pred, []).append(
             (rule, Measures(sc=0.1 * (i + 1))))
     return store, rules_by_rel
-
-
-def test_eval_cap_ranks_a_subset_of_the_uncapped_candidates():
-    store, rules_by_rel = _toy_with_tests()
-    exact = evaluate_kgc(store, rules_by_rel)
-    capped = evaluate_kgc(store, rules_by_rel, cap=1)
-    assert exact.stats["capped_bodies"] == 0
-    assert capped.stats["capped_bodies"] > 0
-    assert capped.stats["groundings"] < exact.stats["groundings"]
-    # fewer than 10 candidates per query: the records hold them all
-    for (q, _, full), (cq, _, part) in zip(exact.records, capped.records):
-        assert q == cq and len(full) < 10
-        assert {e for e, _ in part} <= {e for e, _ in full}
-    rules = [rm for rms in rules_by_rel.values() for rm in rms]
-    for q in queries_for(store):
-        part = suggest(q, rules, store, cap=1)
-        full = suggest(q, rules, store)
-        assert all(set(v) <= set(full[e]) for e, v in part.items())
 
 
 def test_rule_application_seconds_cover_the_grounding_pass(monkeypatch):

@@ -11,11 +11,11 @@ from rulehier.hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union)
 from rulehier.kgstore import Interner, ParseError, TripleStore
-from rulehier.miner import (BodyIndex, CapExceeded, EmptyTargetError,
-                            Measures, MinerConfig, body_vars, evaluate,
-                            generalization, ground_body, is_relevant, learn,
-                            open_groundings, overfit_keep, post_pruning,
-                            read_rules, specialization, write_rules)
+from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
+                            MinerConfig, body_vars, evaluate, generalization,
+                            ground_body, is_relevant, learn, open_groundings,
+                            overfit_keep, post_pruning, read_rules,
+                            specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate, kind_of,
                             parse_rule, walk_rule)
@@ -123,24 +123,6 @@ def test_evaluate_rule_repeating_an_unbound_variable():
     assert (m.supp, m.groundings) == (1, 4)
 
 
-def test_ground_body_cap():
-    store, _, _ = triangle_store()
-    rule = R("rt(X,Y) <- r0(X,V0)", store)
-    with pytest.raises(CapExceeded):
-        list(ground_body(rule, store, cap=1))
-
-
-def _capped(groundings):
-    """The items a grounding generator yields, and whether it hit its cap."""
-    out = []
-    try:
-        for g in groundings:
-            out.append(g)
-    except CapExceeded:
-        return out, True
-    return out, False
-
-
 def _grounding_cases(rng):
     """(store, rule, exclude) triples: every rule `generalization` draws on
     random and hub graphs and, for every third OAR, its first HAR and a BAR
@@ -186,32 +168,15 @@ def _grounding_cases(rng):
 def test_ground_body_yields_the_oracle_groundings_as_tuples():
     assert inspect.isgeneratorfunction(ground_body)
     rng = random.Random(21)
-    cases = capped = 0
+    cases = 0
     for store, rule, exclude in _grounding_cases(rng):
         order = body_vars(rule)
-
-        def oracle(cap=0):
-            found, hit = _capped(ground_body_oracle(rule, store, cap, exclude))
-            return [tuple(b[v] for v in order) for b in found], hit
-
-        assert list(ground_body(rule, store, exclude=exclude)) == oracle()[0]
-        # the oracle's step count: the least cap that lets the pass finish
-        hi = 1
-        while oracle(hi)[1]:
-            hi *= 2
-        lo = hi // 2 + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if not oracle(mid)[1] else (mid + 1, hi)
-        # below it the same prefix, then CapExceeded; from it on, all
-        for cap in {1, 2, 3, hi - 2, hi - 1, hi, hi + 1,
-                    rng.randint(1, hi), rng.randint(1, hi)} - {0, -1}:
-            got = _capped(ground_body(rule, store, cap, exclude))
-            assert got == oracle(cap), (format_rule(
-                rule, store.entities, store.relations), cap)
-            capped += got[1]
+        want = [tuple(b[v] for v in order)
+                for b in ground_body_oracle(rule, store, exclude)]
+        assert list(ground_body(rule, store, exclude)) == want, format_rule(
+            rule, store.entities, store.relations)
         cases += 1
-    assert cases > 500 and capped > 1000
+    assert cases > 500
 
 
 def _brute_force_maps(groundings, n_slots):
@@ -229,30 +194,6 @@ def _brute_force_maps(groundings, n_slots):
     return grouped, common, pairs
 
 
-def test_body_index_keeps_the_tuples_yielded_before_the_cap():
-    def capped_pass(tuples):
-        yield from tuples
-        raise CapExceeded
-
-    rule = R("rt(X,Y) <- r0(X,V0)", triangle_store()[0])
-    tuples = [(0, 2), (1, 2), (2, 0)]
-    for n in range(len(tuples) + 1):
-        body = BodyIndex(rule, capped_pass(tuples[:n]))
-        assert body.groundings == tuples[:n] and body.capped
-    body = BodyIndex(rule, iter(tuples))
-    assert body.groundings == tuples and not body.capped
-    # and what a capped grounding pass yields before it raises
-    rng = random.Random(5)
-    capped = 0
-    for store, rule, exclude in _grounding_cases(rng):
-        for cap in (1, 3, 8):
-            found, hit = _capped(ground_body(rule, store, cap, exclude))
-            body = BodyIndex(rule, ground_body(rule, store, cap, exclude))
-            assert (body.groundings, body.capped) == (found, hit)
-            capped += hit and bool(found)
-    assert capped
-
-
 def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
     rng = random.Random(31)
     loops = random_kg(rng, n_entities=10, n_relations=N_PREDS, n_train=70)
@@ -260,7 +201,7 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
         loops.add_triple(e % N_PREDS, e, e, "train")
     seen = Counter()
     for store in (loops, hub_kg(rng)):
-        for _ in range(150):
+        for _ in range(450):
             rule = random_rule(rng, max_len=3)
             if rng.random() < 0.4:
                 rule = repeat_a_variable(rng, rule)
@@ -269,34 +210,29 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
             order = body_vars(rule)
             consts = {t.idx for a in rule.body for t in a.terms
                       if not t.is_var}
-            for cap in (0, 2, rng.randint(3, 30)):
-                body = BodyIndex(rule, ground_body(rule, store, cap, consts))
-                assert body.pos == {v: i for i, v in enumerate(order)}
-                found, hit = _capped(ground_body_oracle(rule, store, cap,
-                                                        consts))
-                want = [tuple(b[v] for v in order) for b in found]
-                assert body.groundings == want
-                assert body.capped == hit
-                grouped, common, pairs = _brute_force_maps(want, len(order))
-                for j in range(len(order)):
-                    assert dict(body.grouped(j)) == grouped[j]
-                    assert body.common(j) == common[j]
-                    assert body.common(j) is body.common(j)   # built once
-                    for i in range(len(order)):
-                        assert dict(body.pairs(j, i)) == pairs[(j, i)]
-                if kind_of(rule) == "OAR":
-                    oar = open_groundings(rule, store, cap)
-                    assert isinstance(oar, BodyIndex)
-                    assert (oar.groundings, oar.capped) == (want, hit)
-                seen["capped"] += hit
-                seen["exact under a cap"] += bool(cap) and not hit
-                if want:
-                    seen["grounded"] += 1
-                    seen["body constant"] += bool(consts)
-                    seen["repeated variable"] += any(
-                        a.subj == a.obj and a.subj.is_var for a in rule.body)
-                    seen["OAR"] += kind_of(rule) == "OAR"
-    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+            body = BodyIndex(rule, ground_body(rule, store, consts))
+            assert body.pos == {v: i for i, v in enumerate(order)}
+            want = [tuple(b[v] for v in order)
+                    for b in ground_body_oracle(rule, store, consts)]
+            assert body.groundings == want
+            grouped, common, pairs = _brute_force_maps(want, len(order))
+            for j in range(len(order)):
+                assert dict(body.grouped(j)) == grouped[j]
+                assert body.common(j) == common[j]
+                assert body.common(j) is body.common(j)   # built once
+                for i in range(len(order)):
+                    assert dict(body.pairs(j, i)) == pairs[(j, i)]
+            if kind_of(rule) == "OAR":
+                oar = open_groundings(rule, store)
+                assert isinstance(oar, BodyIndex)
+                assert oar.groundings == want
+            if want:
+                seen["grounded"] += 1
+                seen["body constant"] += bool(consts)
+                seen["repeated variable"] += any(
+                    a.subj == a.obj and a.subj.is_var for a in rule.body)
+                seen["OAR"] += kind_of(rule) == "OAR"
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
 def _reached_keys(monkeypatch, store, rt, config):
@@ -314,8 +250,7 @@ def _reached_keys(monkeypatch, store, rt, config):
 def test_extending_the_parent_groundings_equals_grounding_from_scratch(
         monkeypatch):
     # every walk body learn reaches, grounded from its A-parent's tuples,
-    # gives the search's tuples in its order with its cap outcome; under a
-    # cap (even one that cuts the parent) the parent's tuples are ignored
+    # gives the search's tuples in its order
     rng = random.Random(23)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70)
               for _ in range(2)] + [hub_kg(rng)]
@@ -330,24 +265,19 @@ def test_extending_the_parent_groundings_equals_grounding_from_scratch(
                     continue   # the top rule's children have no groundings
                 rule, up = walk_rule(rt, key), walk_rule(rt, key[:-3])
                 order = body_vars(rule)
-                for cap in (0, 1, 3, 8, 25, 90):
-                    parent, parent_hit = _capped(ground_body(up, store, cap))
-                    want = _capped(ground_body(rule, store, cap))
-                    found, hit = _capped(ground_body_oracle(rule, store, cap))
-                    assert want == ([tuple(b[v] for v in order)
-                                     for b in found], hit)
-                    assert _capped(ground_body(rule, store, cap,
-                                               parent=parent)) == want
-                    if kind_of(rule) == "OAR":
-                        body = open_groundings(rule, store, cap, parent)
-                        assert (body.groundings, body.capped) == want
-                    seen["parent capped"] += parent_hit
-                    seen["capped"] += hit and not parent_hit
-                    seen["extended"] += not cap and bool(want[0])
-                # without a cap, the parent's tuples are what is extended
+                parent = list(ground_body(up, store))
+                want = list(ground_body(rule, store))
+                assert want == [tuple(b[v] for v in order)
+                                for b in ground_body_oracle(rule, store)]
+                assert list(ground_body(rule, store, parent=parent)) == want
+                if kind_of(rule) == "OAR":
+                    body = open_groundings(rule, store, parent)
+                    assert body.groundings == want
+                seen["extended"] += bool(want)
+                # the parent's tuples are what is extended
                 assert list(ground_body(rule, store, parent=[])) == []
                 seen["OAR" if kind_of(rule) == "OAR" else "CAR"] += 1
-    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
 
 def test_evaluate_closed_rule_triangle():
@@ -358,7 +288,6 @@ def test_evaluate_closed_rule_triangle():
     assert (m.supp, m.groundings) == (1, 2)
     assert m.hc == pytest.approx(1.0)
     assert m.sc == pytest.approx(1 / 7)     # 1 / (eta + |g|) = 1 / (5 + 2)
-    assert not m.approximate
 
 
 def test_evaluate_open_rule_complement_semantics():
@@ -564,8 +493,7 @@ def test_relevance_thresholds_are_strict():
 @pytest.mark.parametrize("name,bad", [
     ("max_len", 0), ("walks_per_instance", 0), ("supp_f", -1),
     ("hc_f", -0.5), ("sc_f", -0.5), ("supp_h", -1), ("eta", -1.0),
-    ("eta", float("nan")), ("overfit_threshold", -0.1),
-    ("grounding_cap", -1), ("seed", -1)])
+    ("eta", float("nan")), ("overfit_threshold", -0.1), ("seed", -1)])
 def test_miner_config_rejects_out_of_range_values(name, bad):
     with pytest.raises(ValueError, match=name):
         MinerConfig(**{name: bad})
@@ -622,9 +550,9 @@ def test_specialization_toy():
     rt = store.relations.get("Advises")
     rt_pairs = store.instances_of(rt)
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
-    specs, truncated = specialization(oar, open_groundings(oar, store),
-                                      rt_pairs, set(), cfg())
-    assert not truncated
+    specs, flag = specialization(oar, open_groundings(oar, store), rt_pairs,
+                                 set(), cfg())
+    assert flag is False
     by_rule = {format_rule(r, store.entities, store.relations): m
                for r, m in specs}
     assert set(by_rule) == {"Advises(X,bob) <- Is_A(X,V0)",
@@ -965,27 +893,6 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
     assert (sum(dropped) > 0) == post
 
 
-@pytest.mark.parametrize("grounding_cap", [7, 60])
-def test_learn_under_caps_equals_the_three_pass_reference(grounding_cap):
-    # a capped learn grounds every rule from scratch, as the reference does
-    rng = random.Random(17)
-    stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
-                        n_valid=25) for _ in range(2)] + [hub_kg(rng)]
-    truncated = 0
-    for store in stores:
-        for rt in range(3):
-            if not store.instances_of(rt):
-                continue
-            config = cfg(supp_f=1, supp_h=8, overfit_threshold=0.1,
-                         grounding_cap=grounding_cap)
-            res = learn(store, rt, config)
-            rules, counts = learn_oracle(store, rt, config)
-            assert res.rules == rules
-            assert (res.p_oars, res.i_oars, res.u_oars) == counts
-            truncated += bool(res.truncated_by)
-    assert truncated > 0
-
-
 def test_learn_builds_only_the_rules_it_visits(monkeypatch):
     built, visited, kept = [], [], []
     walk, bfs = miner_mod.walk_rule, miner_mod.bfs_with_pruning
@@ -1055,43 +962,10 @@ def test_learn_grounds_each_abstract_rule_body_at_most_once(monkeypatch):
     assert specialized > 0
 
 
-def test_truncated_by_names_the_approximation_that_took_effect():
-    rng = random.Random(6)
-    store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
-    res = learn(store, 0, cfg(grounding_cap=5))
-    assert res.truncated_by == {"grounding_cap"}
-    assert res.truncated
-    full = learn(store, 0, cfg())
-    assert full.truncated_by == set() and not full.truncated
-
-
 def test_learn_records_generalization_time():
     rng = random.Random(6)
     store = random_kg(rng, n_entities=20, n_relations=3, n_train=150)
     assert learn(store, 0, cfg()).gen_seconds > 0
-
-
-def test_grounding_cap_marks_measures_approximate():
-    rng = random.Random(9)
-    store = hub_kg(rng)
-    rt_pairs = store.instances_of(0)
-    oar = R("r0(X,Y) <- r2(X,V0)", store)
-    car = R("r0(X,Y) <- r1(V0,X), r1(V0,Y)", store)
-    for rule in (oar, car):
-        assert not evaluate(rule, store, rt_pairs, cfg()).approximate
-        capped = evaluate(rule, store, rt_pairs, cfg(grounding_cap=3))
-        assert capped.approximate
-        assert capped.groundings < evaluate(rule, store, rt_pairs,
-                                            cfg()).groundings
-    exact, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
-                              set(), cfg())
-    capped, _ = specialization(oar, open_groundings(oar, store, 8), rt_pairs,
-                               set(), cfg(grounding_cap=8))
-    assert exact and not any(m.approximate for _, m in exact)
-    assert capped and all(m.approximate for _, m in capped)
-    res = learn(store, 0, cfg(grounding_cap=8))
-    assert any(m.approximate for _, m in res.rules)
-    assert not any(m.approximate for _, m in learn(store, 0, cfg()).rules)
 
 
 def test_learn_self_loop_instance_walks_from_x():
@@ -1150,9 +1024,9 @@ def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
     specialize = miner_mod.specialization
 
     def recorded(*a, **kw):
-        specs, truncated = specialize(*a, **kw)
+        specs, flag = specialize(*a, **kw)
         specs_of[-1].append(specs)
-        return specs, truncated
+        return specs, flag
     monkeypatch.setattr(miner_mod, "specialization", recorded)
     rng = random.Random(17)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,

@@ -7,13 +7,12 @@ from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import MinerConfig, open_groundings, specialization
 from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             VAR_X, VAR_Y, body_length, const, constants,
-                            dangling_term, deduction_level, format_rule,
-                            instantiate, is_connected, is_straight, kind_of,
-                            parse_rule, reverse_body, skolem, skolemize, var,
-                            walk_rule)
+                            dangling_term, format_rule, instantiate,
+                            is_straight, kind_of, parse_rule, reverse_body,
+                            skolem, skolemize, var, walk_rule)
 
-from helpers import (Path, R, anchoring, generalize, random_rule,
-                     toy_store, zero_thresholds)
+from helpers import (Path, R, anchoring, deduction_level, generalize,
+                     is_connected, random_rule, toy_store, zero_thresholds)
 
 
 def _interners():
@@ -46,8 +45,7 @@ def test_head_variables_never_renumbered():
 
 def test_positional_accessor():
     r = Rule(Atom(0, VAR_X, VAR_Y), (Atom(1, VAR_X, var(0)),))
-    assert r[0] == r.head
-    assert r[1] == r.body[0]
+    assert r.atoms == (r.head, *r.body)
     assert len(r.atoms) == 2
 
 

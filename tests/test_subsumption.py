@@ -3,13 +3,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from rulehier.kgstore import Interner
-from rulehier.rules import (Rule, body_length, deduction_level, format_rule,
-                            parse_rule, reverse_body, skolemize)
+from rulehier.rules import (Rule, body_length, format_rule, parse_rule,
+                            reverse_body, skolemize)
 from rulehier.subsumption import (a_subsumes, i_subsumes, oi_subsumes,
                                   sa_subsumes, sa_subsumes_complete,
                                   theta_subsumes)
 
-from helpers import R, random_generalization, random_rule, toy_store
+from helpers import (R, deduction_level, random_generalization, random_rule,
+                     toy_store)
 
 
 def academic_rules():
