@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import hierarchy as hmod
@@ -30,7 +30,7 @@ from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     dataset_dir: str = "."
     output_dir: str = "out"
@@ -38,11 +38,9 @@ class RunConfig:
     target_k: int = 20
     target_seed: int = 0
     target_list: tuple[str, ...] = ()
-    miner: MinerConfig = None
+    miner: MinerConfig = field(default_factory=MinerConfig)
 
     def __post_init__(self):
-        if self.miner is None:
-            self.miner = MinerConfig()
         if self.target_mode not in ("all", "random", "list"):
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         if not self.target_k >= 0:
@@ -63,7 +61,7 @@ _OVERRIDES = {name: section for (section, _), name in _KEYS.items()}
 
 
 def _coerce(key: str, value: str, like):
-    """Parse a config value as the type of the current value `like`."""
+    """Parse a config value as the type of the field's default `like`."""
     if isinstance(like, bool):
         word = value.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
@@ -79,14 +77,6 @@ def _coerce(key: str, value: str, like):
         raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
 
 
-def _owner(cfg: RunConfig, section: str):
-    return cfg.miner if section == "miner" else cfg
-
-
-def _set(owner, name: str, key: str, value: str) -> None:
-    setattr(owner, name, _coerce(key, value, getattr(owner, name)))
-
-
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
@@ -95,7 +85,17 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         except configparser.Error as exc:
             # one line: some configparser messages quote the bad line
             raise ValueError(f"{path}: {exc}".replace("\n", " ")) from None
-    cfg = RunConfig()
+    # the coerced values of RunConfig's fields and of [miner]'s, checked
+    # once, when the configs are built
+    run: dict = {}
+    miner: dict = {}
+    defaults = RunConfig()
+
+    def put(section: str, name: str, key: str, value: str) -> None:
+        values, like = (miner, defaults.miner) if section == "miner" \
+            else (run, defaults)
+        values[name] = _coerce(key, value, getattr(like, name))
+
     for section in parser.sections():
         for key, value in parser[section].items():
             if (section, key) == ("run", "workers"):
@@ -107,21 +107,20 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
             name = _KEYS.get((section, key))
             if name is None:
                 raise KeyError(f"unknown config option {section}.{key}")
-            _set(_owner(cfg, section), name, f"{section}.{key}", value)
+            put(section, name, f"{section}.{key}", value)
     for item in overrides or []:
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in _OVERRIDES:
             raise KeyError(f"unknown override {key!r}")
-        _set(_owner(cfg, _OVERRIDES[key]), key, key, value)
-    # values were set field by field: check the ranges again
-    return replace(cfg, miner=replace(cfg.miner))
+        put(_OVERRIDES[key], key, key, value)
+    return RunConfig(**run, miner=MinerConfig(**miner))
 
 
 def config_echo(cfg: RunConfig) -> list[str]:
     lines = []
     for (section, key), name in _KEYS.items():
-        value = getattr(_owner(cfg, section), name)
+        value = getattr(cfg.miner if section == "miner" else cfg, name)
         if isinstance(value, tuple):
             value = ",".join(value)
         lines.append(f"{section}.{key} = {value}")
@@ -307,10 +306,10 @@ def cmd_bench(args) -> int:
         writer.writerow(["supp_h", "post_prune", "runtime_s", "mrr",
                          "n_rules", "p_oars", "i_oars", "u_oars"])
         for supp_h in thresholds:
-            cfg.miner = replace(cfg.miner, supp_h=supp_h,
-                                enable_post_pruning=post)
+            point = replace(cfg, miner=replace(
+                cfg.miner, supp_h=supp_h, enable_post_pruning=post))
             t0 = time.monotonic()
-            results = _learn_all(store, cfg, targets)
+            results = _learn_all(store, point, targets)
             runtime = time.monotonic() - t0
             rules_by_rel = {rt: res.rules for rt, res in results.items()}
             summary = evaluate_kgc(store, rules_by_rel)

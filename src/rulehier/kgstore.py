@@ -49,9 +49,6 @@ class Interner:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
     def names(self) -> list[str]:
         return list(self._names)
 

@@ -54,7 +54,7 @@ class Measures:
     valid_supp: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinerConfig:
     max_len: int = 3
     supp_f: int = 3
@@ -109,94 +109,51 @@ def ground_body(rule: Rule, store: TripleStore,
     """Yield object-identity body groundings as entity tuples in the order
     of `body_vars(rule)`: distinct variables bind distinct entities outside
     `exclude` (the rule's constants when None), and an atom repeating a
-    variable matches self-loops. The body is compiled once into a slot plan
-    for a depth-first search over one value list.
+    variable matches self-loops.
 
-    `parent`, when given, holds the tuples this function yields for the
-    body without its last atom, under the same exclusions. If that atom
-    binds one new variable from a bound one, each parent tuple is extended
-    by one index lookup, which yields what the search would, in its order;
-    otherwise `parent` is ignored."""
-    order = body_vars(rule)
-    slot = {t: i for i, t in enumerate(order + tuple(dict.fromkeys(
-        t for a in rule.body for t in a.terms if not t.is_var)))}
-    vals = [None if t.is_var else t.idx for t in slot]   # constants preset
-    known = {t for t in slot if not t.is_var}
-    plan = []   # per atom: check its fact, extend a known slot, or scan
-    for pred, subj, obj in rule.body:
-        s, o = slot[subj], slot[obj]
-        if obj in known and subj not in known:
-            plan.append(("extend", pred, o, s, store.bwd_index))
-        elif subj in known:
-            plan.append(("check" if obj in known else "extend", pred, s, o,
-                         store.fwd_index))
-        else:   # s == o when the atom repeats its variable
-            plan.append(("scan", pred, s, o, None))
-        known.update((subj, obj))
-
-    has_train, by_relation = store.has_train, store.by_relation
-    used = set(constants(rule) if exclude is None else exclude)
-    out: list[tuple[int, ...]] = []
-    kind, pred, a, _, index = plan[-1] if plan else ("", 0, 0, 0, None)
-    if parent is not None and kind == "extend" and a < len(order) - 1:
-        # the new variable is the last slot, and a search would end each
-        # parent grounding g with this atom's candidates outside g
-        for g in parent:
-            for c in index.get((pred, g[a]), ()):
-                if c not in g and c not in used:
-                    out.append(g + (c,))
-        yield from out
-        return
-
-    def rec(i: int) -> None:
-        kind, pred, a, b, index = plan[i]
-        leaf = i == len(plan) - 1
-        if kind == "check":
-            if has_train(pred, vals[a], vals[b]):
-                out.append(tuple(vals[:len(order)])) if leaf else rec(i + 1)
-            return
-        cands = index.get((pred, vals[a]), ()) if kind == "extend" \
-            else by_relation.get(pred, ())
-        loop = a == b   # a scan of one variable: it binds one entity
-        if leaf:
-            head = tuple(vals[:a if kind == "scan" else b])   # new slots last
-            if kind == "extend":
-                for c in cands:
-                    if c not in used:
-                        out.append(head + (c,))
+    The body is one nested-loop join over its atoms in written order. A
+    term is known if it is a constant or a variable an earlier atom bound;
+    an atom with both terms known keeps the rows whose fact is in train,
+    and any other atom extends every row by its new entities, so a row
+    gains its variables in first-occurrence order and the tuples come out
+    in the order of a depth-first search over the atoms. `parent`, when
+    given, holds the tuples this function yields for the body without its
+    last atom, under the same exclusions; the join then starts from them
+    with only the last atom left."""
+    slot = {v: i for i, v in enumerate(body_vars(rule))}
+    used = constants(rule) if exclude is None else exclude
+    start = 0 if parent is None else len(rule.body) - 1
+    rows = [()] if parent is None else parent
+    bound = {t for a in rule.body[:start] for t in a.terms if t.is_var}
+    for pred, subj, obj in rule.body[start:]:
+        si, oi = slot.get(subj), slot.get(obj)   # None for a constant
+        s_known = not subj.is_var or subj in bound
+        o_known = not obj.is_var or obj in bound
+        if s_known and o_known:
+            has = store.has_train
+            rows = [g for g in rows
+                    if has(pred, subj.idx if si is None else g[si],
+                           obj.idx if oi is None else g[oi])]
+        elif s_known or o_known:
+            index, k, ki = (store.fwd_index, subj, si) if s_known \
+                else (store.bwd_index, obj, oi)
+            if ki is None:   # a constant: one candidate list for every row
+                cands = [c for c in index.get((pred, k.idx), ())
+                         if c not in used]
+                rows = [g + (c,) for g in rows for c in cands if c not in g]
             else:
-                for s, o in cands:
-                    if (s == o) == loop and s not in used and o not in used:
-                        out.append(head + ((s,) if loop else (s, o)))
-            return
-        # a fact check right after this step binds nothing, so it runs here,
-        # with no `used` update and no call of its own
-        nxt, check = i + 1, plan[i + 1]
-        if check[0] == "check":
-            nxt += 1
-        else:
-            check = None
-        for c in cands:
-            if kind == "extend":
-                if c in used:
-                    continue
-                vals[b], new = c, (c,)
-            elif (c[0] == c[1]) != loop or c[0] in used or c[1] in used:
-                continue
-            else:
-                vals[a], vals[b] = new = c
-            if check and not has_train(check[1], vals[check[2]],
-                                       vals[check[3]]):
-                continue
-            if nxt == len(plan):
-                out.append(tuple(vals[:len(order)]))
-                continue
-            used.update(new)
-            rec(nxt)
-            used.difference_update(new)
-
-    rec(0) if plan else out.append(())
-    yield from out
+                rows = [g + (c,) for g in rows
+                        for c in index.get((pred, g[ki]), ())
+                        if c not in used and c not in g]
+        else:   # a scan: new entities per fact, one if the atom loops
+            loop = subj == obj
+            new = [(s,) if loop else (s, o)
+                   for s, o in store.by_relation.get(pred, ())
+                   if (s == o) == loop and s not in used and o not in used]
+            rows = [g + t for g in rows for t in new
+                    if t[0] not in g and t[-1] not in g]
+        bound.update((subj, obj))
+    yield from rows
 
 
 def _measures(supp: int, n_g: int, valid_supp: int, n_rt: int,
@@ -257,8 +214,8 @@ class BodyIndex:
 
 def open_groundings(oar: Rule, store: TripleStore, parent=None) -> BodyIndex:
     """Ground an OAR's body once into its index; with `parent`, the
-    groundings of its body but the last atom, by extending them (see
-    ground_body). An OAR has no constants, so a grounding tuple is the set
+    groundings of its body but the last atom, by joining that atom to them
+    (see ground_body). An OAR has no constants, so a grounding tuple is the set
     of entities its grounding uses, and (x, c) is in the OAR's
     head-grounding set iff c lies outside common(X's slot)[x]."""
     if not oar.body or kind_of(oar) != "OAR":
@@ -287,7 +244,8 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
 
     The head-grounding set g is induced by grounding the body over the
     train split under object identity; `parent` may hold the groundings of
-    the body but its last atom (see ground_body). The only open rules
+    the body but its last atom, whatever that atom is, and the join then
+    starts from them (see ground_body). The only open rules
     measured are OARs, whose Y, not bound by the body, ranges over every
     entity outside the grounding; any other open rule raises ValueError.
     """

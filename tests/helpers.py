@@ -8,8 +8,10 @@ small dense graphs where mining finds a non-trivial mix of rule kinds. The
 hierarchy oracles check properness and the edge invariant that keeps the
 builders' hierarchies acyclic. The rule-application oracle grounds a rule
 body once per (query, rule) pair, with the query's known entity bound, by
-scanning every train fact. The grounding oracle is the recursive,
-dict-yielding form of `ground_body`. The generalization oracle samples ground
+scanning every train fact. The grounding oracle is a recursive,
+dict-yielding depth-first search over the body's atoms, a different
+algorithm from `ground_body`'s nested-loop join that yields the same
+groundings in the same order. The generalization oracle samples ground
 walks as `Path`s and abstracts every prefix with `generalize`, one `Rule`
 per prefix; its walk oracle filters every step's neighbours anew, the
 first step included. The learn oracle runs `learn`'s steps as three
@@ -452,9 +454,9 @@ def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
 
 def ground_body_oracle(rule: Rule, store: TripleStore,
                        exclude: set[int] | None = None):
-    """`ground_body` as a recursive generator: yield each object-identity
-    body grounding as a var-Term -> entity dict, in the kernel's visit
-    order."""
+    """A depth-first search over the body's atoms: yield each
+    object-identity body grounding as a var-Term -> entity dict, in the
+    order `ground_body`'s join yields its tuples."""
     consts = constants(rule) if exclude is None else exclude
     binding: dict = {}
     used: set[int] = set()

@@ -4,6 +4,7 @@ import logging
 import random
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,27 @@ def test_load_config_range_checks_values(tmp_path):
     assert load_config(cfg_path, ["target_k=0", "eta=0"]).miner.eta == 0
 
 
+def test_a_config_cannot_change_after_it_was_checked():
+    # a value set after construction would skip the checks: selection
+    # would sample as if a bogus mode were "random", and learn would mine
+    # nothing at max_len 0
+    store = full_store()
+    cfg, m = RunConfig(), MinerConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.target_mode = "bogus"
+    with pytest.raises(FrozenInstanceError):
+        m.max_len = 0
+    with pytest.raises(FrozenInstanceError):
+        cfg.miner = replace(m, supp_f=5)
+    assert select_targets(store, cfg) == [0, 1, 2]
+    assert cfg.miner == m == MinerConfig()
+    # a changed copy is checked again
+    with pytest.raises(ValueError, match="unknown target mode 'bogus'"):
+        replace(cfg, target_mode="bogus")
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        replace(m, max_len=0)
+
+
 @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
 def test_load_config_rejects_non_boolean_words(tmp_path, word):
     cfg_path = write_config(tmp_path, ".", ".",
@@ -217,22 +239,18 @@ def test_config_echo_lists_every_miner_field(tmp_path):
 
 def test_select_targets_modes():
     store = full_store()
-    cfg = RunConfig()
-    cfg.target_mode = "all"
+    cfg = RunConfig(target_mode="all")
     assert select_targets(store, cfg) == [0, 1, 2]
-    cfg.target_mode = "list"
-    cfg.target_list = ("r1",)
+    cfg = replace(cfg, target_mode="list", target_list=("r1",))
     assert select_targets(store, cfg) == [1]
-    cfg.target_list = ("zz",)
+    cfg = replace(cfg, target_list=("zz",))
     with pytest.raises(KeyError):
         select_targets(store, cfg)
     # a target named twice would be learned twice and counted twice
-    cfg.target_list = ("r0", "r1", "r0")
+    cfg = replace(cfg, target_list=("r0", "r1", "r0"))
     with pytest.raises(ValueError, match="r0"):
         select_targets(store, cfg)
-    cfg.target_mode = "random"
-    cfg.target_list = ()
-    cfg.target_k = 2
+    cfg = replace(cfg, target_mode="random", target_list=(), target_k=2)
     picked = select_targets(store, cfg)
     assert len(picked) == 2
     assert picked == select_targets(store, cfg)  # seeded

@@ -194,44 +194,50 @@ def _brute_force_maps(groundings, n_slots):
     return grouped, common, pairs
 
 
-def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
-    rng = random.Random(31)
+def _random_bodies(rng, n):
+    """(store, rule) pairs: `n` random rules per graph, 40% of them with a
+    variable repeated, on a graph with self-loops and on a hub graph;
+    rules without a body are drawn but skipped."""
     loops = random_kg(rng, n_entities=10, n_relations=N_PREDS, n_train=70)
     for e in range(0, 10, 3):   # self-loops, so repeated variables bind
         loops.add_triple(e % N_PREDS, e, e, "train")
-    seen = Counter()
     for store in (loops, hub_kg(rng)):
-        for _ in range(450):
+        for _ in range(n):
             rule = random_rule(rng, max_len=3)
             if rng.random() < 0.4:
                 rule = repeat_a_variable(rng, rule)
-            if not rule.body:
-                continue
-            order = body_vars(rule)
-            consts = {t.idx for a in rule.body for t in a.terms
-                      if not t.is_var}
-            body = BodyIndex(rule, ground_body(rule, store, consts))
-            assert body.pos == {v: i for i, v in enumerate(order)}
-            want = [tuple(b[v] for v in order)
-                    for b in ground_body_oracle(rule, store, consts)]
-            assert body.groundings == want
-            grouped, common, pairs = _brute_force_maps(want, len(order))
-            for j in range(len(order)):
-                assert dict(body.grouped(j)) == grouped[j]
-                assert body.common(j) == common[j]
-                assert body.common(j) is body.common(j)   # built once
-                for i in range(len(order)):
-                    assert dict(body.pairs(j, i)) == pairs[(j, i)]
-            if kind_of(rule) == "OAR":
-                oar = open_groundings(rule, store)
-                assert isinstance(oar, BodyIndex)
-                assert oar.groundings == want
-            if want:
-                seen["grounded"] += 1
-                seen["body constant"] += bool(consts)
-                seen["repeated variable"] += any(
-                    a.subj == a.obj and a.subj.is_var for a in rule.body)
-                seen["OAR"] += kind_of(rule) == "OAR"
+            if rule.body:
+                yield store, rule
+
+
+def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
+    seen = Counter()
+    for store, rule in _random_bodies(random.Random(31), 450):
+        order = body_vars(rule)
+        consts = {t.idx for a in rule.body for t in a.terms
+                  if not t.is_var}
+        body = BodyIndex(rule, ground_body(rule, store, consts))
+        assert body.pos == {v: i for i, v in enumerate(order)}
+        want = [tuple(b[v] for v in order)
+                for b in ground_body_oracle(rule, store, consts)]
+        assert body.groundings == want
+        grouped, common, pairs = _brute_force_maps(want, len(order))
+        for j in range(len(order)):
+            assert dict(body.grouped(j)) == grouped[j]
+            assert body.common(j) == common[j]
+            assert body.common(j) is body.common(j)   # built once
+            for i in range(len(order)):
+                assert dict(body.pairs(j, i)) == pairs[(j, i)]
+        if kind_of(rule) == "OAR":
+            oar = open_groundings(rule, store)
+            assert isinstance(oar, BodyIndex)
+            assert oar.groundings == want
+        if want:
+            seen["grounded"] += 1
+            seen["body constant"] += bool(consts)
+            seen["repeated variable"] += any(
+                a.subj == a.obj and a.subj.is_var for a in rule.body)
+            seen["OAR"] += kind_of(rule) == "OAR"
     assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
@@ -250,7 +256,7 @@ def _reached_keys(monkeypatch, store, rt, config):
 def test_extending_the_parent_groundings_equals_grounding_from_scratch(
         monkeypatch):
     # every walk body learn reaches, grounded from its A-parent's tuples,
-    # gives the search's tuples in its order
+    # gives the from-scratch tuples in their order
     rng = random.Random(23)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70)
               for _ in range(2)] + [hub_kg(rng)]
@@ -278,6 +284,41 @@ def test_extending_the_parent_groundings_equals_grounding_from_scratch(
                 assert list(ground_body(rule, store, parent=[])) == []
                 seen["OAR" if kind_of(rule) == "OAR" else "CAR"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def _last_atom_kind(rule):
+    """How `ground_body` joins the last body atom to the rows of the
+    atoms before it."""
+    bound = {t for a in rule.body[:-1] for t in a.terms if t.is_var}
+    known = [t for t in rule.body[-1].terms if not t.is_var or t in bound]
+    if len(known) == 2:
+        return "check"
+    if known:
+        return "extend from a constant" if not known[0].is_var \
+            else "extend from a bound slot"
+    atom = rule.body[-1]
+    return "one-variable scan" if atom.subj == atom.obj \
+        else "two-variable scan"
+
+
+def test_the_parent_tuples_start_the_join_for_every_kind_of_last_atom():
+    # random rules with constants, repeated variables and checks, each
+    # grounded from the tuples of its body without the last atom, under the
+    # rule's exclusions
+    seen = Counter()
+    for store, rule in _random_bodies(random.Random(37), 600):
+        order = body_vars(rule)
+        prefix = Rule(rule.head, rule.body[:-1])
+        parent = list(ground_body(prefix, store, constants(rule)))
+        want = list(ground_body(rule, store))
+        assert want == [tuple(b[v] for v in order)
+                        for b in ground_body_oracle(rule, store)]
+        assert list(ground_body(rule, store, parent=parent)) == want, \
+            format_rule(rule, store.entities, store.relations)
+        assert list(ground_body(rule, store, parent=[])) == []
+        if want:
+            seen[_last_atom_kind(rule)] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
 
 def test_evaluate_closed_rule_triangle():
