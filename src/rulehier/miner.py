@@ -137,14 +137,10 @@ def ground_body(rule: Rule, store: TripleStore,
         elif s_known or o_known:
             index, k, ki = (store.fwd_index, subj, si) if s_known \
                 else (store.bwd_index, obj, oi)
-            if ki is None:   # a constant: one candidate list for every row
-                cands = [c for c in index.get((pred, k.idx), ())
-                         if c not in used]
-                rows = [g + (c,) for g in rows for c in cands if c not in g]
-            else:
-                rows = [g + (c,) for g in rows
-                        for c in index.get((pred, g[ki]), ())
-                        if c not in used and c not in g]
+            rows = [g + (c,) for g in rows
+                    for c in index.get((pred, k.idx if ki is None else g[ki]),
+                                       ())
+                    if c not in used and c not in g]
         else:   # a scan: new entities per fact, one if the atom loops
             loop = subj == obj
             new = [(s,) if loop else (s, o)
