@@ -22,7 +22,8 @@ from pathlib import Path
 from . import hierarchy as hmod
 from .evaluator import evaluate_kgc
 from .kgstore import SPLITS, Interner, SplitConfig, TripleStore, resplit
-from .miner import MinerConfig, learn, read_rules, write_rules
+from .miner import (MinerConfig, check_types, learn, read_rules,
+                    write_rules)
 from .rules import format_rule, parse_rule
 from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
                           sa_subsumes_complete, theta_subsumes)
@@ -41,6 +42,13 @@ class RunConfig:
     miner: MinerConfig = field(default_factory=MinerConfig)
 
     def __post_init__(self):
+        check_types(self)
+        if not isinstance(self.miner, MinerConfig):
+            raise TypeError(f"miner must be a MinerConfig, got {self.miner!r}")
+        if not isinstance(self.target_list, tuple) or not all(
+                isinstance(p, str) for p in self.target_list):
+            raise TypeError(f"target_list must be a tuple of str, "
+                            f"got {self.target_list!r}")
         if self.target_mode not in ("all", "random", "list"):
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         if not self.target_k >= 0:

@@ -54,6 +54,21 @@ class Measures:
     valid_supp: int = 0
 
 
+def check_types(cfg) -> None:
+    """Raise a TypeError naming the first field of the dataclass `cfg`
+    whose value does not have its annotated type: an `int` field takes an
+    int but not a bool, a `float` field an int or a float, and a `bool`
+    field only a bool. Fields of any other type are not checked."""
+    types = {"int": int, "float": (int, float), "bool": bool}
+    for f in fields(cfg):
+        want = types.get(f.type)
+        value = getattr(cfg, f.name)
+        if want is not None and (not isinstance(value, want) or (
+                isinstance(value, bool) and f.type != "bool")):
+            raise TypeError(f"{f.name} must be of type {f.type}, "
+                            f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class MinerConfig:
     max_len: int = 3
@@ -68,6 +83,7 @@ class MinerConfig:
     enable_post_pruning: bool = True
 
     def __post_init__(self):
+        check_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool):
@@ -274,46 +290,72 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
 # ---------------------------------------------------------------------------
 # generalization (walk sampling)
 
-def _steps(store: TripleStore, rt: int, x: int, y: int, cur: int,
-           visited: set[int], last: bool) -> list[tuple[int, int, str]]:
-    """The edges a walk for instance (x, y) may take from `cur`: never the
-    originating triple nor a visited entity, and y only on the last step."""
-    return [(rel, other, d) for rel, other, d in store.neighbors(cur)
-            if not (rel == rt and ((d == "out" and cur == x and other == y)
-                                   or (d == "in" and cur == y and other == x)))
-            and other not in visited and (last or other != y)]
+def _steps(store: TripleStore, rt: int, x: int,
+           y: int) -> tuple[list[tuple[int, int, str]], ...]:
+    """The edges the first step of a walk for instance (x, y) may take from
+    x, as a pair: when a later step follows, and when it is the walk's
+    last. Never x itself nor the originating triple, and y only on the last
+    step. At x the originating triple is an out-edge to y; as an in-edge it
+    would start at y, which is x only on a self-loop instance, and then it
+    leads back to x. Later steps draw by position (see `_sample_walk`)."""
+    last = [(rel, other, d) for rel, other, d in store.neighbors(x)
+            if other != x and not (other == y and rel == rt and d == "out")]
+    return [e for e in last if e[1] != y], last
 
 
-def _sample_walk(store: TripleStore, rt: int, x: int, y: int, length: int,
-                 rng: random.Random, first: list) -> tuple[int, ...]:
+def _sample_walk(store: TripleStore, x: int, y: int, length: int,
+                 rng: random.Random, first: list,
+                 where: dict[int, dict[int, list[int]]]) -> tuple[int, ...]:
     """One random walk from x; revisits rejected, y allowed terminally.
 
-    `first` is `_steps` from x, built once per instance and last-step flag.
+    The first step draws from `first`, one of x's `_steps` lists, built
+    once per instance. A later step starts at an entity that is neither x
+    (visited) nor y (a walk that reaches y ends there), so the originating
+    triple is not among its edges. It may take any edge of
+    `store.neighbors(cur)` except those to a visited entity, and to y
+    before the last step. `where[cur]` maps each neighbour of cur to its
+    positions in that list; it is filled on first use and lives for one
+    `generalization` call. The step draws `randrange(n)` over the n edges
+    it may take, then moves the index past each excluded position at or
+    below it, in ascending order. That is the same draw and the same edge
+    as indexing the filtered list, at a cost that does not depend on cur's
+    degree.
+
     Returns the walk's key for `walk_rule`: a (predicate, subject id, object
     id) triple per step, where x has id 0, y id 1 and every other entity
     the next id from 2 in walk order.
     """
-    ids = {y: Y, x: X}   # a self-loop instance walks from x as X
-    fresh = 2
     key: list[int] = []
-    visited = {x}
-    cur = x
-    cands = first
+    visited = [x]   # distinct, so their positions in a list are too
+    cur, cid = x, X   # a self-loop instance walks from x as X
+    edges, skip = first, []
     for step in range(length):
         if step:
-            cands = _steps(store, rt, x, y, cur, visited, step == length - 1)
-        if not cands:
+            edges = store.neighbors(cur)
+            at = where.get(cur)
+            if at is None:
+                at = where[cur] = defaultdict(list)
+                for i, (_, other, _) in enumerate(edges):
+                    at[other].append(i)
+            # y is visited already on a self-loop instance
+            ends = visited if step == length - 1 or x == y \
+                else visited + [y]
+            skip = [i for e in ends for i in at.get(e, ())]
+            skip.sort()
+        n = len(edges) - len(skip)
+        if not n:
             break
-        rel, other, direction = cands[rng.randrange(len(cands))]
-        if other not in ids:
-            ids[other] = fresh
-            fresh += 1
-        if direction == "out":
-            key += (rel, ids[cur], ids[other])
-        else:
-            key += (rel, ids[other], ids[cur])
-        visited.add(other)
-        cur = other
+        i = rng.randrange(n)
+        for p in skip:   # ascending, so i passes every one at or below it
+            if p > i:
+                break
+            i += 1
+        rel, other, direction = edges[i]
+        # each step reaches a new entity, and reaching y ends the walk
+        oid = Y if other == y else step + 2
+        key += (rel, cid, oid) if direction == "out" else (rel, oid, cid)
+        visited.append(other)
+        cur, cid = other, oid
     return tuple(key)
 
 
@@ -332,13 +374,14 @@ def generalization(store: TripleStore, rt: int,
         raise EmptyTargetError(f"relation {rt} has no train instances")
     rng = random.Random(f"{cfg.seed}:{rt}")
     seen: set[tuple[int, ...]] = {()}
+    where: dict[int, dict[int, list[int]]] = {}   # see _sample_walk
     for x, y in instances:
         # x's first steps, for a walk of length 1 (y allowed) or longer
-        firsts = [_steps(store, rt, x, y, x, {x}, last) for last in (0, 1)]
+        firsts = _steps(store, rt, x, y)
         for length in range(1, cfg.max_len + 1):
             for _ in range(cfg.walks_per_instance):
-                key = _sample_walk(store, rt, x, y, length, rng,
-                                   firsts[length == 1])
+                key = _sample_walk(store, x, y, length, rng,
+                                   firsts[length == 1], where)
                 if key in seen:
                     continue  # so is every prefix
                 uses = [1, 1] + [0] * length   # X and Y occur in the head
@@ -529,11 +572,12 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
     A rule's body groundings extend those of its kept A-parent, which are
     dropped once the parent's children are visited. No mined rule repeats:
     a HAR keeps its OAR's body, a BAR's OAR is its one body constant
-    lifted, and CARs, HARs and BARs differ in their number of constants. Each kept OAR is specialized over the
-    target's train pairs as stored, in no set order: its kept anchorings
-    do not depend on it, and the rules are sorted at the end. With
-    `collect_hierarchy`, every abstract rule is built, and `hierarchy` is
-    the A-hierarchy united with every I-hierarchy of post pruning."""
+    lifted, and CARs, HARs and BARs differ in their number of constants.
+    Each kept OAR is specialized over the target's train pairs as stored,
+    in no set order: its kept anchorings do not depend on it, and the
+    rules are sorted at the end. With `collect_hierarchy`, every abstract
+    rule is built, and `hierarchy` is the A-hierarchy united with every
+    I-hierarchy of post pruning."""
     rt_pairs = store.instances_of(rt, "train")
     if not rt_pairs:
         raise EmptyTargetError(f"relation {rt} has no train instances")

@@ -23,6 +23,7 @@ thresholds) and filtering the candidates itself.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -393,9 +394,14 @@ def _sample_walk_path(store: TripleStore, rt: int, x: int, y: int,
 
 
 def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
-                       length: int, rng: random.Random) -> tuple[int, ...]:
+                       length: int, rng: random.Random,
+                       seen: Counter | None = None) -> tuple[int, ...]:
     """One walk's key, filtering every step's neighbours anew (the first
-    step included), with the miner's RNG draws."""
+    step included), with the miner's RNG draws.
+
+    `seen`, when given, counts over the steps after the first: "repeated",
+    a step that excluded two or more edges to one entity, and "passed", a
+    step whose edge lies past its draw in the unfiltered neighbour list."""
     ids = {y: Y, x: X}   # x is X on a self-loop instance too
     fresh = 2
     key: list[int] = []
@@ -404,16 +410,22 @@ def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
     for step in range(length):
         last = step == length - 1
         cands = []
-        for rel, other, d in store.neighbors(cur):
+        excluded: Counter = Counter()
+        for pos, (rel, other, d) in enumerate(store.neighbors(cur)):
             if rel == rt and ((d == "out" and cur == x and other == y)
                               or (d == "in" and cur == y and other == x)):
                 continue  # never walk the originating triple
             if other in visited or (other == y and not last):
+                excluded[other] += 1
                 continue
-            cands.append((rel, other, d))
+            cands.append((pos, rel, other, d))
         if not cands:
             break
-        rel, other, direction = cands[rng.randrange(len(cands))]
+        draw = rng.randrange(len(cands))
+        pos, rel, other, direction = cands[draw]
+        if seen is not None and step:
+            seen["repeated"] += max(excluded.values(), default=0) > 1
+            seen["passed"] += pos > draw
         if other not in ids:
             ids[other] = fresh
             fresh += 1

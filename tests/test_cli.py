@@ -134,6 +134,17 @@ def test_load_config_range_checks_values(tmp_path):
     assert load_config(cfg_path, ["target_k=0", "eta=0"]).miner.eta == 0
 
 
+@pytest.mark.parametrize("kw", [
+    {"target_k": 2.5}, {"target_seed": True}, {"miner": None},
+    {"miner": {"max_len": 2}}, {"target_list": "r0"},
+    {"target_list": ["r0"]}, {"target_list": ("r0", 1)}])
+def test_run_config_rejects_wrong_types(kw):
+    # a string target_list would be split into characters
+    (name,) = kw
+    with pytest.raises(TypeError, match=name):
+        RunConfig(**kw)
+
+
 def test_a_config_cannot_change_after_it_was_checked():
     # a value set after construction would skip the checks: selection
     # would sample as if a bogus mode were "random", and learn would mine

@@ -103,6 +103,22 @@ def selfloop_store():
     return store, (a, b, c)
 
 
+def parallel_store():
+    """Parallel edges: r(a,c), s(c,a), r(c,b), s(b,c), r(c,e), s(e,c),
+    r(e,b), s(b,e), r(e,f), a self-loop r(c,c), and the instances t(a,b),
+    t(b,e), t(f,c), t(c,a). A walk reaching c or e has two edges back to
+    where it came from, and c's self-loop is two edges of c's own."""
+    store = TripleStore()
+    t, r, s = (store.relations.intern(n) for n in ("t", "r", "s"))
+    a, b, c, e, f = (store.entities.intern(n) for n in "abcef")
+    for rel, subj, obj in ((r, a, c), (s, c, a), (r, c, c), (r, c, b),
+                           (s, b, c), (r, c, e), (s, e, c), (r, e, b),
+                           (s, b, e), (r, e, f), (t, a, b), (t, b, e),
+                           (t, f, c), (t, c, a)):
+        store.add_triple(rel, subj, obj, "train")
+    return store, (a, b, c, e, f)
+
+
 @pytest.mark.parametrize("text", ["r(X,Y) <- r(X,X)", "r(X,Y) <- r(V0,V0)",
                                   "t(X,Y) <- r(X,V0), r(V0,V0)"])
 def test_ground_body_repeated_variable_matches_self_loops(text):
@@ -463,7 +479,7 @@ def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
     # the self-loop graph has instances (x, x), whose walks start at X
     graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
                         n_train=50 + 10 * seed), hub_kg(rng),
-              selfloop_store()[0]]
+              selfloop_store()[0], parallel_store()[0]]
     for store in graphs:
         for max_len in (1, 2, 3):
             config = cfg(max_len=max_len, seed=seed, walks_per_instance=4)
@@ -484,10 +500,13 @@ def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
     # generalization filters x's neighbours once per instance; the oracle
     # filters them anew for every walk and must draw the same keys
     rng = random.Random(seed)
-    # the self-loop graph has instances (x, x), whose walks start at X
+    # the self-loop graph has instances (x, x), whose walks start at X;
+    # the parallel-edge graph makes later steps skip several positions of
+    # one entity, and draw past them
     graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
                         n_train=50 + 10 * seed), hub_kg(rng),
-              selfloop_store()[0]]
+              selfloop_store()[0], parallel_store()[0]]
+    seen = Counter()
     for store in graphs:
         config = cfg(max_len=3, seed=seed, walks_per_instance=4)
         for rt in range(3):
@@ -500,10 +519,26 @@ def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
             generalization(store, rt, config)
             monkeypatch.undo()
             oracle_rng = random.Random(f"{seed}:{rt}")
-            want = [sample_walk_oracle(store, rt, x, y, length, oracle_rng)
+            want = [sample_walk_oracle(store, rt, x, y, length, oracle_rng,
+                                       seen)
                     for x, y in sorted(store.instances_of(rt))
                     for length in (1, 2, 3) for _ in range(4)]
             assert keys == want and any(keys)
+    assert seen["repeated"] and seen["passed"]
+
+
+def test_a_triple_added_after_generalization_changes_the_next_walks():
+    # the positions of each entity's neighbours are indexed anew by every
+    # call, so an edge added between calls is excluded like the others
+    store, (a, _, c, _, _) = parallel_store()
+    t, r = store.relations.get("t"), store.relations.get("r")
+    config = cfg(max_len=3, walks_per_instance=8)
+    before = generalization(store, t, config)
+    assert store.add_triple(r, c, a, "train")
+    after = generalization(store, t, config)
+    assert after != before
+    assert [walk_rule(t, key) for key in after] == \
+        generalization_oracle(store, t, config)
 
 
 def test_generalization_never_walks_originating_triple():
@@ -541,6 +576,18 @@ def test_miner_config_rejects_out_of_range_values(name, bad):
     # the bound itself is accepted
     MinerConfig(**{name: 1 if name in ("max_len", "walks_per_instance")
                    else 0})
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("max_len", 2.5), ("walks_per_instance", True), ("seed", "0"),
+    ("supp_f", None), ("supp_h", 1.0), ("eta", "5"), ("hc_f", False),
+    ("enable_post_pruning", "no"), ("enable_post_pruning", 1)])
+def test_miner_config_rejects_wrong_types(name, bad):
+    # int fields take an int but not a bool, float fields an int or a
+    # float, bool fields only a bool
+    with pytest.raises(TypeError, match=name):
+        MinerConfig(**{name: bad})
+    assert MinerConfig(eta=5, hc_f=0, sc_f=1, overfit_threshold=0).eta == 5
 
 
 def test_overfit_filter():
