@@ -21,6 +21,15 @@ class ParseError(ValueError):
     """A triple or rule file line that does not match the grammar."""
 
 
+def decode_line(raw: bytes, path, lineno: int) -> str:
+    """One line of a file read in binary, as text without its line end;
+    bytes that are not UTF-8 raise ParseError naming `path:lineno`."""
+    try:
+        return raw.decode("utf-8").rstrip("\n").rstrip("\r")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}:{lineno}: {e}") from None
+
+
 class EmptyStatisticError(ValueError):
     """A statistic requested over an empty triple set."""
 
@@ -112,15 +121,16 @@ class TripleStore:
     def load_triples(self, path: str | Path, split: str) -> int:
         """Load a tab-separated triple file into one split.
 
-        Returns the number of duplicate lines that were dropped. Malformed
-        lines raise ParseError with the offending line number.
+        Returns the number of duplicate lines that were dropped. A
+        malformed line, or one that is not UTF-8, raises ParseError naming
+        `path:lineno`.
         """
         if split not in SPLITS:
             raise ValueError(f"unknown split tag {split!r}")
         dups = 0
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
+                line = decode_line(raw, path, lineno)
                 if not line:
                     continue
                 fields = line.split("\t")

@@ -29,7 +29,7 @@ from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                         bfs_with_pruning, union)
 # learn calls neither; bench/layers.py probes these names at this module
 from .hierarchy import build_a_hierarchy, build_i_hierarchy  # noqa: F401
-from .kgstore import ParseError, TripleStore
+from .kgstore import ParseError, TripleStore, decode_line
 from .rules import (X, Y, Atom, KindError, Rule, StraightnessError, Term,
                     VAR_X, VAR_Y, const, constants, dangling_term,
                     format_rule, is_straight, kind_of, parse_rule, walk_rule)
@@ -290,36 +290,23 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
 # ---------------------------------------------------------------------------
 # generalization (walk sampling)
 
-def _steps(store: TripleStore, rt: int, x: int,
-           y: int) -> tuple[list[tuple[int, int, str]], ...]:
-    """The edges the first step of a walk for instance (x, y) may take from
-    x, as a pair: when a later step follows, and when it is the walk's
-    last. Never x itself nor the originating triple, and y only on the last
-    step. At x the originating triple is an out-edge to y; as an in-edge it
-    would start at y, which is x only on a self-loop instance, and then it
-    leads back to x. Later steps draw by position (see `_sample_walk`)."""
-    last = [(rel, other, d) for rel, other, d in store.neighbors(x)
-            if other != x and not (other == y and rel == rt and d == "out")]
-    return [e for e in last if e[1] != y], last
-
-
 def _sample_walk(store: TripleStore, x: int, y: int, length: int,
-                 rng: random.Random, first: list,
+                 rng: random.Random, skip: list[int],
                  where: dict[int, dict[int, list[int]]]) -> tuple[int, ...]:
     """One random walk from x; revisits rejected, y allowed terminally.
 
-    The first step draws from `first`, one of x's `_steps` lists, built
-    once per instance. A later step starts at an entity that is neither x
-    (visited) nor y (a walk that reaches y ends there), so the originating
-    triple is not among its edges. It may take any edge of
-    `store.neighbors(cur)` except those to a visited entity, and to y
-    before the last step. `where[cur]` maps each neighbour of cur to its
-    positions in that list; it is filled on first use and lives for one
-    `generalization` call. The step draws `randrange(n)` over the n edges
-    it may take, then moves the index past each excluded position at or
-    below it, in ascending order. That is the same draw and the same edge
-    as indexing the filtered list, at a cost that does not depend on cur's
-    degree.
+    Every step draws by position. A step may take any edge of
+    `store.neighbors(cur)` except those to a visited entity, to y before
+    the last step, and the originating triple; `skip` holds the ascending
+    positions of the first step's excluded edges in x's list. A later step
+    starts at an entity that is neither x (visited) nor y (a walk that
+    reaches y ends there), so the originating triple is not among its
+    edges; `where[cur]` maps each neighbour of cur to its positions in
+    cur's list, is filled on first use and lives for one `generalization`
+    call. A step draws `randrange(n)` over the n edges it may take, then
+    moves the index past each excluded position at or below it, in
+    ascending order. That is the same draw and the same edge as indexing
+    the filtered list, at a cost that does not depend on cur's degree.
 
     Returns the walk's key for `walk_rule`: a (predicate, subject id, object
     id) triple per step, where x has id 0, y id 1 and every other entity
@@ -328,10 +315,9 @@ def _sample_walk(store: TripleStore, x: int, y: int, length: int,
     key: list[int] = []
     visited = [x]   # distinct, so their positions in a list are too
     cur, cid = x, X   # a self-loop instance walks from x as X
-    edges, skip = first, []
     for step in range(length):
+        edges = store.neighbors(cur)
         if step:
-            edges = store.neighbors(cur)
             at = where.get(cur)
             if at is None:
                 at = where[cur] = defaultdict(list)
@@ -364,10 +350,11 @@ def generalization(store: TripleStore, rt: int,
     """Sample walks from every train instance and abstract them into walk
     keys, sorted; `walk_rule(rt, key)` is a key's abstract rule.
 
-    Every straight walk prefix is kept, so the keys are closed under
-    prefixes: a key's A-parent is `key[:-3]`, and the top rule's key, (),
-    is always included. Sorted keys are in their rules' `Rule.sort_key`
-    order.
+    A step never reaches a visited entity and reaches y only as the last,
+    so every walk and each of its prefixes is straight. Every prefix is
+    kept, so the keys are closed under prefixes: a key's A-parent is
+    `key[:-3]`, and the top rule's key, (), is always included. Sorted
+    keys are in their rules' `Rule.sort_key` order.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
@@ -376,21 +363,21 @@ def generalization(store: TripleStore, rt: int,
     seen: set[tuple[int, ...]] = {()}
     where: dict[int, dict[int, list[int]]] = {}   # see _sample_walk
     for x, y in instances:
-        # x's first steps, for a walk of length 1 (y allowed) or longer
-        firsts = _steps(store, rt, x, y)
+        # the first step's excluded positions in x's list, from one scan:
+        # x's self-loops, and every edge to y when a later step follows or
+        # else the originating triple (both x's self-loops on a self-loop
+        # instance)
+        edges = store.neighbors(x)
+        later = [i for i, (_, other, _) in enumerate(edges)
+                 if other == x or other == y]
+        last = [i for i in later
+                if edges[i][1] == x or edges[i] == (rt, y, "out")]
         for length in range(1, cfg.max_len + 1):
             for _ in range(cfg.walks_per_instance):
                 key = _sample_walk(store, x, y, length, rng,
-                                   firsts[length == 1], where)
-                if key in seen:
-                    continue  # so is every prefix
-                uses = [1, 1] + [0] * length   # X and Y occur in the head
-                for k in range(3, len(key) + 1, 3):
-                    uses[key[k - 2]] += 1
-                    uses[key[k - 1]] += 1
-                    if uses[key[k - 2]] > 2 or uses[key[k - 1]] > 2:
-                        break  # not straight, nor any longer prefix
-                    seen.add(key[:k])
+                                   last if length == 1 else later, where)
+                if key not in seen:   # else so is every prefix
+                    seen.update(key[:k] for k in range(3, len(key) + 1, 3))
     return sorted(seen)
 
 
@@ -687,13 +674,13 @@ def write_rules(path, items: list[tuple[Rule, Measures]], entities,
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
     """Read a rule file back: the rule and its supp, hc and sc per line.
-    Each distinct atom text is parsed once per file. A malformed line
-    raises ParseError naming `path:lineno`."""
+    Each distinct atom text is parsed once per file. A malformed line, or
+    one that is not UTF-8, raises ParseError naming `path:lineno`."""
     out = []
     atoms: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = decode_line(raw, path, lineno)
             if not line:
                 continue
             try:

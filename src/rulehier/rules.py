@@ -213,8 +213,8 @@ def walk_rule(pred: int, key: tuple[int, ...]) -> Rule:
 
     A key holds one (predicate, subject id, object id) triple per body
     atom. Id 0 stands for X, id 1 for Y, and id i >= 2 for the fresh
-    variable V(i - 2), numbered in walk order. Straightness is the
-    caller's check.
+    variable V(i - 2), numbered in walk order. The keys `generalization`
+    samples are straight by construction; this does not check it.
     """
     return Rule(Atom(pred, VAR_X, VAR_Y),
                 tuple(Atom(key[i], Term(True, key[i + 1]),

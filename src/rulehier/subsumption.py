@@ -13,14 +13,14 @@ from __future__ import annotations
 from .rules import Rule, Term, body_length, constants, reverse_body, skolemize
 
 
-def _match_atom(sub: dict[Term, Term], p_atom, q_atom,
+def _match_atom(sub: dict[Term, Term], used: set[Term], p_atom, q_atom,
                 injective: bool, p_consts: set[int],
-                used: set[Term] | None) -> dict[Term, Term] | None:
-    """Extend substitution so p_atom maps onto q_atom, or return None."""
+                ) -> tuple[dict[Term, Term], set[Term]] | None:
+    """Extend the substitution `sub`, whose bound terms are `used`, so
+    p_atom maps onto q_atom: the extended pair, or None."""
     if p_atom.pred != q_atom.pred:
         return None
-    sub = dict(sub)
-    new_used = set(used) if used is not None else None
+    sub, used = dict(sub), set(used)
     for pt, qt in zip(p_atom.terms, q_atom.terms):
         if not pt.is_var:
             if pt != qt:
@@ -30,20 +30,14 @@ def _match_atom(sub: dict[Term, Term], p_atom, q_atom,
             if sub[pt] != qt:
                 return None
             continue
-        if injective:
-            if new_used is not None and qt in new_used:
-                return None
-            # object identity: a variable may not merge with a constant
-            # already named in the subsumer
-            if not qt.is_var and qt.idx in p_consts:
-                return None
+        # object identity: a variable may not merge with a term already
+        # bound, nor with a constant already named in the subsumer
+        if injective and (qt in used or (not qt.is_var
+                                         and qt.idx in p_consts)):
+            return None
         sub[pt] = qt
-        if new_used is not None:
-            new_used.add(qt)
-    if new_used is not None:
-        used.clear()
-        used.update(new_used)
-    return sub
+        used.add(qt)
+    return sub, used
 
 
 def _embed(p: Rule, q: Rule, injective: bool) -> bool:
@@ -51,25 +45,17 @@ def _embed(p: Rule, q: Rule, injective: bool) -> bool:
     q = skolemize(q)
     p_consts = constants(p)
 
-    def extend(sub, used, p_atom, q_atom):
-        u = set(used)
-        new = _match_atom(sub, p_atom, q_atom, injective, p_consts, u)
-        return (new, u) if new is not None else (None, used)
-
-    sub, used = extend({}, set(), p.head, q.head)
-    if sub is None:
-        return False
-
-    def search(i: int, sub, used) -> bool:
+    def search(i: int, state) -> bool:
+        if state is None:
+            return False
         if i == len(p.body):
             return True
-        for q_atom in q.body:
-            new, new_used = extend(sub, used, p.body[i], q_atom)
-            if new is not None and search(i + 1, new, new_used):
-                return True
-        return False
+        return any(search(i + 1, _match_atom(*state, p.body[i], q_atom,
+                                             injective, p_consts))
+                   for q_atom in q.body)
 
-    return search(0, sub, used)
+    return search(0, _match_atom({}, set(), p.head, q.head, injective,
+                                 p_consts))
 
 
 def theta_subsumes(p: Rule, q: Rule) -> bool:
@@ -87,11 +73,10 @@ def oi_subsumes(p: Rule, q: Rule) -> bool:
 
 
 def _sa_subsumes(p: Rule, q: Rule, p_consts: set[int]) -> bool:
-    sub: dict[Term, Term] = {}
-    used: set[Term] = set()
+    state = ({}, set())
     for p_atom, q_atom in zip(p.atoms, q.atoms):
-        sub = _match_atom(sub, p_atom, q_atom, True, p_consts, used)
-        if sub is None:
+        state = _match_atom(*state, p_atom, q_atom, True, p_consts)
+        if state is None:
             return False
     return True
 

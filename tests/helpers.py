@@ -401,7 +401,8 @@ def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
 
     `seen`, when given, counts over the steps after the first: "repeated",
     a step that excluded two or more edges to one entity, and "passed", a
-    step whose edge lies past its draw in the unfiltered neighbour list."""
+    step whose edge lies past its draw in the unfiltered neighbour list;
+    "first repeated" and "first passed" count the same over first steps."""
     ids = {y: Y, x: X}   # x is X on a self-loop instance too
     fresh = 2
     key: list[int] = []
@@ -423,9 +424,10 @@ def sample_walk_oracle(store: TripleStore, rt: int, x: int, y: int,
             break
         draw = rng.randrange(len(cands))
         pos, rel, other, direction = cands[draw]
-        if seen is not None and step:
-            seen["repeated"] += max(excluded.values(), default=0) > 1
-            seen["passed"] += pos > draw
+        if seen is not None:
+            which = "" if step else "first "
+            seen[which + "repeated"] += max(excluded.values(), default=0) > 1
+            seen[which + "passed"] += pos > draw
         if other not in ids:
             ids[other] = fresh
             fresh += 1

@@ -52,6 +52,13 @@ def test_load_triples_rejects_malformed_line(tmp_path):
         store.load_triples(p, "train")
 
 
+def test_load_triples_names_the_file_and_line_of_bad_utf8(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_bytes(b"a\tr\tb\n\xff\tr\tb\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:2: .*utf-8"):
+        TripleStore().load_triples(p, "train")
+
+
 def test_load_triples_rejects_unknown_split(tmp_path):
     p = tmp_path / "train.txt"
     p.write_text("a\tr\tb\n")

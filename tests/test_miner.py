@@ -17,8 +17,8 @@ from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
                             overfit_keep, post_pruning, read_rules,
                             specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
-                            dangling_term, format_rule, instantiate, kind_of,
-                            parse_rule, walk_rule)
+                            dangling_term, format_rule, instantiate,
+                            is_straight, kind_of, parse_rule, walk_rule)
 
 from helpers import (N_PREDS, R, anchoring, edges_climb,
                      generalization_oracle, ground_body_oracle, learn_oracle,
@@ -492,17 +492,20 @@ def test_generalization_equals_the_per_prefix_oracle(monkeypatch, seed):
                     monkeypatch, generalization_oracle, store, rt, config)
                 assert [walk_rule(rt, key) for key in got] == want
                 assert len(got) > 1
+                # straight by construction: no step revisits an entity
+                assert all(is_straight(walk_rule(rt, key)) for key in got)
                 assert draws == oracle_draws and draws
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
-    # generalization filters x's neighbours once per instance; the oracle
-    # filters them anew for every walk and must draw the same keys
+    # every step of generalization's walks draws by position, past the
+    # excluded positions; the oracle filters every step's neighbours anew
+    # and must draw the same keys
     rng = random.Random(seed)
     # the self-loop graph has instances (x, x), whose walks start at X;
-    # the parallel-edge graph makes later steps skip several positions of
-    # one entity, and draw past them
+    # the parallel-edge graph makes steps, the first included, skip
+    # several positions of one entity, and draw past them
     graphs = [random_kg(rng, n_entities=12 + 2 * seed, n_relations=3,
                         n_train=50 + 10 * seed), hub_kg(rng),
               selfloop_store()[0], parallel_store()[0]]
@@ -525,6 +528,7 @@ def test_walk_keys_equal_the_per_step_walker(monkeypatch, seed):
                     for length in (1, 2, 3) for _ in range(4)]
             assert keys == want and any(keys)
     assert seen["repeated"] and seen["passed"]
+    assert seen["first repeated"] and seen["first passed"]
 
 
 def test_a_triple_added_after_generalization_changes_the_next_walks():
@@ -1172,12 +1176,15 @@ GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "
     "Advises(X,bob) <- Knows(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25",
+    # not UTF-8: the byte 0xff
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=\udcff",
 ])
 def test_read_rules_names_the_file_and_line_of_a_malformed_line(tmp_path,
                                                                   bad):
     store = toy_store()
     path = tmp_path / "rules.txt"
-    path.write_text(f"{GOOD_LINE}\n\n{bad}\n{GOOD_LINE}\n")
+    path.write_bytes(f"{GOOD_LINE}\n\n{bad}\n{GOOD_LINE}\n".encode(
+        "utf-8", "surrogateescape"))
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
         read_rules(path, store.entities, store.relations)
 
