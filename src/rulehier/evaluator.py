@@ -3,7 +3,10 @@ aggregation ranking with recursive tie-breaking, filtered MRR and Hits@k.
 
 Rules are applied per distinct body: each body is grounded once into a
 `miner.BodyIndex`, the index specialization reads, and every rule of the
-body answers from it.
+body answers from it, appending its sc straight to the confidence vector
+of each candidate it suggests. The rules of a body that read one map of
+the index for one (relation, slot) share the list of that map's entries
+for the queried known entities.
 """
 
 from __future__ import annotations
@@ -52,38 +55,52 @@ def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]
     return out
 
 
-def _answers(rule: Rule, body: BodyIndex, consts: set[int],
-             wanted: dict[tuple[int, str], set[int]]) -> dict[tuple, set[int]]:
-    """The entities `rule` suggests per wanted (rel, slot, known), read from
-    its body's index, whose groundings avoid `consts`, the body's
-    constants. A grounding counts unless it uses a head-only constant; the
-    rule suggests open value o for known k iff a counted grounding binds
-    the known term to k (a known constant must equal k) and the open term
-    to o. A known variable the body leaves unbound takes any k that is no
-    rule constant and lies outside the entities the grounding uses; an
-    open variable the body leaves unbound answers only when it is the
-    known variable itself.
+def _answers(rule: Rule, sc: float, body: BodyIndex, consts: set[int],
+             wanted: dict[tuple[int, str], set[int]],
+             vectors: dict[tuple, dict[int, list[float]]],
+             shared: dict[tuple, list]) -> None:
+    """Append `sc` to the vector of each entity `rule` suggests per wanted
+    (rel, slot, known), read from its body's index, whose groundings avoid
+    `consts`, the body's constants. A grounding counts unless it uses a
+    head-only constant; the rule suggests open value o for known k iff a
+    counted grounding binds the known term to k (a known constant must
+    equal k) and the open term to o. A known variable the body leaves
+    unbound takes any k that is no rule constant and lies outside the
+    entities the grounding uses; an open variable the body leaves unbound
+    answers only when it is the known variable itself.
+
+    When the body binds the known term, `shared` holds, per (rel, slot,
+    known slot, open slot), the (vector, common[k] or pairs[k]) entry of
+    each queried k the body binds there; it is built for the body's first
+    such rule and read by the rest.
     """
     rel = rule.head.pred
     hs, ho = rule.head.subj, rule.head.obj
-    out: dict[tuple, set[int]] = {}
     for slot, known, open_term in (("head", hs, ho), ("tail", ho, hs)):
         ks = wanted.get((rel, slot))
         if not ks:
             continue
         j, i = body.pos.get(known), body.pos.get(open_term)
-        if j is not None and i is not None:
-            pairs = body.pairs(j, i)
-            for k in ks & pairs.keys():
-                out[(rel, slot, k)] = pairs[k]
-        elif j is not None:
-            if open_term.is_var:
+        if j is not None:
+            if i is None and open_term.is_var:
                 continue   # the body leaves the open term unbound
-            # a counted grounding of k avoids c iff c is outside common[k]
-            c, common = open_term.idx, body.common(j)
-            for k in ks & common.keys():
-                if c not in common[k]:
-                    out[(rel, slot, k)] = {c}
+            entries = shared.get((rel, slot, j, i))
+            if entries is None:
+                by_k = body.common(j) if i is None else body.pairs(j, i)
+                entries = shared[(rel, slot, j, i)] = [
+                    (vectors[(rel, slot, k)], by_k[k])
+                    for k in ks & by_k.keys()]
+            if i is None:
+                # a counted grounding of k avoids c iff c is outside
+                # common[k]
+                c = open_term.idx
+                for vec, ents in entries:
+                    if c not in ents:
+                        vec[c].append(sc)
+            else:
+                for vec, cands in entries:
+                    for o in cands:
+                        vec[o].append(sc)
         elif i is not None:
             # the values at i of the groundings that avoid k: an unbound
             # known variable binds k, and a known constant k is the only
@@ -91,9 +108,10 @@ def _answers(rule: Rule, body: BodyIndex, consts: set[int],
             common = body.common(i)
             for k in (ks - consts if known.is_var
                       else ks & {known.idx}):
-                cands = {o for o, ents in common.items() if k not in ents}
-                if cands:
-                    out[(rel, slot, k)] = cands
+                vec = vectors[(rel, slot, k)]
+                for o, ents in common.items():
+                    if k not in ents:
+                        vec[o].append(sc)
         elif not open_term.is_var or open_term == known:
             # the body binds neither head term (a ground head, say): scan
             head_only = {t.idx for t in rule.head.terms
@@ -105,12 +123,11 @@ def _answers(rule: Rule, body: BodyIndex, consts: set[int],
             o = None if open_term.is_var else open_term.idx
             if not known.is_var:
                 if known.idx in ks:
-                    out[(rel, slot, known.idx)] = {o}
+                    vectors[(rel, slot, known.idx)][o].append(sc)
                 continue
             common = set(counted[0]).intersection(*counted[1:])
             for k in ks - head_only - consts - common:
-                out[(rel, slot, k)] = {k if o is None else o}
-    return out
+                vectors[(rel, slot, k)][k if o is None else o].append(sc)
 
 
 def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
@@ -136,11 +153,9 @@ def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
         consts = {t.idx for a in first.body for t in a.terms if not t.is_var}
         body = BodyIndex(first, ground_body(first, store, exclude=consts))
         stats["groundings"] += len(body.groundings)
+        shared: dict[tuple, list] = {}
         for rule, m in group:
-            for key, cands in _answers(rule, body, consts, wanted).items():
-                vec = vectors[key]
-                for cand in cands:
-                    vec[cand].append(m.sc)
+            _answers(rule, m.sc, body, consts, wanted, vectors, shared)
     return vectors, stats
 
 

@@ -23,6 +23,7 @@ import random
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Collection
 
 from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
@@ -127,36 +128,49 @@ def ground_body(rule: Rule, store: TripleStore,
     `exclude` (the rule's constants when None), and an atom repeating a
     variable matches self-loops.
 
-    The body is one nested-loop join over its atoms in written order. A
-    term is known if it is a constant or a variable an earlier atom bound;
-    an atom with both terms known keeps the rows whose fact is in train,
-    and any other atom extends every row by its new entities, so a row
-    gains its variables in first-occurrence order and the tuples come out
-    in the order of a depth-first search over the atoms. `parent`, when
-    given, holds the tuples this function yields for the body without its
-    last atom, under the same exclusions; the join then starts from them
-    with only the last atom left."""
-    slot = {v: i for i, v in enumerate(body_vars(rule))}
+    The body is one nested-loop join over its atoms, bound terms first. A
+    term is known if it is a constant or a variable an earlier atom of the
+    join bound, and the next atom is the first, in written order, with the
+    most known terms: a body with a constant starts from it, and a walk
+    body keeps its written order. An atom with both terms known keeps the
+    rows whose fact is in train, and any other atom extends every row by
+    its new entities. A row gains its variables in join order and is
+    permuted to `body_vars` order once, at the end, if the two orders
+    differ. The tuples come out in the order of a depth-first search over
+    the atoms in join order. `parent`, when given, holds the tuples this
+    function yields for the body without its last atom, under the same
+    exclusions; the join then starts from them with only the last atom
+    left."""
     used = constants(rule) if exclude is None else exclude
-    start = 0 if parent is None else len(rule.body) - 1
-    rows = [()] if parent is None else parent
-    bound = {t for a in rule.body[:start] for t in a.terms if t.is_var}
-    for pred, subj, obj in rule.body[start:]:
-        si, oi = slot.get(subj), slot.get(obj)   # None for a constant
-        s_known = not subj.is_var or subj in bound
-        o_known = not obj.is_var or obj in bound
-        if s_known and o_known:
+    if parent is None:
+        rows, atoms, slot = [()], list(rule.body), {}
+    else:
+        rows, atoms = parent, [rule.body[-1]]
+        slot = {v: i for i, v in enumerate(dict.fromkeys(
+            t for a in rule.body[:-1] for t in a.terms if t.is_var))}
+    while atoms:
+        most = -1   # join next the first atom with the most known terms
+        for n, (_, s, o) in enumerate(atoms):
+            known = (not s.is_var or s in slot) + (not o.is_var or o in slot)
+            if known > most:
+                at, most = n, known
+        pred, subj, obj = atoms.pop(at)
+        si, oi = slot.get(subj), slot.get(obj)   # None if not a bound var
+        if most == 2:
             has = store.has_train
             rows = [g for g in rows
                     if has(pred, subj.idx if si is None else g[si],
                            obj.idx if oi is None else g[oi])]
-        elif s_known or o_known:
-            index, k, ki = (store.fwd_index, subj, si) if s_known \
-                else (store.bwd_index, obj, oi)
+        elif most:
+            if not subj.is_var or si is not None:
+                index, k, ki, free = store.fwd_index, subj, si, obj
+            else:
+                index, k, ki, free = store.bwd_index, obj, oi, subj
             rows = [g + (c,) for g in rows
                     for c in index.get((pred, k.idx if ki is None else g[ki]),
                                        ())
                     if c not in used and c not in g]
+            slot[free] = len(slot)
         else:   # a scan: new entities per fact, one if the atom loops
             loop = subj == obj
             new = [(s,) if loop else (s, o)
@@ -164,7 +178,12 @@ def ground_body(rule: Rule, store: TripleStore,
                    if (s == o) == loop and s not in used and o not in used]
             rows = [g + t for g in rows for t in new
                     if t[0] not in g and t[-1] not in g]
-        bound.update((subj, obj))
+            slot[subj] = len(slot)
+            slot.setdefault(obj, len(slot))
+    if parent is None:   # else the last atom's new variables came last
+        order = body_vars(rule)
+        if tuple(slot) != order:
+            rows = list(map(itemgetter(*map(slot.get, order)), rows))
     yield from rows
 
 

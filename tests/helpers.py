@@ -468,9 +468,11 @@ def generalization_oracle(store: TripleStore, rt: int, cfg) -> list[Rule]:
 
 def ground_body_oracle(rule: Rule, store: TripleStore,
                        exclude: set[int] | None = None):
-    """A depth-first search over the body's atoms: yield each
-    object-identity body grounding as a var-Term -> entity dict, in the
-    order `ground_body`'s join yields its tuples."""
+    """A depth-first search over the body's atoms in written order: yield
+    each object-identity body grounding once, as a var-Term -> entity
+    dict. `ground_body` yields the same groundings in this order when the
+    written order is bound-first (see `is_bound_first`), and in another
+    order otherwise."""
     consts = constants(rule) if exclude is None else exclude
     binding: dict = {}
     used: set[int] = set()
@@ -517,6 +519,29 @@ def ground_body_oracle(rule: Rule, store: TripleStore,
             used.discard(cand)
 
     yield from rec(0)
+
+
+def is_bound_first(body) -> bool:
+    """Whether every atom of `body` has at least as many known terms
+    (constants, and variables an earlier atom binds) as each later atom,
+    so that `ground_body` joins the atoms in written order."""
+    known: set = set()
+    for n, atom in enumerate(body):
+        if any(sum(not t.is_var or t in known for t in a.terms)
+               > sum(not t.is_var or t in known for t in atom.terms)
+               for a in body[n + 1:]):
+            return False
+        known.update(atom.terms)
+    return True
+
+
+def same_groundings(got: list, want: list, rule: Rule) -> bool:
+    """Whether `got` equals `want` as a list when `rule`'s written order is
+    bound-first, and as a multiset otherwise: the same tuples, each as
+    often, in any order."""
+    if is_bound_first(rule.body):
+        return got == want
+    return sorted(got) == sorted(want)
 
 
 # ---------------------------------------------------------------------------

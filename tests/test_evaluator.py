@@ -358,3 +358,33 @@ def test_rule_application_seconds_cover_the_grounding_pass(monkeypatch):
     summary = evaluate_kgc(store, rules_by_rel)
     assert len(calls) == summary.stats["bodies_grounded"] == 3
     assert summary.rule_application_seconds >= 0.02 * len(calls)
+
+
+def test_the_rules_of_one_body_each_add_their_sc_to_a_shared_query_key():
+    # a CAR and two HARs with different anchors on one body: in each slot
+    # they answer the same query keys, and every rule adds its own sc to
+    # each candidate it suggests; c and a are queried in both slots
+    store = TripleStore()
+    t, r = store.relations.intern("t"), store.relations.intern("r")
+    a, b, c, d, e = (store.entities.intern(x) for x in "abcde")
+    for s, o in ((a, c), (a, e), (b, c), (c, e), (d, a)):
+        store.add_triple(r, s, o, "train")
+    for s, o in ((a, b), (d, c), (c, a)):
+        store.add_triple(t, s, o, "test")
+    rules = [(R(text, store), Measures(sc=sc)) for text, sc in (
+        ("t(X,Y) <- r(X,Y)", 0.9), ("t(X,c) <- r(X,Y)", 0.5),
+        ("t(X,e) <- r(X,Y)", 0.3))]
+    # X binds a, b, c, d; a grounding that uses an anchor does not count
+    want = {(a, "head"): {c: [0.9, 0.5], e: [0.9, 0.3]},
+            (d, "head"): {a: [0.9], c: [0.5], e: [0.3]},
+            (c, "head"): {e: [0.9]},
+            (b, "tail"): {},
+            (c, "tail"): {a: [0.9, 0.5], b: [0.9], d: [0.5]},
+            (a, "tail"): {d: [0.9]}}
+    queries = queries_for(store)
+    assert {(q.known, q.slot) for q in queries} == set(want)
+    for q in queries:
+        assert suggest(q, rules, store) == want[(q.known, q.slot)], q
+    summary = evaluate_kgc(store, {t: rules})
+    assert summary.stats["bodies_grounded"] == 1
+    assert summary.records == evaluate_kgc_oracle(store, {t: rules})

@@ -21,10 +21,10 @@ from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             is_straight, kind_of, parse_rule, walk_rule)
 
 from helpers import (N_PREDS, R, anchoring, edges_climb,
-                     generalization_oracle, ground_body_oracle, learn_oracle,
-                     random_kg, random_rule, repeat_a_variable,
-                     sample_walk_oracle, toy_store, walk_rules,
-                     zero_thresholds)
+                     generalization_oracle, ground_body_oracle,
+                     is_bound_first, learn_oracle, random_kg, random_rule,
+                     repeat_a_variable, same_groundings, sample_walk_oracle,
+                     toy_store, walk_rules, zero_thresholds)
 
 
 def cfg(**kw):
@@ -184,15 +184,58 @@ def _grounding_cases(rng):
 def test_ground_body_yields_the_oracle_groundings_as_tuples():
     assert inspect.isgeneratorfunction(ground_body)
     rng = random.Random(21)
-    cases = 0
+    cases = reordered = 0
     for store, rule, exclude in _grounding_cases(rng):
         order = body_vars(rule)
         want = [tuple(b[v] for v in order)
                 for b in ground_body_oracle(rule, store, exclude)]
-        assert list(ground_body(rule, store, exclude)) == want, format_rule(
+        got = list(ground_body(rule, store, exclude))
+        assert same_groundings(got, want, rule), format_rule(
             rule, store.entities, store.relations)
         cases += 1
-    assert cases > 500
+        reordered += not is_bound_first(rule.body)
+    assert cases > 500 and reordered > 100
+
+
+class _CountingDict(dict):
+    """A dict that counts the calls of its `get`."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_a_body_with_a_constant_never_scans_a_relation(monkeypatch):
+    # the join starts from a body constant and reaches every other atom of
+    # a connected body through a known term, so no atom reads all of its
+    # relation's facts, wherever the constant is written
+    rng = random.Random(21)
+    cases = [c for c in _grounding_cases(rng)
+             if any(not t.is_var for a in c[1].body for t in a.terms)]
+    store = random_kg(rng, n_entities=8, n_relations=3, n_train=50)
+    cases += [(store, R(text, store), None) for text in (
+        "r0(X,Y) <- r1(X,V0), r2(V0,V1), r0(V1,e3)",
+        "r0(X,e1) <- r1(X,V0), r0(V0,e2)",
+        "r0(X,Y) <- r2(X,V0), r1(e4,V0), r0(V0,Y)",
+        "r0(X,Y) <- r1(V0,X), r2(V1,V0), r0(e2,V1)",
+        "r0(X,Y) <- r1(X,Y), r2(Y,V0), r0(V0,e5)")]
+    grounded = Counter()
+    for store, rule, exclude in cases:
+        order = body_vars(rule)
+        want = [tuple(b[v] for v in order)
+                for b in ground_body_oracle(rule, store, exclude)]
+        scans = _CountingDict(store.by_relation)
+        monkeypatch.setattr(store, "by_relation", scans)
+        got = list(ground_body(rule, store, exclude))
+        monkeypatch.undo()
+        assert scans.gets == 0, format_rule(rule, store.entities,
+                                            store.relations)
+        assert sorted(got) == sorted(want)
+        grounded[len(rule.body)] += bool(want)
+    assert len(cases) > 300 and min(grounded[n] for n in (1, 2, 3)) >= 5, \
+        grounded
 
 
 def _brute_force_maps(groundings, n_slots):
@@ -236,8 +279,9 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
         assert body.pos == {v: i for i, v in enumerate(order)}
         want = [tuple(b[v] for v in order)
                 for b in ground_body_oracle(rule, store, consts)]
-        assert body.groundings == want
-        grouped, common, pairs = _brute_force_maps(want, len(order))
+        assert same_groundings(body.groundings, want, rule)
+        grouped, common, pairs = _brute_force_maps(body.groundings,
+                                                   len(order))
         for j in range(len(order)):
             assert dict(body.grouped(j)) == grouped[j]
             assert body.common(j) == common[j]
@@ -247,7 +291,7 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
         if kind_of(rule) == "OAR":
             oar = open_groundings(rule, store)
             assert isinstance(oar, BodyIndex)
-            assert oar.groundings == want
+            assert same_groundings(oar.groundings, want, rule)
         if want:
             seen["grounded"] += 1
             seen["body constant"] += bool(consts)
@@ -327,9 +371,11 @@ def test_the_parent_tuples_start_the_join_for_every_kind_of_last_atom():
         prefix = Rule(rule.head, rule.body[:-1])
         parent = list(ground_body(prefix, store, constants(rule)))
         want = list(ground_body(rule, store))
-        assert want == [tuple(b[v] for v in order)
-                        for b in ground_body_oracle(rule, store)]
-        assert list(ground_body(rule, store, parent=parent)) == want, \
+        assert same_groundings(want, [tuple(b[v] for v in order)
+                                      for b in ground_body_oracle(rule, store)],
+                               rule)
+        assert same_groundings(list(ground_body(rule, store, parent=parent)),
+                               want, rule), \
             format_rule(rule, store.entities, store.relations)
         assert list(ground_body(rule, store, parent=[])) == []
         if want:
