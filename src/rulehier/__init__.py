@@ -9,8 +9,8 @@ from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
 from .hierarchy import (Hierarchy, bfs_with_pruning, build_a_hierarchy,
                         build_i_hierarchy, union)
 from .miner import (LearnResult, Measures, MinerConfig, evaluate,
-                    generalization, is_relevant, learn, open_groundings,
-                    post_pruning, specialization)
+                    generalization, is_relevant, learn, learn_all,
+                    open_groundings, post_pruning, specialization)
 from .evaluator import (KgcSummary, PredictionRanking, Query, evaluate_kgc,
                         hits_at, mrr, queries_for, rank, suggest)
 

@@ -22,8 +22,9 @@ from pathlib import Path
 from . import hierarchy as hmod
 from .evaluator import evaluate_kgc
 from .kgstore import SPLITS, Interner, SplitConfig, TripleStore, resplit
-from .miner import (MinerConfig, check_types, learn, read_rules,
-                    write_rules)
+from .miner import MinerConfig, check_types, learn_all, read_rules, write_rules
+# the commands mine through learn_all; bench/layers.py probes this name
+from .miner import learn  # noqa: F401
 from .rules import format_rule, parse_rule
 from .subsumption import (a_subsumes, i_subsumes, oi_subsumes, sa_subsumes,
                           sa_subsumes_complete, theta_subsumes)
@@ -173,13 +174,6 @@ def _file_names(relations: Interner) -> list[str]:
             for i, s in enumerate(safe)]
 
 
-def _learn_all(store: TripleStore, cfg: RunConfig, targets: list[int],
-               collect_hierarchy: bool = False):
-    return {rt: learn(store, rt, cfg.miner,
-                      collect_hierarchy=collect_hierarchy)
-            for rt in targets}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -225,8 +219,8 @@ def cmd_learn(args) -> int:
     targets = select_targets(store, cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _learn_all(store, cfg, targets,
-                         collect_hierarchy=bool(args.emit_hierarchy))
+    results = learn_all(store, targets, cfg.miner,
+                        collect_hierarchy=bool(args.emit_hierarchy))
     names = _file_names(store.relations)
     for rt, res in sorted(results.items()):
         write_rules(out_dir / f"rules_{names[rt]}.txt", res.rules,
@@ -317,7 +311,7 @@ def cmd_bench(args) -> int:
             point = replace(cfg, miner=replace(
                 cfg.miner, supp_h=supp_h, enable_post_pruning=post))
             t0 = time.monotonic()
-            results = _learn_all(store, point, targets)
+            results = learn_all(store, targets, point.miner)
             runtime = time.monotonic() - t0
             rules_by_rel = {rt: res.rules for rt, res in results.items()}
             summary = evaluate_kgc(store, rules_by_rel)

@@ -135,14 +135,15 @@ def bfs_with_pruning(h, visit: Callable[[Hashable], bool]) -> set:
 
 
 def write_dot(h: Hierarchy, path, namer: Callable[[Rule], str]) -> None:
-    """DOT export: solid A-edges, dashed I-edges."""
+    """DOT export: solid A-edges, dashed I-edges. A node's label is
+    `namer`'s text with each backslash and double quote escaped."""
     styles = {A_EDGE: "solid", I_EDGE: "dashed"}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("digraph rules {\n")
         names = {n: f"r{i}" for i, n in
                  enumerate(sorted(h.nodes, key=Rule.sort_key))}
         for node, nid in names.items():
-            label = namer(node).replace('"', r'\"')
+            label = namer(node).replace("\\", "\\\\").replace('"', '\\"')
             fh.write(f'  {nid} [label="{label}"];\n')
         for e in sorted(h.edges, key=lambda e: (e.parent.sort_key(),
                                                 e.child.sort_key())):

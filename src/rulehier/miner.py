@@ -1,19 +1,20 @@
 """Walk-based rule mining with hierarchical pruning.
 
-Pipeline per target predicate: sample walks into walk keys, one per
-distinct abstract rule, and visit them breadth-first over the
-atom-addition hierarchy, a trie whose parent of a key is its prefix. The
-traversal builds and measures each rule it reaches once and prunes
-subtrees below `supp_h`; a rule it does not reach is never built. A rule's
-body groundings extend those of its kept A-parent by one atom. A kept
-closed rule is filtered for relevance; a kept open rule is specialized
-from the grounding pass that measured it, support first (each anchor's
-HAR before any of its BARs) and the dearer thresholds after, and post
-pruning drops dominated anchorings. That pass fills a `BodyIndex`, the
-grounding index that rule application (`evaluator`) reads too. Both
-hierarchies are recorded as their rules are made, with no subsumption
-check: an abstract rule's A-parent is its walk prefix, and a BAR's
-I-parent is the HAR of its anchor.
+Pipeline: each target predicate samples walks into walk keys, one per
+distinct abstract rule, and one traversal visits the keys of all targets
+breadth-first over the atom-addition hierarchy, a trie whose parent of a
+key is its prefix. Each target builds and measures each rule it reaches
+once and prunes subtrees below `supp_h`; a rule no target reaches is
+never built. An open rule's body does not depend on the target, so it is
+grounded once per run, and its groundings extend those of its kept
+A-parent by one atom. A kept closed rule is filtered for relevance; a
+kept open rule is specialized from the grounding pass that measured it,
+support first (each anchor's HAR before any of its BARs) and the dearer
+thresholds after, and post pruning drops dominated anchorings. That pass
+fills a `BodyIndex`, the grounding index that rule application
+(`evaluator`) reads too. Both hierarchies are recorded as their rules are
+made, with no subsumption check: an abstract rule's A-parent is its walk
+prefix, and a BAR's I-parent is the HAR of its anchor.
 """
 
 from __future__ import annotations
@@ -321,11 +322,11 @@ def _sample_walk(store: TripleStore, x: int, y: int, length: int,
     starts at an entity that is neither x (visited) nor y (a walk that
     reaches y ends there), so the originating triple is not among its
     edges; `where[cur]` maps each neighbour of cur to its positions in
-    cur's list, is filled on first use and lives for one `generalization`
-    call. A step draws `randrange(n)` over the n edges it may take, then
-    moves the index past each excluded position at or below it, in
-    ascending order. That is the same draw and the same edge as indexing
-    the filtered list, at a cost that does not depend on cur's degree.
+    cur's list and is filled on first use. A step draws `randrange(n)`
+    over the n edges it may take, then moves the index past each excluded
+    position at or below it, in ascending order. That is the same draw and
+    the same edge as indexing the filtered list, at a cost that does not
+    depend on cur's degree.
 
     Returns the walk's key for `walk_rule`: a (predicate, subject id, object
     id) triple per step, where x has id 0, y id 1 and every other entity
@@ -364,8 +365,9 @@ def _sample_walk(store: TripleStore, x: int, y: int, length: int,
     return tuple(key)
 
 
-def generalization(store: TripleStore, rt: int,
-                   cfg: MinerConfig) -> list[tuple[int, ...]]:
+def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
+                   where: dict[int, dict[int, list[int]]] | None = None
+                   ) -> list[tuple[int, ...]]:
     """Sample walks from every train instance and abstract them into walk
     keys, sorted; `walk_rule(rt, key)` is a key's abstract rule.
 
@@ -374,13 +376,18 @@ def generalization(store: TripleStore, rt: int,
     kept, so the keys are closed under prefixes: a key's A-parent is
     `key[:-3]`, and the top rule's key, (), is always included. Sorted
     keys are in their rules' `Rule.sort_key` order.
+
+    `where` holds the neighbour-position maps `_sample_walk` fills; a
+    caller that samples several targets from an unchanged store passes one
+    dict to all of them. By default each call builds its own.
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
         raise EmptyTargetError(f"relation {rt} has no train instances")
     rng = random.Random(f"{cfg.seed}:{rt}")
     seen: set[tuple[int, ...]] = {()}
-    where: dict[int, dict[int, list[int]]] = {}   # see _sample_walk
+    if where is None:
+        where = {}
     for x, y in instances:
         # the first step's excluded positions in x's list, from one scan:
         # x's self-loops, and every edge to y when a later step follows or
@@ -408,7 +415,7 @@ def _is_oar_key(key: tuple[int, ...]) -> bool:
 
 
 class _WalkTrie:
-    """The A-hierarchy over `generalization`'s sorted walk keys, as
+    """The A-hierarchy over sorted, prefix-closed walk keys, as
     `bfs_with_pruning` reads it: the top rule's key () is the root, and a
     key's children are the keys that extend it by one step, in order."""
 
@@ -567,82 +574,55 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 
 
 # ---------------------------------------------------------------------------
-# Algorithm: end-to-end learning for one target predicate
+# Algorithm: end-to-end learning, every target in one traversal
 
-def learn(store: TripleStore, rt: int, cfg: MinerConfig,
-          collect_hierarchy: bool = False) -> LearnResult:
-    """Mine one target. Prior pruning's breadth-first traversal of the
-    A-hierarchy, a trie over walk keys, builds and measures each abstract
-    rule it reaches once, keeps it iff supp >= `supp_h` (0 prunes nothing)
-    and mines it (see `visit`); a rule it does not reach is never built.
-    A rule's body groundings extend those of its kept A-parent, which are
-    dropped once the parent's children are visited. No mined rule repeats:
-    a HAR keeps its OAR's body, a BAR's OAR is its one body constant
-    lifted, and CARs, HARs and BARs differ in their number of constants.
-    Each kept OAR is specialized over the target's train pairs as stored,
-    in no set order: its kept anchorings do not depend on it, and the
-    rules are sorted at the end. With `collect_hierarchy`, every abstract
-    rule is built, and `hierarchy` is the A-hierarchy united with every
-    I-hierarchy of post pruning."""
-    rt_pairs = store.instances_of(rt, "train")
-    if not rt_pairs:
-        raise EmptyTargetError(f"relation {rt} has no train instances")
-    valid_pairs = store.instances_of(rt, "valid")
+class _Target:
+    """One target's share of `learn_all`'s traversal: its train and
+    validation pairs, what it mined so far and its result."""
 
-    result = LearnResult(target=rt, rules=[])
-    t0 = time.monotonic()
-    keys = generalization(store, rt, cfg)
-    t1 = time.monotonic()
-    result.gen_seconds = t1 - t0
-    result.abstract_rules = len(keys)
+    def __init__(self, store: TripleStore, rt: int, collect: bool):
+        self.rt = rt
+        self.rt_pairs = store.instances_of(rt, "train")
+        if not self.rt_pairs:
+            raise EmptyTargetError(f"relation {rt} has no train instances")
+        self.valid_pairs = store.instances_of(rt, "valid")
+        self.collect = collect
+        self.result = LearnResult(target=rt, rules=[])
+        self.oar_keys = 0   # how many of its walk keys are OAR keys
+        # the target's rules by key, all built up front when collecting
+        self.rules: dict[tuple[int, ...], Rule] = {}
+        # when collecting: the A-hierarchy, then every I-hierarchy, united
+        # once at the end
+        self.collected: list[Hierarchy] = []
+        self.mined: list[tuple[Rule, Measures]] = []
+        self.visited = self.kept = 0
 
-    trie = _WalkTrie(keys)
-    # when collecting: the A-hierarchy, then every I-hierarchy, unioned
-    # once at the end
-    collected: list[Hierarchy] = []
-    rules: dict[tuple[int, ...], Rule] = {}
-    if collect_hierarchy:
-        rules = {key: walk_rule(rt, key) for key in keys}
-        collected.append(Hierarchy(set(rules.values()), {
+    def build_all(self, keys: list[tuple[int, ...]]) -> None:
+        """Build the rule of every walk key and record the A-hierarchy."""
+        rules = self.rules = {key: walk_rule(self.rt, key) for key in keys}
+        self.collected.append(Hierarchy(set(rules.values()), {
             SubsumptionEdge(rules[key[:-3]], r, A_EDGE)
             for key, r in rules.items() if key}))
-    mined: list[tuple[Rule, Measures]] = []
-    # a kept OAR's groundings, and how many of its children are still to
-    # be visited
-    pending: dict[tuple[int, ...], list] = {}
 
-    def visit(key: tuple[int, ...]) -> bool:
-        """Build a key's rule, measure it, keep it iff supp >= supp_h and
-        mine it: filter a CAR, specialize an OAR from the grounding pass
-        that measured it."""
-        rule = rules[key] if rules else walk_rule(rt, key)
-        up = pending.get(key[:-3])   # never the top rule's: not an OAR
-        if up is not None:
-            up[1] -= 1
-            if not up[1]:
-                del pending[key[:-3]]
-        parent = up[0] if up else None
-        is_oar = _is_oar_key(key)
-        if is_oar:
-            g = open_groundings(rule, store, parent)
-            m = _open_measures(g, store, rt_pairs, valid_pairs, cfg)
-        else:
-            m = evaluate(rule, store, rt_pairs, cfg, valid_pairs, parent)
-        if m.supp < cfg.supp_h:
-            return False
-        if is_oar and trie.children(key):
-            pending[key] = [g.groundings, len(trie.children(key))]
+    def rule(self, key: tuple[int, ...]) -> Rule:
+        return self.rules[key] if self.rules else walk_rule(self.rt, key)
+
+    def mine(self, key: tuple[int, ...], rule: Rule, m: Measures,
+             body: BodyIndex | None, cfg: MinerConfig) -> None:
+        """Mine a kept rule: filter a CAR, specialize an OAR from the
+        grounding pass that measured it (`body`)."""
         if not key:
-            return True
-        if not is_oar:
+            return
+        if body is None:
             if is_relevant(m, cfg) and overfit_keep(m, cfg):
-                mined.append((rule, m))
-            return True
-        specs, _ = specialization(rule, g, rt_pairs, valid_pairs, cfg=cfg)
+                self.mined.append((rule, m))
+            return
+        specs, _ = specialization(rule, body, self.rt_pairs,
+                                  self.valid_pairs, cfg=cfg)
         if not specs:
-            result.u_oars += 1
-            return True
-        result.i_oars += 1
+            self.result.u_oars += 1
+            return
+        self.result.i_oars += 1
         if cfg.enable_post_pruning:
             # a HAR binds only Y, which the OAR's body lacks, so it keeps
             # the body; each BAR's one I-parent is the HAR of its anchor
@@ -653,27 +633,150 @@ def learn(store: TripleStore, rt: int, cfg: MinerConfig,
                 if r.body != rule.body and r.head.obj in hars})
             keep = post_pruning(phi_i, {r: m.sc for r, m in specs})
             specs = [(r, m) for r, m in specs if r in keep]
-            if collect_hierarchy:
-                collected.append(phi_i)
-        mined.extend(specs)
-        return True
+            if self.collect:
+                self.collected.append(phi_i)
+        self.mined.extend(specs)
 
-    kept = bfs_with_pruning(trie, visit)
-    result.p_oars = sum(map(_is_oar_key, keys)) \
-        - result.i_oars - result.u_oars
+    def finish(self) -> LearnResult:
+        result = self.result
+        result.p_oars = self.oar_keys - result.i_oars - result.u_oars
+        result.rules = sorted(self.mined,
+                              key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
+        if self.collect:
+            result.hierarchy = union(*self.collected)
+        return result
 
-    result.rules = sorted(mined, key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
-    if collect_hierarchy:
-        result.hierarchy = union(*collected)
-    result.spec_seconds = time.monotonic() - t1
-    # a trie key has one parent, so the visited keys are the root and the
-    # children of the kept ones
-    log.debug("relation %d: %d walk keys, %d visited, %d kept; OARs "
-              "p/i/u %d/%d/%d; %d rules; gen %.3f s, spec %.3f s", rt,
-              len(keys), 1 + sum(len(trie.children(k)) for k in kept),
-              len(kept), result.p_oars, result.i_oars, result.u_oars,
-              len(result.rules), result.gen_seconds, result.spec_seconds)
-    return result
+
+def learn(store: TripleStore, rt: int, cfg: MinerConfig,
+          collect_hierarchy: bool = False) -> LearnResult:
+    """Mine one target: `learn_all` over it alone."""
+    return learn_all(store, [rt], cfg, collect_hierarchy)[rt]
+
+
+def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
+              collect_hierarchy: bool = False) -> dict[int, LearnResult]:
+    """Mine every target in one traversal; each target's result, in the
+    order of `targets`, is the one it would get alone.
+
+    Each target samples its own walk keys, with its own seed. Prior
+    pruning's breadth-first traversal then runs once over the union of
+    their A-hierarchies, tries over walk keys, and builds and measures
+    each abstract rule a target reaches once per target: a target visits a
+    key iff it sampled it and kept its parent, and keeps it iff supp >=
+    `supp_h` (0 prunes nothing). A rule no target reaches is never built.
+    An OAR's body does not depend on the target (`walk_rule` uses it only
+    in the head), so each body is grounded once per run, by extending the
+    groundings of its A-parent, and every target that visits the key
+    measures and mines it from that one index. A parent's groundings are
+    dropped once its children are visited, and a key no target kept keeps
+    none. The neighbour-position maps of walk sampling are built once per
+    run too.
+
+    A target mines each kept rule as it visits it: a closed rule is
+    filtered, an OAR specialized over the target's train pairs as stored,
+    in no set order: its kept anchorings do not depend on it, and the
+    rules are sorted at the end. No mined rule repeats: a HAR keeps its
+    OAR's body, a BAR's OAR is its one body constant lifted, and CARs,
+    HARs and BARs differ in their number of constants. With
+    `collect_hierarchy`, every abstract rule is built, and a target's
+    `hierarchy` is its A-hierarchy united with every I-hierarchy of its
+    post pruning.
+
+    The run's time is split over the targets with no gap or overlap, so
+    their `gen_seconds` and `spec_seconds` add up to its wall time. A
+    target's `gen_seconds` is its walk sampling, and its `spec_seconds`
+    its measuring, specialization and post pruning, plus the grounding of
+    each body whose key it is the first target, in `targets` order, to
+    visit."""
+    clock = time.monotonic()
+
+    def lap() -> float:
+        """The time since the last lap."""
+        nonlocal clock
+        now = time.monotonic()
+        lapsed, clock = now - clock, now
+        return lapsed
+
+    def charge(t: _Target) -> None:
+        t.result.spec_seconds += lap()
+
+    states = [_Target(store, rt, collect_hierarchy) for rt in targets]
+    if len({t.rt for t in states}) != len(states):
+        raise ValueError("a target is listed twice")
+    # the targets that sampled each key, as a set of bits: bit i stands
+    # for states[i]
+    tags: dict[tuple[int, ...], int] = {}
+    where: dict[int, dict[int, list[int]]] = {}   # see _sample_walk
+    for i, t in enumerate(states):
+        keys = generalization(store, t.rt, cfg, where)
+        t.result.gen_seconds = lap()
+        t.result.abstract_rules = len(keys)
+        t.oar_keys = sum(map(_is_oar_key, keys))
+        if collect_hierarchy:
+            t.build_all(keys)
+        for key in keys:
+            tags[key] = tags.get(key, 0) | 1 << i
+        charge(t)
+    keys = where = None   # walk sampling is done: free its keys and maps
+    trie = _WalkTrie(sorted(tags))
+    # a kept key's groundings (None for the top rule), how many of its
+    # children are still to be visited, and the bits of the targets that
+    # kept it
+    pending: dict[tuple[int, ...], list] = {}
+
+    def visit(key: tuple[int, ...]) -> bool:
+        """Build a key's rule for each target that visits it, ground its
+        body once if it is an OAR, and let each of those targets measure,
+        keep and mine it. Kept iff some target keeps it."""
+        if key:
+            up = pending[key[:-3]]   # the traversal reached key from it
+            up[1] -= 1
+            if not up[1]:
+                del pending[key[:-3]]
+            parent, bits = up[0], tags[key] & up[2]
+        else:   # the root: every target sampled it, if there is one
+            parent, bits = None, tags.get(key, 0)
+        if not bits:
+            return False
+        active = []   # the targets of the set bits, in `targets` order
+        while bits:
+            low = bits & -bits
+            active.append((low, states[low.bit_length() - 1]))
+            bits ^= low
+        rules = [t.rule(key) for _, t in active]
+        body = None
+        if _is_oar_key(key):
+            body = open_groundings(rules[0], store, parent)
+            charge(active[0][1])
+        kept = 0
+        for (bit, t), rule in zip(active, rules):
+            t.visited += 1
+            if body is None:
+                m = evaluate(rule, store, t.rt_pairs, cfg, t.valid_pairs,
+                             parent)
+            else:
+                m = _open_measures(body, store, t.rt_pairs, t.valid_pairs,
+                                   cfg)
+            if m.supp >= cfg.supp_h:
+                t.kept += 1
+                kept |= bit
+                t.mine(key, rule, m, body, cfg)
+            charge(t)
+        if kept and trie.children(key):
+            pending[key] = [None if body is None else body.groundings,
+                            len(trie.children(key)), kept]
+        return bool(kept)
+
+    bfs_with_pruning(trie, visit)
+    for t in states:
+        res = t.finish()
+        charge(t)
+        log.debug("relation %d: %d walk keys, %d visited, %d kept; OARs "
+                  "p/i/u %d/%d/%d; %d rules; gen %.3f s, spec %.3f s",
+                  t.rt, res.abstract_rules, t.visited, t.kept, res.p_oars,
+                  res.i_oars, res.u_oars, len(res.rules), res.gen_seconds,
+                  res.spec_seconds)
+    return {t.rt: t.result for t in states}
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +814,8 @@ def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
 
 def _read_rule_line(line: str, entities, relations,
                     atoms: dict) -> tuple[Rule, Measures]:
-    parts = line.split(" | ")
+    # the rule text comes first, and only it may hold " | "
+    parts = line.rsplit(" | ", 4)
     if len(parts) != 5:
         raise ParseError("expected 5 columns")
     rule = parse_rule(parts[0], entities, relations, intern=False,

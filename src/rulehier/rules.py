@@ -11,6 +11,7 @@ distinct walk shape.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,24 +253,60 @@ def instantiate(rule: Rule, bindings: dict[Term, int]) -> Rule:
 
 # ---------------------------------------------------------------------------
 # text grammar:  HEAD <- ATOM(", " ATOM)*   ATOM := pred(term,term)
+# A name that would not read back bare is written as a JSON string.
 
 _VAR_RE = re.compile(r"V(\d+)$")
 _SK_RE = re.compile(r"sk(\d+)$")
 _ATOM_RE = re.compile(r"\s*([^(,]+)\(([^,()]+),\s*([^,()]+)\)\s*")
+# what a bare name may not hold: the grammar's characters, a line end, and
+# in a term the spelling of a variable or a skolem
+_SPECIAL_RE = re.compile(r'[(),"\n]|<-')
+_RESERVED_RE = re.compile(r"X|Y|V\d+|sk\d+")
+# a quoted name in rule text, and the placeholder `parse_rule` puts for it
+_QUOTED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_HIDDEN_RE = re.compile(r'"(\d+)"')
 
 
-def _parse_term(text: str, entities: Interner, intern: bool) -> Term:
+def _quote(name: str, term: bool) -> str:
+    """The name as rule text: bare if it reads back as itself, else a JSON
+    string."""
+    if name and name == name.strip() and not _SPECIAL_RE.search(name) \
+            and not (term and _RESERVED_RE.fullmatch(name)):
+        return name
+    return json.dumps(name, ensure_ascii=False)
+
+
+def _name(text: str, quoted: list[str] | None) -> str:
+    """A name read from rule text, in which `parse_rule` replaced the i-th
+    quoted name by the placeholder "i"."""
     text = text.strip()
-    if text == "X":
-        return VAR_X
-    if text == "Y":
-        return VAR_Y
-    m = _VAR_RE.match(text)
-    if m:
-        return var(int(m.group(1)))
-    m = _SK_RE.match(text)
-    if m:
-        return skolem(int(m.group(1)))
+    if '"' not in text:
+        return text
+    m = _HIDDEN_RE.fullmatch(text)
+    if not m:
+        raise ParseError(f"bad quoted name in {text!r}")
+    literal = quoted[int(m.group(1))]
+    try:
+        return json.loads(literal)
+    except ValueError:
+        raise ParseError(f"bad quoted name {literal}") from None
+
+
+def _parse_term(text: str, entities: Interner, intern: bool,
+                quoted: list[str] | None) -> Term:
+    text = text.strip()
+    if not text.startswith('"'):
+        if text == "X":
+            return VAR_X
+        if text == "Y":
+            return VAR_Y
+        m = _VAR_RE.match(text)
+        if m:
+            return var(int(m.group(1)))
+        m = _SK_RE.match(text)
+        if m:
+            return skolem(int(m.group(1)))
+    text = _name(text, quoted)
     if intern:
         return const(entities.intern(text))
     idx = entities.get(text)
@@ -287,7 +324,7 @@ def _format_term(t: Term, entities: Interner) -> str:
         return f"V{t.idx - _FIRST_FRESH}"
     if t.is_skolem:
         return f"sk{-t.idx - 1}"
-    return entities.name(t.idx)
+    return _quote(entities.name(t.idx), term=True)
 
 
 def parse_rule(text: str, entities: Interner, relations: Interner,
@@ -295,13 +332,22 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
                ) -> Rule:
     """Parse rule text; raises ParseError with the failing position.
 
+    A name in double quotes is a JSON string, and may hold any character.
     `atoms` memoizes atom texts: a caller that parses many rules against
     the same interners passes one dict, and each distinct atom text is
     parsed once."""
+    quoted = None
+    memo = {} if atoms is None else atoms
+    if '"' in text:
+        # set each quoted name aside, so that no character of it is read
+        # as grammar; the placeholders mean other names in another rule
+        quoted = _QUOTED_RE.findall(text)
+        names = iter(range(len(quoted)))
+        text = _QUOTED_RE.sub(lambda _: f'"{next(names)}"', text)
+        memo = {}
     if "<-" not in text:
         raise ParseError(f"missing '<-' in {text!r}")
     head_text, body_text = text.split("<-", 1)
-    memo = {} if atoms is None else atoms
 
     def parse_atom(chunk: str, pos: int) -> Atom:
         atom = memo.get(chunk)
@@ -310,13 +356,13 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
         m = _ATOM_RE.fullmatch(chunk)
         if not m:
             raise ParseError(f"bad atom at position {pos}: {chunk.strip()!r}")
-        pred = relations.intern(m.group(1).strip()) if intern \
-            else relations.get(m.group(1).strip())
+        name = _name(m.group(1), quoted)
+        pred = relations.intern(name) if intern else relations.get(name)
         if pred is None:
-            raise ParseError(f"unknown predicate {m.group(1).strip()!r}")
-        atom = memo[chunk] = Atom(pred,
-                                  _parse_term(m.group(2), entities, intern),
-                                  _parse_term(m.group(3), entities, intern))
+            raise ParseError(f"unknown predicate {name!r}")
+        atom = memo[chunk] = Atom(
+            pred, _parse_term(m.group(2), entities, intern, quoted),
+            _parse_term(m.group(3), entities, intern, quoted))
         return atom
 
     head = parse_atom(head_text, 0)
@@ -339,7 +385,8 @@ def format_rule(rule: Rule, entities: Interner, relations: Interner,
     def fmt(atom: Atom) -> str:
         text = memo.get(atom)
         if text is None:
-            text = memo[atom] = (f"{relations.name(atom.pred)}("
+            pred = _quote(relations.name(atom.pred), term=False)
+            text = memo[atom] = (f"{pred}("
                                  f"{_format_term(atom.subj, entities)},"
                                  f"{_format_term(atom.obj, entities)})")
         return text

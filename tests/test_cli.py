@@ -410,6 +410,66 @@ def test_learn_writes_every_target_when_file_names_collide(tmp_path, capsys):
     assert sorted(int(n) for _, n in keys) == sorted(heads.values())
 
 
+def test_learn_and_bench_mine_every_target_in_one_traversal(tmp_path,
+                                                            monkeypatch):
+    traversals = []
+    bfs = miner.bfs_with_pruning
+    monkeypatch.setattr(miner, "bfs_with_pruning",
+                        lambda *a: traversals.append(a) or bfs(*a))
+    ds = write_dataset(tmp_path, full_store())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    assert len(traversals) == 1
+    assert main(["bench", "--config", str(cfg), "--thresholds", "0,2"]) == 0
+    assert len(traversals) == 3   # one per threshold
+    # each target's rule file holds what it mines alone
+    store = TripleStore.from_directory(ds)
+    config = load_config(cfg).miner
+    for name in ("r0", "r1", "r2"):
+        back = read_rules(out / f"rules_{name}.txt", store.entities,
+                          store.relations)
+        alone = miner.learn(store, store.relations.get(name), config)
+        assert back and [r for r, _ in back] == [r for r, _ in alone.rules]
+
+
+def test_learn_with_no_target_writes_no_rule_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, write_dataset(tmp_path, full_store()), out)
+    assert main(["learn", "--config", str(cfg), "--set", "target_mode=random",
+                 "--set", "target_k=0"]) == 0
+    assert "learned 0 rules for 0 targets" in capsys.readouterr().out
+    assert not list(out.glob("rules_*.txt"))
+
+
+def test_eval_reads_back_the_rules_of_any_entity_names(tmp_path, capsys):
+    # names that a bare rule text would read as a variable or a skolem, or
+    # that hold the grammar's characters
+    awkward = ["Paris_(band)", "Washington,_D.C.", "X", "Y", "V0", "sk0",
+               " padded ", 'say "hi"', "a <- b", "x | y", "back\\slash"]
+    base = full_store()
+    store = TripleStore()
+    for split, triples in base.splits.items():
+        for rel, subj, obj in triples:
+            store.add_triple(
+                store.relations.intern(base.relations.name(rel)),
+                *(store.entities.intern(awkward[e] if e < len(awkward)
+                                        else base.entities.name(e))
+                  for e in (subj, obj)), split)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, write_dataset(tmp_path, store), out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    learned = int(re.search(r"learned (\d+) rules",
+                            capsys.readouterr().out).group(1))
+    texts = "".join(f.read_text(encoding="utf-8")
+                    for f in out.glob("rules_*.txt"))
+    assert '"Paris_(band)"' in texts and ',"X")' in texts
+    assert main(["eval", "--config", str(cfg)]) == 0
+    back = TripleStore.from_directory(tmp_path / "data")
+    assert learned == sum(len(read_rules(f, back.entities, back.relations))
+                          for f in out.glob("rules_*.txt"))
+
+
 def _record_values(record: str, key: str) -> list[str]:
     return re.findall(rf"^target\.[^.]+\.{key} = (.*)$", record, re.M)
 

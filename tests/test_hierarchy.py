@@ -1,4 +1,5 @@
 import random
+import re
 
 from rulehier import hierarchy
 from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
@@ -245,3 +246,18 @@ def test_write_dot_styles(tmp_path):
     assert "style=solid" in text
     assert "style=dashed" in text
     assert "Advises(X,Y)" in text
+
+
+def test_write_dot_labels_hold_the_rule_text(tmp_path):
+    # a quoted name's own quotes and backslashes survive DOT's escaping
+    store = toy_store()
+    rules = [R('Advises(X,"say \\"hi\\"") <- Publishes(X,V0)', store),
+             R('Advises(X,"back\\\\slash") <- Publishes(X,V0)', store),
+             R("Advises(X,Y) <- Publishes(X,V0)", store)]
+    h = build_i_hierarchy(rules)
+    out = tmp_path / "h.dot"
+    write_dot(h, out, lambda r: format_rule(r, store.entities,
+                                            store.relations))
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"', out.read_text())
+    assert sorted(re.sub(r"\\(.)", r"\1", t) for t in labels) == sorted(
+        format_rule(r, store.entities, store.relations) for r in rules)

@@ -1,9 +1,12 @@
 import inspect
 import random
 import re
+import tempfile
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rulehier.hierarchy as hierarchy_mod
 import rulehier.miner as miner_mod
@@ -13,9 +16,9 @@ from rulehier.hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
 from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
-                            ground_body, is_relevant, learn, open_groundings,
-                            overfit_keep, post_pruning, read_rules,
-                            specialization, write_rules)
+                            ground_body, is_relevant, learn, learn_all,
+                            open_groundings, overfit_keep, post_pruning,
+                            read_rules, specialization, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate,
                             is_straight, kind_of, parse_rule, walk_rule)
@@ -1191,6 +1194,124 @@ def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# every target in one traversal
+
+def _targets(store) -> list[int]:
+    return [rt for rt in range(len(store.relations))
+            if store.instances_of(rt)]
+
+
+@pytest.mark.parametrize("prune", [True, False])   # supp_h 8, or 0
+@pytest.mark.parametrize("post", [True, False])
+def test_learn_all_gives_each_target_what_it_mines_alone(prune, post):
+    rng = random.Random(29)
+    stores = [random_kg(rng, n_entities=14, n_relations=4, n_train=90,
+                        n_valid=25) for _ in range(3)] + [hub_kg(rng)]
+    config = cfg(supp_f=1, supp_h=8 if prune else 0, overfit_threshold=0.1,
+                 enable_post_pruning=post)
+    pruned = specialized = 0
+    for store in stores:
+        targets = _targets(store)
+        assert len(targets) >= 3
+        together = learn_all(store, targets, config, collect_hierarchy=True)
+        assert list(together) == targets
+        for rt in targets:
+            res, alone = together[rt], learn(store, rt, config,
+                                             collect_hierarchy=True)
+            rules, counts = learn_oracle(store, rt, config)
+            assert res.rules == alone.rules == rules
+            assert (res.p_oars, res.i_oars, res.u_oars) \
+                == (alone.p_oars, alone.i_oars, alone.u_oars) == counts
+            assert res.abstract_rules == alone.abstract_rules
+            assert res.hierarchy.nodes == alone.hierarchy.nodes
+            assert res.hierarchy.edges == alone.hierarchy.edges
+            pruned += res.p_oars
+            specialized += res.i_oars
+    assert specialized > 0
+    assert (pruned > 0) == prune
+
+
+def test_learn_all_grounds_each_body_once(monkeypatch):
+    grounded = Counter()   # open_groundings calls by body
+    ground = miner_mod.open_groundings
+    monkeypatch.setattr(miner_mod, "open_groundings",
+                        lambda oar, *a: grounded.update([oar.body])
+                        or ground(oar, *a))
+    built = Counter()   # walk_rule calls by (target, key)
+    walk = miner_mod.walk_rule
+    monkeypatch.setattr(miner_mod, "walk_rule",
+                        lambda pred, key: built.update([(pred, key)])
+                        or walk(pred, key))
+    maps = []   # the neighbour-position maps each generalization call got
+    sample = miner_mod.generalization
+    monkeypatch.setattr(miner_mod, "generalization",
+                        lambda store, rt, config, where=None:
+                        maps.append(where) or sample(store, rt, config,
+                                                     where))
+    rng = random.Random(31)
+    shared = 0
+    for store in (random_kg(rng, n_entities=14, n_relations=4, n_train=90),
+                  hub_kg(rng)):
+        targets = _targets(store)
+        config = cfg(max_len=3, supp_h=6, walks_per_instance=2)
+        grounded.clear()
+        maps.clear()
+        built.clear()
+        learn_all(store, targets, config)
+        once, together = Counter(grounded), Counter(built)
+        assert once and max(once.values()) == 1
+        # one map for the whole run
+        assert len(maps) == len(targets) and maps[0] is not None
+        assert all(where is maps[0] for where in maps)
+        # the same bodies as mining the targets one at a time, where some
+        # are grounded for several targets; and each target builds the
+        # rules it reaches alone, those whose parent it kept
+        grounded.clear()
+        built.clear()
+        for rt in targets:
+            learn(store, rt, config)
+        assert set(grounded) == set(once)
+        assert built == together
+        shared += sum(grounded.values()) - len(once)
+        # a run-wide map gives the same walk keys as a fresh one per target
+        where: dict = {}
+        for rt in targets:
+            assert sample(store, rt, config, where) \
+                == sample(store, rt, config)
+        assert where
+    assert shared > 0
+
+
+def test_learn_all_splits_its_wall_time_over_the_targets(monkeypatch):
+    ticks: list[float] = []
+
+    class Clock:   # a clock that moves one second per reading
+        @staticmethod
+        def monotonic() -> float:
+            ticks.append(float(len(ticks)))
+            return ticks[-1]
+    monkeypatch.setattr(miner_mod, "time", Clock)
+    store = random_kg(random.Random(6), n_entities=14, n_relations=3,
+                      n_train=70)
+    targets = _targets(store)
+    results = learn_all(store, targets, cfg())
+    assert sum(r.gen_seconds + r.spec_seconds for r in results.values()) \
+        == ticks[-1] - ticks[0]
+    assert all(r.gen_seconds > 0 and r.spec_seconds > 0
+               for r in results.values())
+
+
+def test_learn_all_rejects_a_repeated_or_empty_target():
+    store = toy_store()
+    rt = store.relations.get("Advises")
+    assert learn_all(store, [], cfg()) == {}
+    with pytest.raises(ValueError, match="twice"):
+        learn_all(store, [rt, rt], cfg())
+    with pytest.raises(EmptyTargetError):
+        learn_all(store, [rt, 99], cfg())
+
+
+# ---------------------------------------------------------------------------
 # rule file round trip
 
 def test_rule_file_round_trip(tmp_path):
@@ -1207,6 +1328,55 @@ def test_rule_file_round_trip(tmp_path):
     for (_, got), (_, want) in zip(back, res.rules):
         assert got.supp == want.supp
         assert got.hc == want.hc and got.sc == want.sc
+
+
+# names a real dataset may use that do not read back bare (a constant named
+# like a variable or a skolem, grammar characters, padding, a quote, a line
+# break), and a pool name that does
+AWKWARD = ["Paris_(band)", "Washington,_D.C.", "X", "Y", "V0", "sk0",
+           "V12", " padded ", "say \"hi\"", "a <- b", "x | y", "",
+           "two\nlines", "back\\slash", "\"", "e0"]
+
+
+def _anchored_rules(names: list[str], rel_names: list[str]):
+    """A store interning the names, and a HAR and a BAR per pair of them."""
+    store = TripleStore()
+    ids = [store.entities.intern(n) for n in names]
+    p, q, r = (store.relations.intern(n) for n in rel_names)
+    rules = []
+    for c, t in zip(ids, ids[1:] + ids[:1]):
+        head = Atom(r, VAR_X, Term(False, c))
+        rules.append(Rule(head, (Atom(p, VAR_X, Term(True, 2)),)))
+        if t != c:
+            rules.append(Rule(head, (Atom(p, VAR_X, Term(True, 2)),
+                                     Atom(q, Term(True, 2), Term(False, t)))))
+    return store, rules
+
+
+def _round_trip(path, store, rules):
+    items = [(rule, Measures(i, i / 7, i / 9)) for i, rule in enumerate(rules)]
+    write_rules(path, items, store.entities, store.relations)
+    back = read_rules(path, store.entities, store.relations)
+    assert [(r, (m.supp, m.hc, m.sc)) for r, m in back] == \
+        [(r, (m.supp, m.hc, m.sc)) for r, m in items]
+
+
+def test_rule_file_round_trips_awkward_names(tmp_path):
+    store, rules = _anchored_rules(
+        AWKWARD, ["born_in", "located,_in", "nationality (of)"])
+    _round_trip(tmp_path / "rules.txt", store, rules)
+    # a name that reads back bare keeps its bytes
+    text = (tmp_path / "rules.txt").read_text(encoding="utf-8")
+    assert "born_in(X,V0), " in text and ",e0) <- " in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(), min_size=2, max_size=4, unique=True),
+       st.lists(st.text(), min_size=3, max_size=3, unique=True))
+def test_rule_file_round_trips_any_names(names, rel_names):
+    store, rules = _anchored_rules(names, rel_names)
+    with tempfile.TemporaryDirectory() as tmp:
+        _round_trip(Path(tmp) / "rules.txt", store, rules)
 
 
 GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "

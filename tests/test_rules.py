@@ -399,6 +399,13 @@ def test_parse_errors():
         parse_rule("r9(X,Y) <-", ents, rels, intern=False)
     with pytest.raises(ParseError):
         parse_rule("r0(X,zz) <-", ents, rels, intern=False)
+    for bad in ('r0(X,"c0) <-',        # unterminated quote
+                'r0(X,"c\\q") <-',     # not a JSON escape
+                'r0(X,c"0") <-'):      # a quote inside a bare name
+        with pytest.raises(ParseError):
+            parse_rule(bad, ents, rels)
+    assert parse_rule('"r0"(X,"c0") <-', ents, rels, intern=False) == \
+        parse_rule("r0(X,c0) <-", ents, rels, intern=False)
 
 
 def test_parse_format_round_trip_random():
