@@ -53,7 +53,7 @@ def sweep(work, thresholds="0,8,24,40", post="off"):
     config.write_text(f"[dataset]\ndir = {data}\n\n[output]\ndir = {out}\n\n"
                       f"{MINER}", encoding="utf-8")
     if rulehier(["bench", "--config", str(config), "--thresholds",
-                 thresholds, "--post-prune", post]) != 0:
+                 thresholds, "--set", f"enable_post_pruning={post}"]) != 0:
         raise RuntimeError("rulehier bench failed")
     return out / "bench.csv"
 

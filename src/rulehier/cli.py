@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import json
 import logging
 import random
 import re
@@ -236,6 +237,18 @@ def cmd_learn(args) -> int:
     return 0
 
 
+# predictions.txt writes a name as a JSON string where it would not read
+# back bare: in a candidate, space-separated `name:score`, and in a query,
+# `rel(known,?)`, which the parentheses and comma delimit and `?` marks
+_CAND_SPECIAL_RE = re.compile(r'[ \t\r\n"]')
+_QUERY_SPECIAL_RE = re.compile(r'[ \t\r\n"(),]|^\?$')
+
+
+def _quote(name: str, special: re.Pattern) -> str:
+    return json.dumps(name, ensure_ascii=False) if special.search(name) \
+        else name
+
+
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
     rules_dir = Path(args.rules or cfg.output_dir)
@@ -252,14 +265,15 @@ def cmd_eval(args) -> int:
     log.debug("rule application: %s", summary.stats)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # each entity's text as a candidate, checked once, not once per answer
+    cand = [_quote(n, _CAND_SPECIAL_RE) for n in store.entities.names()]
     with open(out_dir / "predictions.txt", "w", encoding="utf-8") as fh:
         for q, r, top in summary.records:
-            name = store.relations.name(q.rel)
-            known = store.entities.name(q.known)
+            name = _quote(store.relations.name(q.rel), _QUERY_SPECIAL_RE)
+            known = _quote(store.entities.name(q.known), _QUERY_SPECIAL_RE)
             qtext = f"{name}({known},?)" if q.slot == "head" \
                 else f"{name}(?,{known})"
-            cands = " ".join(f"{store.entities.name(e)}:{s:.6f}"
-                             for e, s in top)
+            cands = " ".join(f"{cand[e]}:{s:.6f}" for e, s in top)
             fh.write(f"{qtext}\t{r if r else 'unranked'}\t{cands}\n")
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
         for line in config_echo(cfg):
@@ -299,7 +313,6 @@ def cmd_bench(args) -> int:
     store = TripleStore.from_directory(cfg.dataset_dir)
     targets = select_targets(store, cfg)
     thresholds = [int(x) for x in args.thresholds.split(",")]
-    post = args.post_prune == "on"
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "bench.csv"
@@ -308,15 +321,15 @@ def cmd_bench(args) -> int:
         writer.writerow(["supp_h", "post_prune", "runtime_s", "mrr",
                          "n_rules", "p_oars", "i_oars", "u_oars"])
         for supp_h in thresholds:
-            point = replace(cfg, miner=replace(
-                cfg.miner, supp_h=supp_h, enable_post_pruning=post))
             t0 = time.monotonic()
-            results = learn_all(store, targets, point.miner)
+            results = learn_all(store, targets,
+                                replace(cfg.miner, supp_h=supp_h))
             runtime = time.monotonic() - t0
             rules_by_rel = {rt: res.rules for rt, res in results.items()}
             summary = evaluate_kgc(store, rules_by_rel)
             writer.writerow([
-                supp_h, post, f"{runtime:.3f}", f"{summary.mrr:.6f}",
+                supp_h, cfg.miner.enable_post_pruning, f"{runtime:.3f}",
+                f"{summary.mrr:.6f}",
                 sum(len(r.rules) for r in results.values()),
                 sum(r.p_oars for r in results.values()),
                 sum(r.i_oars for r in results.values()),
@@ -370,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rules", help="rule file directory")
         if name == "bench":
             p.add_argument("--thresholds", default="0,10")
-            p.add_argument("--post-prune", choices=("on", "off"),
-                           default="off")
         p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="OAR classification table")

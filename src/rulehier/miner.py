@@ -12,9 +12,9 @@ kept open rule is specialized from the grounding pass that measured it,
 support first (each anchor's HAR before any of its BARs) and the dearer
 thresholds after, and post pruning drops dominated anchorings. That pass
 fills a `BodyIndex`, the grounding index that rule application
-(`evaluator`) reads too. Both hierarchies are recorded as their rules are
-made, with no subsumption check: an abstract rule's A-parent is its walk
-prefix, and a BAR's I-parent is the HAR of its anchor.
+(`evaluator`) reads too. Post pruning compares each BAR with its one
+I-parent, the HAR of its anchor. Only on request are both hierarchies
+recorded, as their rules are made, with no subsumption check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Collection
 
 from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
-                        bfs_with_pruning, union)
+                        bfs_with_pruning)
 # learn calls neither; bench/layers.py probes these names at this module
 from .hierarchy import build_a_hierarchy, build_i_hierarchy  # noqa: F401
 from .kgstore import ParseError, TripleStore, decode_line
@@ -43,6 +43,11 @@ log = logging.getLogger(__name__)
 
 class EmptyTargetError(ValueError):
     """The target predicate has no train instances."""
+
+
+def _empty_target(store: TripleStore, rt: int) -> EmptyTargetError:
+    name = store.relations.name(rt) if 0 <= rt < len(store.relations) else rt
+    return EmptyTargetError(f"relation {name!r} has no train instances")
 
 
 @dataclass
@@ -383,7 +388,7 @@ def generalization(store: TripleStore, rt: int, cfg: MinerConfig,
     """
     instances = sorted(store.instances_of(rt, "train"))
     if not instances:
-        raise EmptyTargetError(f"relation {rt} has no train instances")
+        raise _empty_target(store, rt)
     rng = random.Random(f"{cfg.seed}:{rt}")
     seen: set[tuple[int, ...]] = {()}
     if where is None:
@@ -564,6 +569,7 @@ def specialization(oar: Rule, body: BodyIndex,
     return out, False
 
 
+# learn prunes without it; tests/helpers.py and bench/layers.py use this name
 def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
     """Drop every rule strictly dominated in sc by a subsuming parent."""
     survivors = set(phi_i.nodes)
@@ -580,29 +586,28 @@ class _Target:
     """One target's share of `learn_all`'s traversal: its train and
     validation pairs, what it mined so far and its result."""
 
-    def __init__(self, store: TripleStore, rt: int, collect: bool):
+    def __init__(self, store: TripleStore, rt: int):
         self.rt = rt
         self.rt_pairs = store.instances_of(rt, "train")
         if not self.rt_pairs:
-            raise EmptyTargetError(f"relation {rt} has no train instances")
+            raise _empty_target(store, rt)
         self.valid_pairs = store.instances_of(rt, "valid")
-        self.collect = collect
         self.result = LearnResult(target=rt, rules=[])
         self.oar_keys = 0   # how many of its walk keys are OAR keys
-        # the target's rules by key, all built up front when collecting
+        # only when collecting, by build_all: the target's rules by key,
+        # and the nodes and edges of its A- and I-hierarchies
         self.rules: dict[tuple[int, ...], Rule] = {}
-        # when collecting: the A-hierarchy, then every I-hierarchy, united
-        # once at the end
-        self.collected: list[Hierarchy] = []
+        self.nodes: set[Rule] = set()
+        self.edges: set[SubsumptionEdge] = set()
         self.mined: list[tuple[Rule, Measures]] = []
         self.visited = self.kept = 0
 
     def build_all(self, keys: list[tuple[int, ...]]) -> None:
         """Build the rule of every walk key and record the A-hierarchy."""
         rules = self.rules = {key: walk_rule(self.rt, key) for key in keys}
-        self.collected.append(Hierarchy(set(rules.values()), {
-            SubsumptionEdge(rules[key[:-3]], r, A_EDGE)
-            for key, r in rules.items() if key}))
+        self.nodes.update(rules.values())
+        self.edges.update(SubsumptionEdge(rules[key[:-3]], r, A_EDGE)
+                          for key, r in rules.items() if key)
 
     def rule(self, key: tuple[int, ...]) -> Rule:
         return self.rules[key] if self.rules else walk_rule(self.rt, key)
@@ -625,16 +630,17 @@ class _Target:
         self.result.i_oars += 1
         if cfg.enable_post_pruning:
             # a HAR binds only Y, which the OAR's body lacks, so it keeps
-            # the body; each BAR's one I-parent is the HAR of its anchor
-            hars = {r.head.obj: r for r, _ in specs if r.body == rule.body}
-            phi_i = Hierarchy({r for r, _ in specs}, {
-                SubsumptionEdge(hars[r.head.obj], r, I_EDGE)
-                for r, _ in specs
-                if r.body != rule.body and r.head.obj in hars})
-            keep = post_pruning(phi_i, {r: m.sc for r, m in specs})
-            specs = [(r, m) for r, m in specs if r in keep]
-            if self.collect:
-                self.collected.append(phi_i)
+            # the body; a BAR's one I-parent is the HAR of its anchor, its
+            # head over that body, which drops it iff kept with a higher sc
+            hars = {r.head.obj: m for r, m in specs if r.body == rule.body}
+            if self.rules:
+                self.nodes.update(r for r, _ in specs)
+                self.edges.update(
+                    SubsumptionEdge(Rule(r.head, rule.body), r, I_EDGE)
+                    for r, _ in specs
+                    if r.body != rule.body and r.head.obj in hars)
+            specs = [(r, m) for r, m in specs
+                     if not hars.get(r.head.obj, m).sc > m.sc]
         self.mined.extend(specs)
 
     def finish(self) -> LearnResult:
@@ -642,8 +648,8 @@ class _Target:
         result.p_oars = self.oar_keys - result.i_oars - result.u_oars
         result.rules = sorted(self.mined,
                               key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
-        if self.collect:
-            result.hierarchy = union(*self.collected)
+        if self.rules:
+            result.hierarchy = Hierarchy(self.nodes, self.edges)
         return result
 
 
@@ -677,9 +683,9 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
     in no set order: its kept anchorings do not depend on it, and the
     rules are sorted at the end. No mined rule repeats: a HAR keeps its
     OAR's body, a BAR's OAR is its one body constant lifted, and CARs,
-    HARs and BARs differ in their number of constants. With
-    `collect_hierarchy`, every abstract rule is built, and a target's
-    `hierarchy` is its A-hierarchy united with every I-hierarchy of its
+    HARs and BARs differ in their number of constants. Only with
+    `collect_hierarchy` is every abstract rule built and a `Hierarchy`
+    made: a target's A-hierarchy united with every I-hierarchy of its
     post pruning.
 
     The run's time is split over the targets with no gap or overlap, so
@@ -700,7 +706,7 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
     def charge(t: _Target) -> None:
         t.result.spec_seconds += lap()
 
-    states = [_Target(store, rt, collect_hierarchy) for rt in targets]
+    states = [_Target(store, rt) for rt in targets]
     if len({t.rt for t in states}) != len(states):
         raise ValueError("a target is listed twice")
     # the targets that sampled each key, as a set of bits: bit i stands

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import json
 import logging
 import random
 import re
@@ -267,6 +268,20 @@ def test_select_targets_modes():
     assert picked == select_targets(store, cfg)  # seeded
 
 
+def test_a_target_with_no_train_instances_is_named(tmp_path, capsys):
+    store = full_store()
+    only = store.relations.intern("only_test")
+    store.add_triple(only, 0, 1, "test")
+    cfg = write_config(tmp_path, write_dataset(tmp_path, store),
+                       tmp_path / "out")
+    for command in ("learn", "bench"):
+        assert main([command, "--config", str(cfg), "--set",
+                     "target_mode=list", "--set",
+                     "target_list=only_test"]) == 1
+        assert capsys.readouterr().err == \
+            "error: relation 'only_test' has no train instances\n"
+
+
 def test_an_unknown_target_mode_is_an_error(tmp_path, capsys):
     # a config error, found before any mining or evaluation starts
     ds = write_dataset(tmp_path, full_store())
@@ -470,6 +485,54 @@ def test_eval_reads_back_the_rules_of_any_entity_names(tmp_path, capsys):
                           for f in out.glob("rules_*.txt"))
 
 
+# a predictions.txt name: a JSON string, or bare
+_PRED_NAME = r'"(?:[^"\\]|\\.)*"|[^"(),]+'
+
+
+def _read_name(text: str) -> str:
+    return json.loads(text) if text.startswith('"') else text
+
+
+def test_predictions_read_back_any_entity_names(tmp_path):
+    # a space would split a candidate, and a parenthesis, a comma or a ?
+    # the query; a dataset's names hold no tab or line break
+    awkward = ["a b", "Paris_(band)", "x:1", 'say "hi"', "c,d", "?"]
+    base = full_store()
+    store = TripleStore()
+    for split, triples in base.splits.items():
+        for rel, subj, obj in triples:
+            store.add_triple(
+                store.relations.intern(base.relations.name(rel)),
+                *(store.entities.intern(awkward[e] if e < len(awkward)
+                                        else base.entities.name(e))
+                  for e in (subj, obj)), split)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, write_dataset(tmp_path, store), out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    assert main(["eval", "--config", str(cfg)]) == 0
+    names = set(store.entities.names())
+    query = re.compile(rf"({_PRED_NAME})\(({_PRED_NAME}),({_PRED_NAME})\)")
+    candidates, known = set(), set()
+    for line in (out / "predictions.txt").read_text(
+            encoding="utf-8").splitlines():
+        qtext, rank, cands = line.split("\t")
+        rel, subj, obj = query.fullmatch(qtext).groups()
+        assert _read_name(rel) in store.relations.names()
+        # the bare ? marks the asked slot
+        assert [subj, obj].count("?") == 1
+        known.add(_read_name(obj if subj == "?" else subj))
+        fields = re.findall(r'"(?:[^"\\]|\\.)*"[^ ]*|[^ ]+', cands)
+        assert " ".join(fields) == cands
+        for field in fields:
+            name, _, score = field.rpartition(":")
+            float(score)
+            candidates.add(_read_name(name))
+    assert candidates <= names and set(awkward) <= candidates
+    assert known == {store.entities.name(e) for _, s, o in store.splits["test"]
+                     for e in (s, o)}
+    assert {"Paris_(band)", "c,d", "?"} <= known
+
+
 def _record_values(record: str, key: str) -> list[str]:
     return re.findall(rf"^target\.[^.]+\.{key} = (.*)$", record, re.M)
 
@@ -621,8 +684,8 @@ def test_bench_command(tmp_path, capsys):
     ds = write_dataset(tmp_path, full_store())
     out = tmp_path / "out"
     cfg = write_config(tmp_path, ds, out)
-    assert main(["bench", "--config", str(cfg),
-                 "--thresholds", "0,3", "--post-prune", "off"]) == 0
+    assert main(["bench", "--config", str(cfg), "--thresholds", "0,3",
+                 "--set", "enable_post_pruning=off"]) == 0
     with open(out / "bench.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -631,6 +694,12 @@ def test_bench_command(tmp_path, capsys):
     assert rows[0]["post_prune"] == "False"
     assert int(rows[0]["n_rules"]) >= int(rows[1]["n_rules"])
     float(rows[0]["mrr"])  # parses
+    # bench follows the config as learn does: post pruning is on by default
+    assert main(["bench", "--config", str(cfg), "--thresholds", "0"]) == 0
+    with open(out / "bench.csv", newline="") as fh:
+        assert [row["post_prune"] for row in csv.DictReader(fh)] == ["True"]
+    with pytest.raises(SystemExit):
+        main(["bench", "--config", str(cfg), "--post-prune", "off"])
 
 
 def test_subsume_command(capsys):

@@ -23,6 +23,7 @@ from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate,
                             is_straight, kind_of, parse_rule, walk_rule)
 
+import helpers
 from helpers import (N_PREDS, R, anchoring, edges_climb,
                      generalization_oracle, ground_body_oracle,
                      is_bound_first, learn_oracle, random_kg, random_rule,
@@ -676,6 +677,49 @@ def test_post_pruning_strict_dominance():
     assert post_pruning(h, {har: 0.5, bar: 0.6}) == {har, bar}
 
 
+def post_pruning_kg() -> TripleStore:
+    """Train facts p(x_i, t) and rt(x_i, anchor), and validation facts
+    rt(x_i, anchor), whose OAR rt(X,Y) <- p(X,V0), at eta 0, sc_f 0.3 and
+    overfit_threshold 0.5, gives a BAR for each case of post pruning."""
+    store = TripleStore()
+    rt, p = store.relations.intern("rt"), store.relations.intern("p")
+    ent = store.entities.intern
+    for t, xs in {"t1": (0, 1, 2, 3, 6, 7, 8, 9), "t3": (0, 6, 7),
+                  "t4": (0, 1, 9), "t5": (4, 5), "t2": range(6, 12)}.items():
+        for x in xs:
+            store.add_triple(p, ent(f"x{x}"), ent(t), "train")
+    for split, anchors in (
+            ("train", {"c": range(6), "e": range(6), "f": range(3)}),
+            ("valid", {"c": (6, 7, 8), "e": (6,), "f": (9,)})):
+        for c, xs in anchors.items():
+            for x in xs:
+                store.add_triple(rt, ent(f"x{x}"), ent(c), split)
+    return store
+
+
+@pytest.mark.parametrize("post", [True, False])
+def test_post_pruning_drops_a_bar_only_below_its_kept_har(post):
+    store = post_pruning_kg()
+    rt = store.relations.get("rt")
+    config = cfg(max_len=1, sc_f=0.3, eta=0.0, overfit_threshold=0.5,
+                 enable_post_pruning=post)
+    res = learn(store, rt, config)
+    assert res.rules == learn_oracle(store, rt, config)[0]
+    sc = {format_rule(r, store.entities, store.relations): m.sc
+          for r, m in res.rules}
+    # a tie stays
+    assert sc["rt(X,c) <- p(X,V0)"] == sc["rt(X,c) <- p(X,t1)"] == 0.5
+    # a strictly dominated BAR goes
+    assert ("rt(X,c) <- p(X,t3)" in sc) != post
+    # a BAR stays when its HAR fails overfit_keep, although the HAR has the
+    # higher sc, or fails sc_f
+    har = evaluate(R("rt(X,e) <- p(X,V0)", store), store,
+                   store.instances_of(rt), config)
+    assert har.sc == 0.5 > sc["rt(X,e) <- p(X,t3)"]
+    assert "rt(X,e) <- p(X,V0)" not in sc
+    assert "rt(X,f) <- p(X,V0)" not in sc and "rt(X,f) <- p(X,t4)" in sc
+
+
 def test_evaluate_rejects_open_rules_other_than_oars():
     store, (rt, _), _ = triangle_store()
     for text in ("rt(X,Y) <- r0(Y,V0)", "rt(X,Y) <- r0(X,c)"):
@@ -1003,14 +1047,14 @@ def test_learn_prunes_through_prior_pruning(monkeypatch):
 @pytest.mark.parametrize("prune", [True, False])   # supp_h 8, or 0
 @pytest.mark.parametrize("post", [True, False])
 def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
+    # learn prunes without post_pruning, so the oracle's calls count drops
     dropped = []
-    post_pruning = miner_mod.post_pruning
 
     def counted(phi_i, sc):
         keep = post_pruning(phi_i, sc)
         dropped.append(len(phi_i.nodes) - len(keep))
         return keep
-    monkeypatch.setattr(miner_mod, "post_pruning", counted)
+    monkeypatch.setattr(helpers, "post_pruning", counted)
     rng = random.Random(17)
     stores = [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
                         n_valid=25) for _ in range(3)] + [hub_kg(rng)]
@@ -1135,9 +1179,8 @@ def test_learn_empty_target():
 
 def test_learn_collects_hierarchy(monkeypatch):
     calls = []
-    union = miner_mod.union
-    monkeypatch.setattr(miner_mod, "union",
-                        lambda *hs: calls.append(hs) or union(*hs))
+    monkeypatch.setattr(miner_mod, "Hierarchy",
+                        lambda *a: calls.append(a) or Hierarchy(*a))
     store = toy_store()
     rt = store.relations.get("Advises")
     res = learn(store, rt, cfg(), collect_hierarchy=True)
@@ -1146,8 +1189,31 @@ def test_learn_collects_hierarchy(monkeypatch):
     kinds = {e.kind for e in res.hierarchy.edges}
     assert "A" in kinds and "I" in kinds
     assert edges_climb(res.hierarchy)
-    # the A-hierarchy and one I-hierarchy per I-OAR, merged in one call
-    assert len(calls) == 1 and len(calls[0]) == 1 + res.i_oars
+    # the A-hierarchy's and every I-hierarchy's nodes and edges, in one
+    # Hierarchy per collecting target
+    assert len(calls) == 1 and res.i_oars > 0
+    calls.clear()
+    store = random_kg(random.Random(29), n_entities=14, n_relations=4,
+                      n_train=90)
+    results = learn_all(store, _targets(store), cfg(),
+                        collect_hierarchy=True)
+    assert len(calls) == len(results) >= 3
+
+
+def test_learn_all_builds_no_hierarchy_unless_collecting(monkeypatch):
+    def forbidden(*a):
+        raise AssertionError("learn built a Hierarchy")
+    monkeypatch.setattr(miner_mod, "Hierarchy", forbidden)
+    rng = random.Random(17)
+    specialized = 0
+    for store in [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
+                            n_valid=25), hub_kg(rng)]:
+        for post in (True, False):
+            results = learn_all(store, _targets(store),
+                                cfg(supp_f=1, enable_post_pruning=post))
+            assert all(res.hierarchy is None for res in results.values())
+            specialized += sum(res.i_oars for res in results.values())
+    assert specialized > 0
 
 
 def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
