@@ -208,7 +208,8 @@ def _write_run_record(path, cfg: RunConfig, names: list[str],
         for rt, res in sorted(results.items()):
             name = names[rt]
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
-            for key in ("p_oars", "i_oars", "u_oars", "abstract_rules"):
+            for key in ("p_oars", "i_oars", "u_oars", "abstract_rules",
+                        "post_pruned"):
                 fh.write(f"target.{name}.{key} = {getattr(res, key)}\n")
             fh.write(f"target.{name}.gen_seconds = {res.gen_seconds:.3f}\n")
             fh.write(f"target.{name}.spec_seconds = {res.spec_seconds:.3f}\n")

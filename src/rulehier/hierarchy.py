@@ -23,28 +23,39 @@ class SubsumptionEdge(NamedTuple):
 
 @dataclass
 class Hierarchy:
-    """A DAG of subsumption edges; parent subsumes child."""
+    """A DAG of subsumption edges; parent subsumes child.
+
+    The child and parent lists, each in `Rule.sort_key` order, are built
+    from the edges on the first call to `children`, `parents` or `roots`:
+    a hierarchy that is only united or written as DOT never sorts them."""
 
     nodes: set[Rule] = field(default_factory=set)
     edges: set[SubsumptionEdge] = field(default_factory=set)
 
     def __post_init__(self):
-        self._children: dict[Rule, list[Rule]] = defaultdict(list)
-        self._parents: dict[Rule, list[Rule]] = defaultdict(list)
-        for e in sorted(self.edges, key=lambda e: (e.parent.sort_key(),
-                                                   e.child.sort_key())):
-            self._children[e.parent].append(e.child)
-            self._parents[e.child].append(e.parent)
+        self._maps: tuple[dict[Rule, list[Rule]],
+                          dict[Rule, list[Rule]]] | None = None
+
+    def _children_parents(self):
+        if self._maps is None:
+            children, parents = defaultdict(list), defaultdict(list)
+            for e in sorted(self.edges, key=lambda e: (e.parent.sort_key(),
+                                                       e.child.sort_key())):
+                children[e.parent].append(e.child)
+                parents[e.child].append(e.parent)
+            self._maps = children, parents
+        return self._maps
 
     def children(self, rule: Rule) -> list[Rule]:
-        return self._children.get(rule, [])
+        return self._children_parents()[0].get(rule, [])
 
     def parents(self, rule: Rule) -> list[Rule]:
-        return self._parents.get(rule, [])
+        return self._children_parents()[1].get(rule, [])
 
     @property
     def roots(self) -> list[Rule]:
-        return sorted((n for n in self.nodes if not self._parents.get(n)),
+        parents = self._children_parents()[1]
+        return sorted((n for n in self.nodes if not parents.get(n)),
                       key=Rule.sort_key)
 
 

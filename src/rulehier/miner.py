@@ -50,7 +50,7 @@ def _empty_target(store: TripleStore, rt: int) -> EmptyTargetError:
     return EmptyTargetError(f"relation {name!r} has no train instances")
 
 
-@dataclass
+@dataclass(slots=True)
 class Measures:
     """Per-rule quality statistics on the train split."""
 
@@ -104,7 +104,7 @@ class MinerConfig:
 class LearnResult:
     """One target's mined rules, sorted by descending sc and then by
     `Rule.sort_key`, so independent of the order of its train pairs; its
-    OAR counts and stage timings."""
+    OAR counts, how many BARs post pruning dropped, and stage timings."""
 
     target: int
     rules: list[tuple[Rule, Measures]]
@@ -114,6 +114,7 @@ class LearnResult:
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
     abstract_rules: int = 0
+    post_pruned: int = 0
     hierarchy: Hierarchy | None = None
 
 
@@ -487,6 +488,14 @@ def specialization(oar: Rule, body: BodyIndex,
     comes from a grounding that avoids c, so those checks fail only if the
     OAR's head lacks Y or the OAR is not straight. Both are checked once,
     before the first kept rule, and raise `instantiate`'s errors.
+
+    Kept rules share their bodies. A HAR is `oar.with_head(head)`, so
+    every HAR holds the OAR's body tuple. The body of the BARs of tail
+    value t is built once, as `Rule(...)` of the OAR with only the
+    dangling term bound, the first time one of them is kept, and each of
+    them is that rule's `with_head(head)`. A head binds only Y, so no rule
+    is renumbered but those per-tail ones; an OAR whose head holds a
+    variable other than X and Y raises `with_head`'s ValueError.
     """
     n_rt = len(rt_pairs)
 
@@ -546,12 +555,18 @@ def specialization(oar: Rule, body: BodyIndex,
         valid_by_c[c].append(x)
 
     out: list[tuple[Rule, Measures]] = []
+    # per tail value, the OAR with the dangling term bound to it (the OAR
+    # itself for a HAR): the body its kept rules share; and per head of
+    # those and anchor, the head with Y bound to the anchor
+    shared: dict[int | None, Rule] = {None: oar}
+    heads: dict[tuple[Atom, int], Atom] = {}
     for c, t in cands:
-        n_g = n_xs[t] - blocked[(t, c)]
+        n_g = n_xs[t] - blocked.get((t, c), 0)
         if not supp[(c, t)] / (cfg.eta + n_g) > cfg.sc_f:
             continue
-        valid = sum(c not in common.get((x, t), (c,))
-                    for x in valid_by_c.get(c, ()))
+        xs = valid_by_c.get(c)
+        valid = sum(c not in common.get((x, t), (c,)) for x in xs) \
+            if xs else 0
         m = _measures(supp[(c, t)], n_g, valid, n_rt, cfg)
         if not overfit_keep(m, cfg):
             continue
@@ -561,11 +576,19 @@ def specialization(oar: Rule, body: BodyIndex,
             if not is_straight(oar):
                 raise StraightnessError(
                     "instantiation violates straightness")
-        bind = {VAR_Y: const(c)} if t is None \
-            else {VAR_Y: const(c), tail: const(t)}
-        atoms = [Atom(p, bind.get(s, s), bind.get(o, o))
-                 for p, s, o in oar.atoms]
-        out.append((Rule(atoms[0], tuple(atoms[1:])), m))
+        rule = shared.get(t)
+        if rule is None:
+            atoms = [Atom(p, const(t) if s == tail else s,
+                          const(t) if o == tail else o)
+                     for p, s, o in oar.atoms]
+            rule = shared[t] = Rule(atoms[0], tuple(atoms[1:]))
+        head = heads.get((rule.head, c))
+        if head is None:
+            p, s, o = rule.head
+            anchor = const(c)
+            head = heads[(rule.head, c)] = Atom(
+                p, anchor if s == VAR_Y else s, anchor if o == VAR_Y else o)
+        out.append((rule.with_head(head), m))
     return out, False
 
 
@@ -636,11 +659,13 @@ class _Target:
             if self.rules:
                 self.nodes.update(r for r, _ in specs)
                 self.edges.update(
-                    SubsumptionEdge(Rule(r.head, rule.body), r, I_EDGE)
+                    SubsumptionEdge(rule.with_head(r.head), r, I_EDGE)
                     for r, _ in specs
                     if r.body != rule.body and r.head.obj in hars)
+            n = len(specs)
             specs = [(r, m) for r, m in specs
                      if not hars.get(r.head.obj, m).sc > m.sc]
+            self.result.post_pruned += n - len(specs)
         self.mined.extend(specs)
 
     def finish(self) -> LearnResult:
@@ -791,41 +816,48 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
 def write_rules(path, items: list[tuple[Rule, Measures]], entities,
                 relations) -> None:
     """Write one rule per line with its supp, hc, sc and kind. Each
-    distinct atom is formatted once per file."""
+    distinct atom and each distinct body is formatted once per file."""
     atoms: dict = {}
+    bodies: dict = {}
     with open(path, "w", encoding="utf-8") as fh:
         for rule, m in items:
-            fh.write(f"{format_rule(rule, entities, relations, atoms)} | "
+            text = format_rule(rule, entities, relations, atoms, bodies)
+            fh.write(f"{text} | "
                      f"supp={m.supp} | hc={m.hc!r} | sc={m.sc!r} | "
                      f"kind={kind_of(rule)}\n")
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
     """Read a rule file back: the rule and its supp, hc and sc per line.
-    Each distinct atom text is parsed once per file. A malformed line, or
-    one that is not UTF-8, raises ParseError naming `path:lineno`."""
+    Each distinct atom text is parsed once per file, and so is each
+    distinct body text after a head that holds no variable but X and Y:
+    a later line with that body and such a head is the first one's body
+    under its own head (`parse_rule`'s `bodies`). A malformed line, or one
+    that is not UTF-8, raises ParseError naming `path:lineno`."""
     out = []
     atoms: dict = {}
+    bodies: dict = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = decode_line(raw, path, lineno)
             if not line:
                 continue
             try:
-                out.append(_read_rule_line(line, entities, relations, atoms))
+                out.append(_read_rule_line(line, entities, relations, atoms,
+                                           bodies))
             except ParseError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
     return out
 
 
-def _read_rule_line(line: str, entities, relations,
-                    atoms: dict) -> tuple[Rule, Measures]:
+def _read_rule_line(line: str, entities, relations, atoms: dict,
+                    bodies: dict) -> tuple[Rule, Measures]:
     # the rule text comes first, and only it may hold " | "
     parts = line.rsplit(" | ", 4)
     if len(parts) != 5:
         raise ParseError("expected 5 columns")
     rule = parse_rule(parts[0], entities, relations, intern=False,
-                      atoms=atoms)
+                      atoms=atoms, bodies=bodies)
     fields = {}
     for part in parts[1:]:
         name, eq, value = part.partition("=")

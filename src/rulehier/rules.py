@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .kgstore import Interner, ParseError
@@ -69,7 +69,13 @@ class Atom(NamedTuple):
         return (self.subj, self.obj)
 
 
-@dataclass(frozen=True, eq=False)
+def _holds_fresh(atom: Atom) -> bool:
+    """Whether an atom holds a variable other than X and Y."""
+    return (atom.subj.is_var and atom.subj.idx >= _FIRST_FRESH) \
+        or (atom.obj.is_var and atom.obj.idx >= _FIRST_FRESH)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Rule:
     """A chain rule head <- body. Construction renumbers fresh variables.
 
@@ -79,6 +85,8 @@ class Rule:
 
     head: Atom
     body: tuple[Atom, ...] = ()
+    _atoms: tuple[Atom, ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         body = tuple(self.body)
@@ -101,6 +109,21 @@ class Rule:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_atoms", (self.head, *body))
         object.__setattr__(self, "_hash", hash((self.head, body)))
+
+    def with_head(self, head: Atom) -> Rule:
+        """`Rule(head, self.body)`, built without renumbering and holding
+        the same body tuple. Both heads, `head` and this rule's, may hold
+        only X, Y and constants: then the body's fresh variables are
+        numbered by their first occurrence in the body alone, under either
+        head. Raises ValueError if one holds any other variable."""
+        if _holds_fresh(head) or _holds_fresh(self.head):
+            raise ValueError("a head holds a body variable")
+        rule = object.__new__(Rule)
+        object.__setattr__(rule, "head", head)
+        object.__setattr__(rule, "body", self.body)
+        object.__setattr__(rule, "_atoms", (head, *self.body))
+        object.__setattr__(rule, "_hash", hash((head, self.body)))
+        return rule
 
     def __hash__(self) -> int:
         return self._hash
@@ -328,16 +351,32 @@ def _format_term(t: Term, entities: Interner) -> str:
 
 
 def parse_rule(text: str, entities: Interner, relations: Interner,
-               intern: bool = True, atoms: dict[str, Atom] | None = None
-               ) -> Rule:
+               intern: bool = True, atoms: dict[str, Atom] | None = None,
+               bodies: dict[str, Rule] | None = None) -> Rule:
     """Parse rule text; raises ParseError with the failing position.
 
     A name in double quotes is a JSON string, and may hold any character.
     `atoms` memoizes atom texts: a caller that parses many rules against
     the same interners passes one dict, and each distinct atom text is
-    parsed once."""
-    quoted = None
+    parsed once. `bodies` memoizes body texts, the text after the first
+    "<-", for rules whose head holds no variable but X and Y: such a rule,
+    with no quote before its "<-", is parsed whole the first time its body
+    text comes, and after that only its head is parsed, and the first
+    rule's body put under it (`Rule.with_head`). Every other rule is
+    parsed whole."""
     memo = {} if atoms is None else atoms
+    # the body text to look up, then to record if the rule is parsed whole
+    key = None
+    if bodies is not None:
+        head_text, sep, key = text.partition("<-")
+        if not sep or '"' in head_text:   # a quoted name may hold "<-"
+            key = None
+        elif (shared := bodies.get(key)) is not None:
+            key = None
+            head = _parse_atom(head_text, entities, relations, intern, memo)
+            if not _holds_fresh(head):
+                return shared.with_head(head)
+    quoted = None
     if '"' in text:
         # set each quoted name aside, so that no character of it is read
         # as grammar; the placeholders mean other names in another rule
@@ -348,38 +387,51 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
     if "<-" not in text:
         raise ParseError(f"missing '<-' in {text!r}")
     head_text, body_text = text.split("<-", 1)
-
-    def parse_atom(chunk: str, pos: int) -> Atom:
-        atom = memo.get(chunk)
-        if atom is not None:
-            return atom
-        m = _ATOM_RE.fullmatch(chunk)
-        if not m:
-            raise ParseError(f"bad atom at position {pos}: {chunk.strip()!r}")
-        name = _name(m.group(1), quoted)
-        pred = relations.intern(name) if intern else relations.get(name)
-        if pred is None:
-            raise ParseError(f"unknown predicate {name!r}")
-        atom = memo[chunk] = Atom(
-            pred, _parse_term(m.group(2), entities, intern, quoted),
-            _parse_term(m.group(3), entities, intern, quoted))
-        return atom
-
-    head = parse_atom(head_text, 0)
+    head = _parse_atom(head_text, entities, relations, intern, memo, 0,
+                       quoted)
     body = []
     if body_text.strip():
         pos = len(head_text) + 2
         for chunk in body_text.split(", "):
-            body.append(parse_atom(chunk, pos))
+            body.append(_parse_atom(chunk, entities, relations, intern,
+                                    memo, pos, quoted))
             pos += len(chunk) + 2
-    return Rule(head, tuple(body))
+    rule = Rule(head, tuple(body))
+    if key is not None and not _holds_fresh(rule.head):
+        bodies[key] = rule
+    return rule
+
+
+def _parse_atom(chunk: str, entities: Interner, relations: Interner,
+                intern: bool, memo: dict[str, Atom], pos: int = 0,
+                quoted: list[str] | None = None) -> Atom:
+    """Parse one atom of rule text, found at `pos`, through `parse_rule`'s
+    atom memo, with its rules for `intern`; `quoted` holds the names
+    `parse_rule` set aside (see there). Its variables keep the numbers
+    written."""
+    atom = memo.get(chunk)
+    if atom is not None:
+        return atom
+    m = _ATOM_RE.fullmatch(chunk)
+    if not m:
+        raise ParseError(f"bad atom at position {pos}: {chunk.strip()!r}")
+    name = _name(m.group(1), quoted)
+    pred = relations.intern(name) if intern else relations.get(name)
+    if pred is None:
+        raise ParseError(f"unknown predicate {name!r}")
+    atom = memo[chunk] = Atom(
+        pred, _parse_term(m.group(2), entities, intern, quoted),
+        _parse_term(m.group(3), entities, intern, quoted))
+    return atom
 
 
 def format_rule(rule: Rule, entities: Interner, relations: Interner,
-                atoms: dict[Atom, str] | None = None) -> str:
+                atoms: dict[Atom, str] | None = None,
+                bodies: dict[tuple[Atom, ...], str] | None = None) -> str:
     """Rule text for `parse_rule`. `atoms` memoizes atom texts, the mirror
-    of `parse_rule`'s: a caller that formats many rules against the same
-    interners passes one dict, and each distinct atom is formatted once."""
+    of `parse_rule`'s, and `bodies` the text after the head: a caller that
+    formats many rules against the same interners passes one dict of
+    each, and each distinct atom and body is formatted once."""
     memo = {} if atoms is None else atoms
 
     def fmt(atom: Atom) -> str:
@@ -391,7 +443,9 @@ def format_rule(rule: Rule, entities: Interner, relations: Interner,
                                  f"{_format_term(atom.obj, entities)})")
         return text
 
-    head = fmt(rule.head)
-    if not rule.body:
-        return f"{head} <-"
-    return f"{head} <- " + ", ".join(fmt(a) for a in rule.body)
+    body = None if bodies is None else bodies.get(rule.body)
+    if body is None:
+        body = " " + ", ".join(map(fmt, rule.body)) if rule.body else ""
+        if bodies is not None:
+            bodies[rule.body] = body
+    return f"{fmt(rule.head)} <-{body}"

@@ -545,7 +545,7 @@ def test_learn_record_lists_each_targets_counts_and_timings(tmp_path):
     record = (out / "run_record.txt").read_text()
     keys = re.findall(r"^target\.r0\.(\w+) = ", record, re.M)
     assert keys == ["rules", "p_oars", "i_oars", "u_oars", "abstract_rules",
-                    "gen_seconds", "spec_seconds"]
+                    "post_pruned", "gen_seconds", "spec_seconds"]
     assert len(re.findall(r"^target\.", record, re.M)) == 3 * len(keys)
     assert all(int(n) > 1 for n in _record_values(record, "abstract_rules"))
 
@@ -607,6 +607,11 @@ def test_learn_emit_hierarchy(tmp_path, monkeypatch):
     union = hierarchy.union
     monkeypatch.setattr(hierarchy, "union",
                         lambda *hs: calls.append(hs) or union(*hs))
+
+    def unbuilt(self):
+        raise AssertionError("a hierarchy built its child and parent lists")
+    # uniting and writing DOT read only the nodes and edges
+    monkeypatch.setattr(hierarchy.Hierarchy, "_children_parents", unbuilt)
     ds = write_dataset(tmp_path, toy_store())
     out = tmp_path / "out"
     cfg = write_config(tmp_path, ds, out)

@@ -825,6 +825,27 @@ def _specialized_corpus(config):
                             store.instances_of(rt, "valid"))
 
 
+def test_kept_rules_share_one_body_per_tail_value():
+    # each kept rule is the Rule its head and body make, renumbered as
+    # construction renumbers; the HARs of an OAR hold the OAR's body tuple,
+    # and the BARs of one (OAR, tail value) one body tuple between them
+    shared = bars = 0
+    for oar, args in _specialized_corpus(cfg()):
+        specs, _ = specialization(oar, *args, cfg())
+        bodies: dict = {}
+        for rule, _ in specs:
+            fresh = Rule(rule.head, tuple(rule.body))
+            assert rule == fresh and hash(rule) == hash(fresh)
+            assert rule.atoms == fresh.atoms
+            assert bodies.setdefault(rule.body, rule.body) is rule.body
+            if kind_of(rule) == "HAR":
+                assert rule.body is oar.body
+            else:
+                bars += 1
+        shared += len(specs) - len(bodies)
+    assert 0 < shared and bars > 0
+
+
 def _anchors(specs, config):
     """The anchors of a zero-threshold specialization whose HARs pass and
     fail `supp_f` and `hc_f` under `config`: (live, dead)."""
@@ -999,32 +1020,42 @@ def test_learn_overfit_filter_drops_unvalidated_rules():
 
 
 def test_learn_instantiates_only_relevant_specializations(monkeypatch):
+    # specialization builds each kept rule through Rule.with_head, and the
+    # shared body of each tail value through one Rule: neither is built
+    # for a candidate that fails the thresholds
     rng = random.Random(5)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
-    config = cfg(supp_f=1, enable_post_pruning=False)
-    # every Rule constructed during learn, and those specialization built
-    made, built, oars = [], [], []
-    post_init, specialize = Rule.__post_init__, miner_mod.specialization
+    # candidates fail supp_f before the rule loop, and sc_f in it
+    config = cfg(supp_f=1, sc_f=0.15, enable_post_pruning=False)
+    # the rules and bodies built during learn, and those specialization
+    # built, per OAR
+    made, headed, oars, built = [], [], [], []
+    post_init, with_head = Rule.__post_init__, Rule.with_head
+    specialize = miner_mod.specialization
     monkeypatch.setattr(Rule, "__post_init__",
                         lambda self: made.append(self) or post_init(self))
+    monkeypatch.setattr(Rule, "with_head", lambda self, head: headed.append(
+        head) or with_head(self, head))
 
     def specializing(oar, *a, **kw):
         oars.append(oar)
-        start = len(made)
+        start = len(made), len(headed)
         out = specialize(oar, *a, **kw)
-        built.extend(made[start:])
+        built.append((len(made) - start[0], len(headed) - start[1]))
         return out
     monkeypatch.setattr(miner_mod, "specialization", specializing)
     res = learn(store, 0, config)
     monkeypatch.undo()
     rt_pairs = store.instances_of(0)
     candidates = relevant = 0
-    for oar in oars:
+    for oar, (bodies, rules) in zip(oars, built):
         specs, _ = specialization(oar, open_groundings(oar, store),
                                   rt_pairs, set(), zero_thresholds(config))
+        kept = [r for r, m in specs if is_relevant(m, config)]
+        assert rules == len(kept)
+        assert bodies == len({r.body for r in kept if r.body != oar.body})
         candidates += len(specs)
-        relevant += sum(is_relevant(m, config) for _, m in specs)
-    assert len(built) == relevant
+        relevant += len(kept)
     assert 0 < relevant < candidates
     assert res.i_oars > 0
 
@@ -1067,9 +1098,11 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
                          overfit_threshold=0.1,
                          enable_post_pruning=post)
             res = learn(store, rt, config)
+            start = len(dropped)
             rules, counts = learn_oracle(store, rt, config)
             assert res.rules == rules
             assert (res.p_oars, res.i_oars, res.u_oars) == counts
+            assert res.post_pruned == sum(dropped[start:])
             pruned += res.p_oars
             specialized += res.i_oars
     assert specialized > 0
@@ -1454,10 +1487,15 @@ GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | kind=HAR | x=1",
     "Advises(X,bob) <- Is_A(X,V0) | supp=3.5 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=high | kind=HAR",
-    "Advises(X,carol) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) <- Knows(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25",
+    # a bad head, an unknown predicate or constant in the head, and a
+    # head with no "<-", each beside the body of line 1, parsed before
+    "Advises(X,bob <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Knows(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,carol) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     # not UTF-8: the byte 0xff
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=\udcff",
 ])
@@ -1493,3 +1531,46 @@ def test_read_rules_equals_parsing_each_line_alone(tmp_path):
     assert [(m.supp, m.hc, m.sc) for _, m in back] == [
         (i, float(f"0.{i}"), float(f"0.0{i}")) for i in range(len(texts))]
     assert back[0][0] == back[-1][0] and back[0][0] != back[5][0]
+
+
+def test_read_rules_shares_a_body_only_where_parsing_agrees(tmp_path):
+    # read_rules parses a body text once and puts later heads over it;
+    # each line must still read back as parse_rule reads it alone: a body
+    # written with other variable numbers, a head holding a body variable
+    # after the body was read under a plain head and before, and bodies
+    # of quoted names, the same placeholder in a careless memo
+    store = toy_store()
+    for name in ("V0", "Paris_(band)"):
+        store.entities.intern(name)
+    texts = ["Advises(X,bob) <- Publishes(X,V3), Is_A(V3,V1)",
+             "Advises(X,Y) <- Publishes(X,V3), Is_A(V3,V1)",
+             "Advises(V1,bob) <- Publishes(X,V3), Is_A(V3,V1)",
+             "Advises(X,paper) <- Publishes(X,V3), Is_A(V3,V1)",
+             "Advises(V0,Y) <- Publishes(X,V1), Is_A(V1,V0)",
+             "Advises(X,Y) <- Publishes(X,V1), Is_A(V1,V0)",
+             "Advises(V0,bob) <- Publishes(X,V1), Is_A(V1,V0)",
+             'Advises(X,"V0") <- Publishes(X,"V0")',
+             'Advises(X,bob) <- Publishes(X,"V0")',
+             'Advises(X,bob) <- Publishes(X,"Paris_(band)")',
+             'Advises(X,"Paris_(band)") <- Publishes(X,"V0")',
+             'Advises(X,paper) <- Publishes(X,"V0")',
+             'Advises(X,paper) <- Publishes(X,"Paris_(band)")',
+             "Advises(X,bob) <-",
+             "Advises(X,paper) <-"]
+    path = tmp_path / "rules.txt"
+    path.write_text("".join(f"{t} | supp=1 | hc=0.5 | sc=0.25 | kind=HAR\n"
+                            for t in texts), encoding="utf-8")
+    back = [r for r, _ in read_rules(path, store.entities, store.relations)]
+    alone = [parse_rule(t, store.entities, store.relations, intern=False)
+             for t in texts]
+    assert back == alone
+    assert [r.atoms for r in back] == [r.atoms for r in alone]
+    assert back[2].body != back[0].body and back[6].body != back[5].body
+    assert back[3].body is back[0].body and back[12].body is back[9].body
+    # a line with no "<-" is no head over the empty body read before it
+    path.write_text("".join(f"{t} | supp=1 | hc=0.5 | sc=0.25 | kind=HAR\n"
+                            for t in ("Advises(X,bob) <-", "Advises(X,paper)")),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "
+                                         f"missing '<-'"):
+        read_rules(path, store.entities, store.relations)

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import MinerConfig, open_groundings, specialization
@@ -90,6 +91,34 @@ def test_rules_are_values_with_a_cached_hash_and_sort_key():
     with pytest.raises(AttributeError):
         rule._atoms = ()
     assert hash(rule) == hash((rule.head, rule.body))
+
+
+_PLAIN_TERMS = [VAR_X, VAR_Y, const(0), const(4), skolem(1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 4),
+       st.sampled_from(_PLAIN_TERMS), st.sampled_from(_PLAIN_TERMS))
+def test_with_head_is_the_rule_under_a_head_of_x_y_and_constants(seed, pred,
+                                                                  subj, obj):
+    rng = random.Random(seed)
+    rule = random_rule(rng)
+    while any(t.is_var and t not in (VAR_X, VAR_Y) for t in rule.head.terms):
+        rule = random_rule(rng)
+    head = Atom(pred, subj, obj)
+    got, want = rule.with_head(head), Rule(head, rule.body)
+    assert got == want and hash(got) == hash(want)
+    assert got.atoms == want.atoms == (head, *rule.body)
+    assert got.head is head and got.body is rule.body
+    # a head holding a fresh variable, the new one or the rule's own,
+    # would need renumbering
+    for bad in (Atom(pred, var(0), obj), Atom(pred, subj, var(0))):
+        with pytest.raises(ValueError, match="body variable"):
+            rule.with_head(bad)
+    fresh_head = Rule(Atom(pred, var(0), VAR_Y),
+                      (Atom(1, VAR_X, var(1)), Atom(2, var(1), var(0))))
+    with pytest.raises(ValueError, match="body variable"):
+        fresh_head.with_head(head)
 
 
 def test_terms_and_atoms_keep_their_attribute_api():
@@ -423,6 +452,35 @@ def test_format_rule_memo_gives_the_same_text():
     rng = random.Random(7)
     rules = [random_rule(rng) for _ in range(500)]
     memo: dict = {}
-    assert [format_rule(r, ents, rels, memo) for r in rules] == \
+    bodies: dict = {}
+    # each rule twice, and its body under another head, so that the memos
+    # are read as well as filled
+    rules += [r for rule in rules for r in (
+        rule, Rule(Atom(rule.head.pred, VAR_Y, VAR_X), rule.body))]
+    assert [format_rule(r, ents, rels, memo, bodies) for r in rules] == \
         [format_rule(r, ents, rels) for r in rules]
     assert set(memo) == {a for r in rules for a in r.atoms}
+    assert set(bodies) == {r.body for r in rules}
+
+
+def test_parse_rule_body_memo_gives_the_same_rules():
+    # read_rules shares one atom memo and one body memo across a file's
+    # lines; among them bodies under heads with and without a fresh
+    # variable, in both orders, and bodies written with other numbers
+    ents, rels = _interners()
+    rng = random.Random(8)
+    texts = []
+    for _ in range(400):
+        rule = random_rule(rng)
+        body = format_rule(rule, ents, rels).partition("<-")[2]
+        texts.append(format_rule(rule, ents, rels))
+        texts += [f"r{rng.randrange(5)}({s},{o}) <-{body}" for s, o in (
+            ("X", "c1"), ("V0", "Y"), ("Y", "X"), ("c2", "V0"), ("V1", "c3"))]
+        texts.append(texts[-1].replace("V0", "V7").replace("V1", "V0"))
+    atoms: dict = {}
+    bodies: dict = {}
+    got = [parse_rule(t, ents, rels, False, atoms, bodies) for t in texts]
+    want = [parse_rule(t, ents, rels, False) for t in texts]
+    assert got == want
+    assert [r.atoms for r in got] == [r.atoms for r in want]
+    assert len(bodies) < len(texts) // 3
