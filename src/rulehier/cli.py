@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import hierarchy as hmod
 from .evaluator import evaluate_kgc
-from .kgstore import SPLITS, Interner, SplitConfig, TripleStore, resplit
+from .kgstore import (SPLITS, Interner, ParseError, SplitConfig, TripleStore,
+                      decode_line, resplit)
 from .miner import MinerConfig, check_types, learn_all, read_rules, write_rules
 # the commands mine through learn_all; bench/layers.py probes this name
 from .miner import learn  # noqa: F401
@@ -290,22 +291,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    totals = {"p_oars": 0, "i_oars": 0, "u_oars": 0}
-    rows = {}
-    with open(args.run_record, encoding="utf-8") as fh:
-        for line in fh:
-            m = re.match(r"target\.(.+)\.(p_oars|i_oars|u_oars) = (\d+)",
-                         line.strip())
-            if m:
-                rows.setdefault(m.group(1), {})[m.group(2)] = int(m.group(3))
-                totals[m.group(2)] += int(m.group(3))
+    rows: dict[str, Counter] = {}
+    path = args.run_record
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            key, _, value = decode_line(raw, path, lineno).partition(" = ")
+            m = re.fullmatch(r"target\.(.+)\.([piu]_oars)", key)
+            if m is None:
+                continue
+            if not re.fullmatch(r"[0-9]+", value):
+                raise ParseError(f"{path}:{lineno}: {m[2]} is not a count: "
+                                 f"{value!r}")
+            rows.setdefault(m[1], Counter())[m[2]] = int(value)
+    table = sorted(rows.items()) + [("ALL", sum(rows.values(), Counter()))]
     print(f"{'target':30s} {'P-OAR':>8s} {'I-OAR':>8s} {'U-OAR':>8s} {'total':>8s}")
-    for name, row in sorted(rows.items()):
-        total = sum(row.values())
-        print(f"{name:30s} {row.get('p_oars', 0):8d} {row.get('i_oars', 0):8d} "
-              f"{row.get('u_oars', 0):8d} {total:8d}")
-    print(f"{'ALL':30s} {totals['p_oars']:8d} {totals['i_oars']:8d} "
-          f"{totals['u_oars']:8d} {sum(totals.values()):8d}")
+    for name, row in table:
+        counts = [row["p_oars"], row["i_oars"], row["u_oars"]]
+        print(f"{name:30s}", *(f"{n:8d}" for n in counts + [sum(counts)]))
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kgstore import TripleStore
 from .miner import BodyIndex, Measures, ground_body
@@ -35,13 +35,10 @@ class PredictionRanking:
     """Filtered candidates in final rank order with their score vectors."""
 
     ordered: list[tuple[int, tuple[float, ...]]]
-    ranks: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.ranks = {e: i + 1 for i, (e, _) in enumerate(self.ordered)}
 
     def rank_of(self, entity: int) -> int | None:
-        return self.ranks.get(entity)
+        return next((i for i, (e, _) in enumerate(self.ordered, start=1)
+                     if e == entity), None)
 
 
 def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]:
@@ -177,8 +174,7 @@ def rank(candidates: dict[int, list[float]],
     """
     items = [(e, tuple(sorted(v, reverse=True)))
              for e, v in candidates.items() if e not in known_truths]
-    items.sort(key=lambda t: t[0])
-    items.sort(key=lambda t: t[1], reverse=True)
+    items.sort(key=lambda t: (t[1], -t[0]), reverse=True)
     return PredictionRanking(items)
 
 

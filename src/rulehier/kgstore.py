@@ -89,17 +89,22 @@ class TripleStore:
 
     entities: Interner = field(default_factory=Interner)
     relations: Interner = field(default_factory=Interner)
+    # filled by add_triple only, so the splits and their indices agree
     splits: dict[str, list[tuple[int, int, int]]] = field(
-        default_factory=lambda: {s: [] for s in SPLITS})
+        init=False, default_factory=lambda: {s: [] for s in SPLITS})
     # train-only indices
-    fwd_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    bwd_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    by_relation: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    by_entity: dict[int, list[tuple[int, int, str]]] = field(default_factory=dict)
-    duplicate_count: int = 0
+    fwd_index: dict[tuple[int, int], list[int]] = field(
+        init=False, default_factory=dict)
+    bwd_index: dict[tuple[int, int], list[int]] = field(
+        init=False, default_factory=dict)
+    by_relation: dict[int, list[tuple[int, int]]] = field(
+        init=False, default_factory=dict)
+    by_entity: dict[int, list[tuple[int, int, str]]] = field(
+        init=False, default_factory=dict)
+    duplicate_count: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self._members = {s: set(self.splits[s]) for s in SPLITS}
+        self._members = {s: set() for s in SPLITS}
 
     # -- loading ----------------------------------------------------------
 

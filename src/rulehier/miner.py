@@ -20,7 +20,9 @@ recorded, as their rules are made, with no subsumption check.
 from __future__ import annotations
 
 import logging
+import math
 import random
+import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
@@ -828,12 +830,14 @@ def write_rules(path, items: list[tuple[Rule, Measures]], entities,
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
-    """Read a rule file back: the rule and its supp, hc and sc per line.
-    Each distinct atom text is parsed once per file, and so is each
-    distinct body text after a head that holds no variable but X and Y:
-    a later line with that body and such a head is the first one's body
-    under its own head (`parse_rule`'s `bodies`). A malformed line, or one
-    that is not UTF-8, raises ParseError naming `path:lineno`."""
+    """Read a rule file back: the rule and its supp, hc and sc per line,
+    each line the rule text and then exactly the columns `write_rules`
+    writes (`_RULE_LINE_RE`). Each distinct atom text is parsed once per
+    file, and so is each distinct body text after a head that holds no
+    variable but X and Y: a later line with that body and such a head is
+    the first one's body under its own head (`parse_rule`'s `bodies`). A
+    malformed line, or one that is not UTF-8, raises ParseError naming
+    `path:lineno`."""
     out = []
     atoms: dict = {}
     bodies: dict = {}
@@ -850,26 +854,22 @@ def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
     return out
 
 
+# the columns `write_rules` writes after the rule text, which alone may
+# hold " | ": supp in ASCII digits, hc and sc as `repr` writes a finite,
+# non-negative float, and one of the six kinds
+_FLOAT = r"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_RULE_LINE_RE = re.compile(
+    rf"(.*) \| supp=([0-9]+) \| hc=({_FLOAT}) \| sc=({_FLOAT}) \| "
+    r"kind=(?:CAR|OAR|HAR|BAR|INSR|OPEN)")
+
+
 def _read_rule_line(line: str, entities, relations, atoms: dict,
                     bodies: dict) -> tuple[Rule, Measures]:
-    # the rule text comes first, and only it may hold " | "
-    parts = line.rsplit(" | ", 4)
-    if len(parts) != 5:
-        raise ParseError("expected 5 columns")
-    rule = parse_rule(parts[0], entities, relations, intern=False,
-                      atoms=atoms, bodies=bodies)
-    fields = {}
-    for part in parts[1:]:
-        name, eq, value = part.partition("=")
-        if not eq:
-            raise ParseError(f"column {part!r} is not name=value")
-        fields[name] = value
-    values = []
-    for name, cast in (("supp", int), ("hc", float), ("sc", float)):
-        if name not in fields:
-            raise ParseError(f"missing measure {name!r}")
-        try:
-            values.append(cast(fields[name]))
-        except ValueError:
-            raise ParseError(f"bad {name} value {fields[name]!r}") from None
-    return rule, Measures(*values)
+    m = _RULE_LINE_RE.fullmatch(line)
+    # an exponent past a float's range reads as inf
+    if m is None or math.inf in (hc := float(m[3]), sc := float(m[4])):
+        raise ParseError("expected <rule> | supp=<n> | hc=<x> | sc=<x> | "
+                         "kind=<kind>")
+    return (parse_rule(m[1], entities, relations, intern=False, atoms=atoms,
+                       bodies=bodies),
+            Measures(int(m[2]), hc, sc))

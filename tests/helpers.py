@@ -301,6 +301,79 @@ def random_kg(rng: random.Random, n_entities: int = 20, n_relations: int = 4,
 
 
 # ---------------------------------------------------------------------------
+# planted-rule graphs
+
+HUB = "Washington,_D.C."
+PLANTED_CAR = "r2(X,Y) <- r0(X,V0), r1(V0,Y)"
+PLANTED_HAR = 'nat(X,"Washington,_D.C.") <- born(X,V0)'
+# the BAR of the HAR's anchor that the HAR beats in sc
+DOMINATED_BAR = 'nat(X,"Washington,_D.C.") <- born(X,"Paris_(band)")'
+
+
+@dataclass
+class PlantedKG:
+    """A planted-rule graph and what its construction gives: the train
+    support of each planted rule by its text, and the support of the open
+    rule `nat(X,Y) <- rare(X,V0)` of the rare relation."""
+
+    store: TripleStore
+    supp: dict[str, int]
+    rare_supp: int
+
+
+def planted_kg(seed: int = 0) -> PlantedKG:
+    """Four planted regularities among three noise relations, over
+    YAGO-style names (`Paris_(band)`, `Washington,_D.C.`, `a b`, and people
+    named `X`, `V0` and `sk0`):
+
+    - a closed chain r2(X,Y) <- r0(X,V0), r1(V0,Y): 12 chains closed by
+      r2 in train, 3 closed in test and 3 not closed;
+    - a HAR nat(X,c) <- born(X,V0) on the hub c = `Washington,_D.C.`:
+      34 people are born in train, 24 in `a b` and 10 in `Paris_(band)`.
+      20 of those born in `a b` and 5 of those born in `Paris_(band)` have
+      nationality c in train, the 4 other ones born in `a b` have it in
+      test, and the other 5 have nationality `Ruritania`. The HAR has supp
+      25 of 34 groundings;
+    - so the BAR nat(X,c) <- born(X,"Paris_(band)"), supp 5 of 10
+      groundings, has the lower sc at every eta >= 0, and post pruning
+      drops it;
+    - a rare relation: two people of nationality c have one rare fact
+      each, so nat(X,Y) <- rare(X,V0) has supp 2.
+
+    The noise relations n0, n1 and n2 hold 60 random train facts
+    over the people and 20 noise entities (seeded by `seed`); they touch
+    no planted relation, so no planted support depends on them.
+    """
+    rng = random.Random(seed)
+    store = TripleStore()
+
+    def add(head: str, rel: str, tail: str, split: str = "train") -> None:
+        store.add_triple(store.relations.intern(rel),
+                         store.entities.intern(head),
+                         store.entities.intern(tail), split)
+
+    for i in range(18):
+        a, m, b = f"a{i}", f"m{i}", f"b{i}"
+        add(a, "r0", m)
+        add(m, "r1", b)
+        if i < 15:
+            add(a, "r2", b, "train" if i < 12 else "test")
+    people = ["X", "V0", "sk0"] + [f"p{i}" for i in range(31)]
+    for i, person in enumerate(people):
+        add(person, "born", "Paris_(band)" if i >= 24 else "a b")
+        nationality = "Ruritania" if i >= 29 else HUB
+        add(person, "nat", nationality, "test" if 20 <= i < 24 else "train")
+    add(people[0], "rare", "e0")
+    add(people[1], "rare", "e1")
+    pool = people + [f"e{i}" for i in range(20)]
+    for _ in range(60):
+        head, tail = rng.sample(pool, 2)
+        add(head, f"n{rng.randrange(3)}", tail)
+    return PlantedKG(store, {PLANTED_CAR: 12, PLANTED_HAR: 25,
+                             DOMINATED_BAR: 5}, rare_supp=2)
+
+
+# ---------------------------------------------------------------------------
 # per-prefix generalization oracle
 
 def walk_rules(store: TripleStore, rt: int, cfg) -> list[Rule]:

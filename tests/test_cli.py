@@ -17,7 +17,8 @@ from rulehier.kgstore import TripleStore
 from rulehier.miner import MinerConfig, read_rules
 from rulehier.rules import format_rule
 
-from helpers import TOY_TRIPLES, random_kg, toy_store, walk_rules
+from helpers import (DOMINATED_BAR, PLANTED_CAR, PLANTED_HAR, TOY_TRIPLES,
+                     planted_kg, random_kg, toy_store, walk_rules)
 
 
 def write_dataset(tmp_path, store):
@@ -487,10 +488,33 @@ def test_eval_reads_back_the_rules_of_any_entity_names(tmp_path, capsys):
 
 # a predictions.txt name: a JSON string, or bare
 _PRED_NAME = r'"(?:[^"\\]|\\.)*"|[^"(),]+'
+_PRED_QUERY = re.compile(rf"({_PRED_NAME})\(({_PRED_NAME}),({_PRED_NAME})\)")
 
 
 def _read_name(text: str) -> str:
     return json.loads(text) if text.startswith('"') else text
+
+
+def _read_predictions(path) -> list[tuple[str, str, list[str]]]:
+    """Each line of a predictions.txt read back: the query's relation, its
+    known entity and its candidates' names."""
+    out = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        qtext, rank, cands = line.split("\t")
+        assert rank == "unranked" or int(rank) >= 1
+        rel, subj, obj = _PRED_QUERY.fullmatch(qtext).groups()
+        # the bare ? marks the asked slot
+        assert [subj, obj].count("?") == 1
+        fields = re.findall(r'"(?:[^"\\]|\\.)*"[^ ]*|[^ ]+', cands)
+        assert " ".join(fields) == cands
+        names = []
+        for field in fields:
+            name, _, score = field.rpartition(":")
+            float(score)
+            names.append(_read_name(name))
+        out.append((_read_name(rel), _read_name(obj if subj == "?" else subj),
+                    names))
+    return out
 
 
 def test_predictions_read_back_any_entity_names(tmp_path):
@@ -511,26 +535,70 @@ def test_predictions_read_back_any_entity_names(tmp_path):
     assert main(["learn", "--config", str(cfg)]) == 0
     assert main(["eval", "--config", str(cfg)]) == 0
     names = set(store.entities.names())
-    query = re.compile(rf"({_PRED_NAME})\(({_PRED_NAME}),({_PRED_NAME})\)")
     candidates, known = set(), set()
-    for line in (out / "predictions.txt").read_text(
-            encoding="utf-8").splitlines():
-        qtext, rank, cands = line.split("\t")
-        rel, subj, obj = query.fullmatch(qtext).groups()
-        assert _read_name(rel) in store.relations.names()
-        # the bare ? marks the asked slot
-        assert [subj, obj].count("?") == 1
-        known.add(_read_name(obj if subj == "?" else subj))
-        fields = re.findall(r'"(?:[^"\\]|\\.)*"[^ ]*|[^ ]+', cands)
-        assert " ".join(fields) == cands
-        for field in fields:
-            name, _, score = field.rpartition(":")
-            float(score)
-            candidates.add(_read_name(name))
+    for rel, k, cands in _read_predictions(out / "predictions.txt"):
+        assert rel in store.relations.names()
+        known.add(k)
+        candidates.update(cands)
     assert candidates <= names and set(awkward) <= candidates
     assert known == {store.entities.name(e) for _, s, o in store.splits["test"]
                      for e in (s, o)}
     assert {"Paris_(band)", "c,d", "?"} <= known
+
+
+def _rules_by_text(out, store) -> dict:
+    """Every rule file in `out`, read back: each rule's text -> measures."""
+    ents, rels = store.entities, store.relations
+    return {format_rule(r, ents, rels): m
+            for path in sorted(out.glob("rules_*.txt"))
+            for r, m in read_rules(path, ents, rels)}
+
+
+def test_planted_rules_through_learn_and_eval(tmp_path):
+    # the planted-rule graph through the command line, with pruning off,
+    # with post pruning, and with prior pruning at a supp_h above the rare
+    # relation's open rule and below every planted rule
+    planted = planted_kg()
+    supp_h = planted.rare_supp + 1
+    assert supp_h <= min(planted.supp.values())
+    ds = write_dataset(tmp_path, planted.store)
+    cfg = write_config(tmp_path, ds, tmp_path / "out")
+    store = TripleStore.from_directory(ds)
+    runs = {"off": ("supp_h=0", "enable_post_pruning=off"),
+            "post": ("supp_h=0", "enable_post_pruning=on"),
+            "prior": (f"supp_h={supp_h}", "enable_post_pruning=off")}
+    rules, records = {}, {}
+    for name, sets in runs.items():
+        out = tmp_path / name
+        args = [a for s in (*sets, f"output_dir={out}") for a in ("--set", s)]
+        assert main(["learn", "--config", str(cfg), *args]) == 0
+        assert main(["eval", "--config", str(cfg), *args]) == 0
+        rules[name] = _rules_by_text(out, store)
+        records[name] = (out / "run_record.txt").read_text(encoding="utf-8")
+        # every query of a planted target's test fact, each name read back
+        preds = _read_predictions(out / "predictions.txt")
+        assert {(rel, k) for rel, k, _ in preds} == {
+            (store.relations.name(r), store.entities.name(e))
+            for r, s, o in store.splits["test"] for e in (s, o)}
+        assert all(set(c) <= set(store.entities.names())
+                   for _, _, c in preds)
+
+    def count(name: str, key: str) -> int:
+        return int(re.search(rf"^target\.nat\.{key} = (\d+)$",
+                             records[name], re.M).group(1))
+    # pruning off: each planted rule with the support the graph gives
+    assert {t: rules["off"][t].supp for t in planted.supp} == planted.supp
+    assert count("off", "post_pruned") == count("off", "p_oars") == 0
+    assert any("<- rare(X," in t for t in rules["off"])
+    # post pruning drops rules, the dominated BAR among them
+    assert count("post", "post_pruned") >= 1
+    assert DOMINATED_BAR not in rules["post"]
+    assert rules["post"].keys() < rules["off"].keys()
+    assert {PLANTED_CAR, PLANTED_HAR} <= rules["post"].keys()
+    # prior pruning skips the rare relation's subtree, not a planted rule
+    assert count("prior", "p_oars") > 0
+    assert not any("<- rare(X," in t for t in rules["prior"])
+    assert {t: rules["prior"][t].supp for t in planted.supp} == planted.supp
 
 
 def _record_values(record: str, key: str) -> list[str]:
@@ -683,6 +751,21 @@ def test_stats_command(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "P-OAR" in table and "ALL" in table
     assert "r0" in table
+
+
+@pytest.mark.parametrize("bad", [b"x", b"-2", b" 3", b"3.0", b"1_000", b"",
+                                 b"\xff"])
+def test_stats_rejects_a_count_it_cannot_read(tmp_path, capsys, bad):
+    # learn writes each OAR count as ASCII digits; any other value is an
+    # error naming the line, not a 0 in the table
+    record = tmp_path / "run_record.txt"
+    record.write_bytes(b"config.seed = 0\ntarget.r0.p_oars = 1\n"
+                       b"target.r0.i_oars = " + bad + b"\n"
+                       b"target.r0.u_oars = 2\n")
+    assert main(["stats", str(record)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {record}:3: ")
+    assert captured.out == ""
 
 
 def test_bench_command(tmp_path, capsys):

@@ -76,6 +76,18 @@ def test_non_train_splits_not_indexed(tmp_path):
     assert not store.fwd_index
 
 
+@pytest.mark.parametrize("name", ["splits", "fwd_index", "bwd_index",
+                                  "by_relation", "by_entity",
+                                  "duplicate_count"])
+def test_store_takes_only_its_interners(name):
+    # splits given without their indices would be a store whose join
+    # finds nothing: add_triple fills both
+    with pytest.raises(TypeError):
+        TripleStore(**{name: {"train": [(0, 0, 1)], "valid": [], "test": []}})
+    store = TripleStore(entities=Interner(), relations=Interner())
+    assert store.size() == 0 and not store.by_relation
+
+
 def test_directory_round_trip(tmp_path):
     store = toy_store()
     store.add_triple(0, 0, 1, "valid")

@@ -1498,6 +1498,23 @@ GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "
     "Advises(X,bob) | supp=2 | hc=0.5 | sc=0.25 | kind=HAR",
     # not UTF-8: the byte 0xff
     "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=\udcff",
+    # layouts write_rules never writes: reordered columns, a repeated one,
+    # an unknown one in place of kind, a missing or unknown kind
+    "Advises(X,bob) <- Is_A(X,V0) | hc=0.5 | supp=2 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | sc=0.9",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | note=x",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | kind=XAR",
+    # values write_rules never writes: supp not in ASCII digits, hc or sc
+    # not finite or negative
+    "Advises(X,bob) <- Is_A(X,V0) | supp= 2 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=1_000 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=-3 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=\u0663 | hc=0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=nan | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=inf | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=-0.5 | sc=0.25 | kind=HAR",
+    "Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=1e+999 | kind=HAR",
 ])
 def test_read_rules_names_the_file_and_line_of_a_malformed_line(tmp_path,
                                                                   bad):
