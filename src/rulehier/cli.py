@@ -225,9 +225,13 @@ def cmd_learn(args) -> int:
     results = learn_all(store, targets, cfg.miner,
                         collect_hierarchy=bool(args.emit_hierarchy))
     names = _file_names(store.relations)
+    paths = {rt: out_dir / f"rules_{names[rt]}.txt" for rt in results}
+    # eval reads every rule file in the directory: an earlier run's would
+    # answer queries of targets this run did not mine
+    for path in set(out_dir.glob("rules_*.txt")) - set(paths.values()):
+        path.unlink()
     for rt, res in sorted(results.items()):
-        write_rules(out_dir / f"rules_{names[rt]}.txt", res.rules,
-                    store.entities, store.relations)
+        write_rules(paths[rt], res.rules, store.entities, store.relations)
     _write_run_record(out_dir / "run_record.txt", cfg, names, results)
     if args.emit_hierarchy:
         merged = hmod.union(*(res.hierarchy for res in results.values()))

@@ -12,9 +12,11 @@ kept open rule is specialized from the grounding pass that measured it,
 support first (each anchor's HAR before any of its BARs) and the dearer
 thresholds after, and post pruning drops dominated anchorings. That pass
 fills a `BodyIndex`, the grounding index that rule application
-(`evaluator`) reads too. Post pruning compares each BAR with its one
-I-parent, the HAR of its anchor. Only on request are both hierarchies
-recorded, as their rules are made, with no subsumption check.
+(`evaluator`) reads too; the part of specialization that depends only on
+the body is built into it once, for every target. Post pruning compares
+each BAR with its one I-parent, the HAR of its anchor. Only on request
+are both hierarchies recorded, as their rules are made, with no
+subsumption check.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import itemgetter
 from typing import Collection
 
@@ -203,16 +206,38 @@ def _measures(supp: int, n_g: int, valid_supp: int, n_rt: int,
     return Measures(supp, hc, sc, n_g, valid_supp)
 
 
+def _common_sets(groundings, j: int) -> dict[int, set[int]]:
+    """Each value at slot j of `groundings` -> the entities used by every
+    grounding with that value."""
+    out: dict[int, set[int]] = {}
+    for g in groundings:
+        ents = out.get(g[j])
+        if ents is None:
+            out[g[j]] = set(g)
+        else:
+            ents.intersection_update(g)
+    return out
+
+
 class BodyIndex:
     """One rule body's groundings, the entity tuples `ground_body` yields
     (variable v at slot pos[v]), and the maps the body's rules read, each
-    built on first use and shared:
+    built on first use and shared by every rule over the body, whatever
+    its head:
 
     - grouped(j): each value at slot j -> the groundings with that value;
     - common(j): each value at slot j -> the entities used by every
       grounding with that value, so some grounding with the value avoids
-      entity e iff e lies outside them;
-    - pairs(j, i): each value at slot j -> the values at slot i beside it.
+      entity e iff e lies outside them; common_total(j): the sizes of
+      those sets, summed;
+    - pairs(j, i): each value at slot j -> the values at slot i beside it;
+    - common_split(j, v, k): for value v at slot j, each value at slot k
+      beside it -> the entities used by every grounding with both values,
+      built per v from grouped(j)[v];
+    - common_count(k, t, j): for value t at slot k, or for every grounding
+      if t is None, each value at slot j beside it -> the entities used by
+      every grounding with both values; and per entity, how many of those
+      sets hold it. Built per t from grouped(k)[t], or from common(j).
     """
 
     def __init__(self, rule: Rule, groundings):
@@ -221,7 +246,10 @@ class BodyIndex:
         self.groundings: list[tuple[int, ...]] = list(groundings)
         self._grouped: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._common: dict[int, dict[int, set[int]]] = {}
+        self._common_total: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
+        self._split: dict[tuple[int, int], dict[int, dict[int, set[int]]]] = {}
+        self._count: dict[tuple[int, int], dict[int | None, tuple]] = {}
 
     def grouped(self, j: int) -> dict[int, list[tuple[int, ...]]]:
         out = self._grouped.get(j)
@@ -234,13 +262,14 @@ class BodyIndex:
     def common(self, j: int) -> dict[int, set[int]]:
         out = self._common.get(j)
         if out is None:
-            out = self._common[j] = {}
-            for g in self.groundings:
-                ents = out.get(g[j])
-                if ents is None:
-                    out[g[j]] = set(g)
-                else:
-                    ents.intersection_update(g)
+            out = self._common[j] = _common_sets(self.groundings, j)
+        return out
+
+    def common_total(self, j: int) -> int:
+        out = self._common_total.get(j)
+        if out is None:
+            out = self._common_total[j] = sum(map(len,
+                                                  self.common(j).values()))
         return out
 
     def pairs(self, j: int, i: int) -> dict[int, set[int]]:
@@ -249,6 +278,24 @@ class BodyIndex:
             out = self._pairs[(j, i)] = defaultdict(set)
             for g in self.groundings:
                 out[g[j]].add(g[i])
+        return out
+
+    def common_split(self, j: int, v: int, k: int) -> dict[int, set[int]]:
+        memo = self._split.setdefault((j, k), {})
+        out = memo.get(v)
+        if out is None:
+            out = memo[v] = _common_sets(self.grouped(j)[v], k)
+        return out
+
+    def common_count(self, k: int, t: int | None, j: int
+                     ) -> tuple[dict[int, set[int]], Counter]:
+        memo = self._count.setdefault((k, j), {})
+        out = memo.get(t)
+        if out is None:
+            sets = self.common(j) if t is None \
+                else _common_sets(self.grouped(k)[t], j)
+            out = memo[t] = (sets, Counter(chain.from_iterable(
+                sets.values())))
         return out
 
 
@@ -267,11 +314,12 @@ def open_groundings(oar: Rule, store: TripleStore, parent=None) -> BodyIndex:
 def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
                    valid_pairs, cfg: MinerConfig) -> Measures:
     """An OAR's measures: Y ranges over the entities outside common[x]."""
-    common = body.common(body.pos[VAR_X])
+    xs = body.pos[VAR_X]
+    common = body.common(xs)
 
     def hits(pairs) -> int:
         return sum(x in common and y not in common[x] for x, y in pairs)
-    n_g = len(store.entities) * len(common) - sum(map(len, common.values()))
+    n_g = len(store.entities) * len(common) - body.common_total(xs)
     return _measures(hits(rt_pairs), n_g, hits(valid_pairs), len(rt_pairs),
                      cfg)
 
@@ -465,11 +513,16 @@ def specialization(oar: Rule, body: BodyIndex,
 
     A HAR binds Y to an anchor c, a BAR also binds the dangling term to a
     tail value t. `body`, which `open_groundings(oar, ...)` built (and so
-    checked that `oar` is an OAR), gives per x its groundings and the
-    entities all of them use; per x and t, the entities used by all of its
-    groundings with tail value t are intersected here, only for the tails
-    of surviving candidates. (x, c) is in a candidate's head groundings
-    iff c is outside that intersection.
+    checked that `oar` is an OAR), holds all the work that depends only on
+    the body, each part built on first use and read by every target that
+    specializes the body in the same traversal. Per x: each tail value t
+    of x's groundings -> the entities used by all of x's groundings with
+    tail value t (`common_split`), built only for the x of an instance
+    that supports a live anchor. Per tail value t of a surviving candidate
+    (None for a HAR, which reads every grounding): those sets per x, and
+    per entity c how many of them hold c (`common_count`). (x, c) is in a
+    candidate's head groundings iff c is outside x's set, so |g| is the
+    number of sets less the number that hold c.
 
     Support comes first, HARs before BARs. A pass over the target's train
     pairs `rt_pairs` counts each anchor's HAR support. Every pair that
@@ -504,54 +557,25 @@ def specialization(oar: Rule, body: BodyIndex,
     def passes(n: int) -> bool:
         return n > cfg.supp_f and n / n_rt > cfg.hc_f
 
-    common_x = body.common(body.pos[VAR_X])
+    xs = body.pos[VAR_X]
+    common_x = body.common(xs)
     # an instance (x, y) that some grounding of x avoids supports the HAR
     # on anchor y
     hits = [(x, y) for x, y in rt_pairs if y not in common_x.get(x, (y,))]
     har = Counter(y for _, y in hits)
-    live = {c for c, n in har.items() if passes(n)}
-    if not live:
+    supp = Counter({(c, None): n for c, n in har.items() if passes(n)})
+    if not supp:
         return [], False
 
     tail = dangling_term(oar)
     ts = body.pos[tail]
-    by_x = body.grouped(body.pos[VAR_X])
-    # supp[(c, t)]: the HAR (c, None), and the BAR (c, t) once per instance
-    # (x, c) whose groundings that avoid c have tail value t (t != c, since
-    # a grounding binds distinct entities)
-    supp: dict[tuple[int, int | None], int] = {}
-    for x, y in hits:
-        if y not in live:
-            continue
-        if (y, None) not in supp:
-            supp[(y, None)] = har[y]
-        for t in dict.fromkeys(g[ts] for g in by_x[x] if y not in g):
-            supp[(y, t)] = supp.get((y, t), 0) + 1
-    cands = [ct for ct in supp if passes(supp[ct])]
-
-    # the entities used by every grounding of x (key (x, None)) and by
-    # every grounding of x whose tail value is t (key (x, t)), for the
-    # tail values of the surviving BARs
-    tails = {t for _, t in cands}
-    common: dict[tuple[int, int | None], set[int]] = {
-        (x, None): ents for x, ents in common_x.items()}
-    for x, gs in by_x.items():
-        for g in gs:
-            t = g[ts]
-            if t in tails:
-                ents = common.get((x, t))
-                if ents is None:
-                    common[(x, t)] = set(g)
-                else:
-                    ents.intersection_update(g)
-
-    # n_xs[t]: how many x have a grounding with tail value t (any tail
-    # value for t None); blocked[(t, c)]: how many of them use c in every
-    # such grounding
-    anchors = {c for c, _ in cands}
-    n_xs = Counter(t for _, t in common)
-    blocked = Counter((t, c) for (_, t), ents in common.items()
-                      for c in ents & anchors)
+    # supp[(c, t)]: the HAR (c, None) of each live anchor c, and the BAR
+    # (c, t) once per instance (x, c) with a grounding of tail value t that
+    # avoids c (t != c, since a grounding binds distinct entities)
+    supp.update((y, t) for x, y in hits if (y, None) in supp
+                for t, ents in body.common_split(xs, x, ts).items()
+                if y not in ents)
+    cands = [ct for ct, n in supp.items() if passes(n)]
     valid_by_c: dict[int, list[int]] = defaultdict(list)
     for x, c in valid_pairs:
         valid_by_c[c].append(x)
@@ -563,12 +587,14 @@ def specialization(oar: Rule, body: BodyIndex,
     shared: dict[int | None, Rule] = {None: oar}
     heads: dict[tuple[Atom, int], Atom] = {}
     for c, t in cands:
-        n_g = n_xs[t] - blocked.get((t, c), 0)
+        # per x with a grounding of tail value t (any, for a HAR), the
+        # entities all of them use: (x, c) is a head grounding iff c is
+        # outside them
+        sets, blocked = body.common_count(ts, t, xs)
+        n_g = len(sets) - blocked[c]
         if not supp[(c, t)] / (cfg.eta + n_g) > cfg.sc_f:
             continue
-        xs = valid_by_c.get(c)
-        valid = sum(c not in common.get((x, t), (c,)) for x in xs) \
-            if xs else 0
+        valid = sum(c not in sets.get(x, (c,)) for x in valid_by_c.get(c, ()))
         m = _measures(supp[(c, t)], n_g, valid, n_rt, cfg)
         if not overfit_keep(m, cfg):
             continue
@@ -818,15 +844,29 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
 def write_rules(path, items: list[tuple[Rule, Measures]], entities,
                 relations) -> None:
     """Write one rule per line with its supp, hc, sc and kind. Each
-    distinct atom and each distinct body is formatted once per file."""
+    distinct atom and each distinct body is formatted once per file, and
+    each body is classified once per head shape: of the head, `kind_of`
+    reads which terms are variables, and whether the body holds a
+    constant one."""
     atoms: dict = {}
     bodies: dict = {}
+    # per body, its constants and each head shape's kind
+    kinds: dict[tuple[Atom, ...], tuple[set[Term], dict]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for rule, m in items:
             text = format_rule(rule, entities, relations, atoms, bodies)
+            held, by_head = kinds.get(rule.body) or kinds.setdefault(
+                rule.body, ({t for a in rule.body for t in a.terms
+                             if not t.is_var}, {}))
+            _, s, o = rule.head
+            shape = (s if s.is_var else s in held,
+                     o if o.is_var else o in held)
+            kind = by_head.get(shape)
+            if kind is None:
+                kind = by_head[shape] = kind_of(rule)
             fh.write(f"{text} | "
                      f"supp={m.supp} | hc={m.hc!r} | sc={m.sc!r} | "
-                     f"kind={kind_of(rule)}\n")
+                     f"kind={kind}\n")
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:

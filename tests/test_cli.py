@@ -458,6 +458,25 @@ def test_learn_with_no_target_writes_no_rule_file(tmp_path, capsys):
     assert not list(out.glob("rules_*.txt"))
 
 
+def test_learn_leaves_only_its_own_rule_files(tmp_path):
+    # a second learn into the same directory, over one target, removes the
+    # first run's other rule files, so eval ranks only that target's
+    # queries; a file that is not a rule file stays
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, write_dataset(tmp_path, full_store()), out)
+    assert main(["learn", "--config", str(cfg)]) == 0
+    assert sorted(f.name for f in out.glob("rules_*.txt")) \
+        == ["rules_r0.txt", "rules_r1.txt", "rules_r2.txt"]
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["learn", "--config", str(cfg), "--set", "target_mode=list",
+                 "--set", "target_list=r0"]) == 0
+    assert [f.name for f in out.glob("rules_*.txt")] == ["rules_r0.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert main(["eval", "--config", str(cfg)]) == 0
+    queries = (out / "predictions.txt").read_text().splitlines()
+    assert queries and all(q.startswith("r0(") for q in queries)
+
+
 def test_eval_reads_back_the_rules_of_any_entity_names(tmp_path, capsys):
     # names that a bare rule text would read as a variable or a skolem, or
     # that hold the grammar's characters

@@ -2,7 +2,7 @@ import inspect
 import random
 import re
 import tempfile
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -290,8 +290,32 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
             assert dict(body.grouped(j)) == grouped[j]
             assert body.common(j) == common[j]
             assert body.common(j) is body.common(j)   # built once
+            assert body.common_total(j) == sum(map(len, common[j].values()))
             for i in range(len(order)):
                 assert dict(body.pairs(j, i)) == pairs[(j, i)]
+                # the same sets from the (j, i) value pairs' groundings
+                both = {}
+                for v, gs in grouped[j].items():
+                    for g in gs:
+                        both.setdefault((v, g[i]), []).append(set(g))
+                both = {vu: set.intersection(*sets)
+                        for vu, sets in both.items()}
+                for v in grouped[j]:
+                    assert body.common_split(j, v, i) == {
+                        u: ents for (w, u), ents in both.items() if w == v}
+                    sets, held = body.common_count(j, v, i)
+                    assert sets == {u: ents for (w, u), ents in both.items()
+                                    if w == v}
+                    assert held == Counter(c for ents in sets.values()
+                                           for c in ents)
+                    assert body.common_split(j, v, i) \
+                        is body.common_split(j, v, i)
+                    assert body.common_count(j, v, i) \
+                        is body.common_count(j, v, i)
+                sets, held = body.common_count(i, None, j)
+                assert sets is body.common(j)
+                assert held == Counter(c for ents in common[j].values()
+                                       for c in ents)
         if kind_of(rule) == "OAR":
             oar = open_groundings(rule, store)
             assert isinstance(oar, BodyIndex)
@@ -880,35 +904,36 @@ def test_specialization_equals_filtering_every_candidate():
     assert all(a["live"] and a["dead"] for a in anchors[:3]), anchors
 
 
-class _ReadsRecorded(defaultdict):
-    """A grouping dict that records the keys read by subscript."""
-
-    def __init__(self, grouped):
-        super().__init__(list, grouped)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+def _tail_value(rule):
+    """A kept rule's tail value: its one body constant (None for a HAR)."""
+    return next((t.idx for a in rule.body for t in a.terms if not t.is_var),
+                None)
 
 
 def test_specialization_enumerates_tails_of_live_anchors_only():
-    # the groundings of x are read only for an instance (x, c) that
-    # supports the HAR of a live anchor c
-    live_reads = dead_anchors = 0
+    # on a fresh index, x's tail values are split only for an instance
+    # (x, c) that supports the HAR of a live anchor c, and a tail value's
+    # sets are built only for the tails of candidates that pass supp_f and
+    # hc_f
+    split = counted = dead_anchors = 0
     config = cfg(supp_f=1, hc_f=0.08)
     for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
         every, _ = specialization(oar, body, rt_pairs, valid, cfg())
         live, dead = _anchors(every, config)
-        j = body.pos[VAR_X]
-        common_x = body.common(j)
-        body._grouped[j] = recorded = _ReadsRecorded(body.grouped(j))
-        specialization(oar, body, rt_pairs, valid, config)
-        assert recorded.read == {x for x, c in rt_pairs if c in live
-                                 and c not in common_x.get(x, (c,))}
-        live_reads += len(recorded.read)
+        fresh = BodyIndex(oar, body.groundings)
+        specialization(oar, fresh, rt_pairs, valid, config)
+        j, k = fresh.pos[VAR_X], fresh.pos[dangling_term(oar)]
+        common_x = fresh.common(j)
+        assert set(fresh._split.get((j, k), ())) == {
+            x for x, c in rt_pairs
+            if c in live and c not in common_x.get(x, (c,))}
+        assert set(fresh._count.get((k, j), ())) == {
+            _tail_value(r) for r, m in every
+            if m.supp > config.supp_f and m.hc > config.hc_f}
+        split += len(fresh._split.get((j, k), ()))
+        counted += len(fresh._count.get((k, j), ()))
         dead_anchors += len(dead)
-    assert live_reads and dead_anchors
+    assert split and counted and dead_anchors
 
 
 def test_specialization_with_no_live_anchor_groups_nothing():
@@ -1381,6 +1406,49 @@ def test_learn_all_grounds_each_body_once(monkeypatch):
     assert shared > 0
 
 
+def test_learn_all_builds_each_body_map_entry_once(monkeypatch):
+    # targets that reach one OAR specialize it from one index: each per-x
+    # and per-tail entry is built on its first read, and every later read,
+    # by the same target or another, gets that object
+    entries: dict = {}   # (index id, map, args) -> (entry, reading targets)
+    bodies = []   # keeps every index alive, so no id is reused
+    reader = [None]
+    spec = miner_mod.specialization
+
+    def specialize(oar, body, *args, **kw):
+        reader[0] = oar.head.pred   # the target
+        bodies.append(body)
+        return spec(oar, body, *args, **kw)
+    monkeypatch.setattr(miner_mod, "specialization", specialize)
+    for name in ("common_split", "common_count"):
+        def read(self, *args, name=name, build=getattr(BodyIndex, name)):
+            got = build(self, *args)
+            first, targets = entries.setdefault((id(self), name, args),
+                                                (got, set()))
+            assert got is first
+            targets.add(reader[0])
+            return got
+        monkeypatch.setattr(BodyIndex, name, read)
+    rng = random.Random(29)
+    config = cfg(supp_f=1, overfit_threshold=0.1)
+    shared = Counter()   # entries read by several targets, per map
+    for store in (random_kg(rng, n_entities=14, n_relations=4, n_train=90,
+                            n_valid=25), hub_kg(rng)):
+        targets = _targets(store)
+        assert len(targets) >= 3
+        entries.clear()
+        together = learn_all(store, targets, config)
+        for (_, name, _), (_, readers) in entries.items():
+            if len(readers) >= 2:
+                shared[name] += 1
+            shared[name, "most"] = max(shared[name, "most"], len(readers))
+        for rt in targets:
+            assert together[rt].rules == learn(store, rt, config).rules
+    assert shared["common_split"] and shared["common_count"], shared
+    assert min(shared["common_split", "most"],
+               shared["common_count", "most"]) >= 3, shared
+
+
 def test_learn_all_splits_its_wall_time_over_the_targets(monkeypatch):
     ticks: list[float] = []
 
@@ -1476,6 +1544,58 @@ def test_rule_file_round_trips_any_names(names, rel_names):
     store, rules = _anchored_rules(names, rel_names)
     with tempfile.TemporaryDirectory() as tmp:
         _round_trip(Path(tmp) / "rules.txt", store, rules)
+
+
+def _written_kinds(path, rules) -> list[str]:
+    """The kind column `write_rules` writes for `rules`, over a store
+    whose entities 0-2 and relations 0-1 are e0-e2 and r0-r1."""
+    store = TripleStore()
+    for i in range(3):
+        store.entities.intern(f"e{i}")
+    for i in range(2):
+        store.relations.intern(f"r{i}")
+    write_rules(path, [(r, Measures()) for r in rules], store.entities,
+                store.relations)
+    return [line.rsplit(" | kind=", 1)[1]
+            for line in path.read_text().splitlines()]
+
+
+def test_rule_file_kind_is_the_rules_kind(tmp_path):
+    # write_rules classifies each body once per head shape; a head constant
+    # the body holds or not, a one-atom body (whose dangling term reads the
+    # head) and a constant subject each change the kind over one body
+    x, y, v, a, b = VAR_X, VAR_Y, Term(True, 2), Term(False, 0), \
+        Term(False, 1)
+    chain = (Atom(0, x, v), Atom(1, v, a))
+    one = (Atom(0, x, a),)
+    rules = [Rule(Atom(1, x, a), chain), Rule(Atom(1, x, b), chain),
+             Rule(Atom(1, a, y), chain), Rule(Atom(1, x, y), chain),
+             Rule(Atom(1, x, a), one), Rule(Atom(1, x, b), one),
+             Rule(Atom(1, b, a), one), Rule(Atom(1, x, y), one),
+             Rule(Atom(1, x, b), (Atom(0, v, a),)),
+             Rule(Atom(1, x, b), (Atom(0, a, v),))]
+    kinds = _written_kinds(tmp_path / "rules.txt", rules)
+    assert kinds == [kind_of(r) for r in rules]
+    assert kinds == ["HAR", "BAR", "INSR", "INSR", "HAR", "BAR", "INSR",
+                     "INSR", "BAR", "INSR"]
+
+
+_KIND_TERMS = [VAR_X, VAR_Y, Term(True, 2), Term(True, 3), Term(False, 0),
+               Term(False, 1), Term(False, 2)]
+_KIND_ATOMS = st.builds(Atom, st.integers(0, 1), st.sampled_from(_KIND_TERMS),
+                        st.sampled_from(_KIND_TERMS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_KIND_ATOMS, max_size=3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), _KIND_ATOMS), min_size=1,
+                max_size=12))
+def test_rule_file_kind_is_the_kind_of_any_rule(bodies, heads):
+    # arbitrary rules, several over each body, under arbitrary heads
+    rules = [Rule(head, tuple(bodies[i % len(bodies)])) for i, head in heads]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _written_kinds(Path(tmp) / "rules.txt", rules) \
+            == [kind_of(r) for r in rules]
 
 
 GOOD_LINE = ("Advises(X,bob) <- Is_A(X,V0) | supp=2 | hc=0.5 | sc=0.25 | "
