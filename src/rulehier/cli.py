@@ -90,7 +90,8 @@ def _coerce(key: str, value: str, like):
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
+    # a byte-order mark opening the file is dropped, as in the data files
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:

@@ -23,9 +23,12 @@ class ParseError(ValueError):
 
 def decode_line(raw: bytes, path, lineno: int) -> str:
     """One line of a file read in binary, as text without its line end;
-    bytes that are not UTF-8 raise ParseError naming `path:lineno`."""
+    bytes that are not UTF-8 raise ParseError naming `path:lineno`. A
+    byte-order mark at the start of line 1, the file's byte 0, is dropped,
+    as the utf-8-sig codec drops it; U+FEFF anywhere else is text."""
     try:
-        return raw.decode("utf-8").rstrip("\n").rstrip("\r")
+        return raw.decode("utf-8-sig" if lineno == 1 else "utf-8").rstrip(
+            "\n").rstrip("\r")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}:{lineno}: {e}") from None
 

@@ -311,17 +311,25 @@ def open_groundings(oar: Rule, store: TripleStore, parent=None) -> BodyIndex:
     return BodyIndex(oar, ground_body(oar, store, parent=parent))
 
 
+def _hits(common: dict[int, set[int]], pairs) -> list[tuple[int, int]]:
+    """The pairs of `pairs` in an OAR's head groundings, in their order:
+    with `common` the body's common(X's slot), (x, y) is one iff some
+    grounding binds X to x and avoids y."""
+    return [(x, y) for x, y in pairs if x in common and y not in common[x]]
+
+
 def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
-                   valid_pairs, cfg: MinerConfig) -> Measures:
-    """An OAR's measures: Y ranges over the entities outside common[x]."""
+                   valid_pairs, cfg: MinerConfig
+                   ) -> tuple[Measures, list[tuple[int, int]]]:
+    """An OAR's measures, Y ranging over the entities outside common[x],
+    and its hits among `rt_pairs` (see _hits), which specialization
+    reads."""
     xs = body.pos[VAR_X]
     common = body.common(xs)
-
-    def hits(pairs) -> int:
-        return sum(x in common and y not in common[x] for x, y in pairs)
+    hits = _hits(common, rt_pairs)
+    valid = len(_hits(common, valid_pairs))
     n_g = len(store.entities) * len(common) - body.common_total(xs)
-    return _measures(hits(rt_pairs), n_g, hits(valid_pairs), len(rt_pairs),
-                     cfg)
+    return _measures(len(hits), n_g, valid, len(rt_pairs), cfg), hits
 
 
 def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
@@ -353,7 +361,7 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
     if free:
         # open_groundings raises KindError, a ValueError, on a non-OAR
         return _open_measures(open_groundings(rule, store, parent),
-                              store, rt_pairs, valid_pairs, cfg)
+                              store, rt_pairs, valid_pairs, cfg)[0]
 
     body = BodyIndex(rule, ground_body(rule, store, parent=parent))
     xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
@@ -504,10 +512,35 @@ def overfit_keep(m: Measures, cfg: MinerConfig, _kind: str = "") -> bool:
     return m.valid_supp / m.supp >= cfg.overfit_threshold
 
 
+def _least_passing(n_rt: int, cfg: MinerConfig) -> int:
+    """The least support n with n > supp_f and n / n_rt > hc_f, the float
+    test `is_relevant` makes, for n_rt >= 1 train pairs. Both tests only
+    get easier as n grows, so a support passes both iff it is at least
+    this; above n_rt, which no support exceeds, if none passes."""
+    if cfg.hc_f >= 1:
+        return n_rt + 1
+    n = math.floor(cfg.hc_f * n_rt)   # within one of the least; step to it
+    while n and (n - 1) / n_rt > cfg.hc_f:
+        n -= 1
+    while not n / n_rt > cfg.hc_f:
+        n += 1
+    return max(n, cfg.supp_f + 1)
+
+
+def _by_anchor(valid_pairs) -> dict[int, list[int]]:
+    """Validation pairs (x, c) grouped by anchor: c -> its xs."""
+    out: dict[int, list[int]] = defaultdict(list)
+    for x, c in valid_pairs:
+        out[c].append(x)
+    return out
+
+
 def specialization(oar: Rule, body: BodyIndex,
                    rt_pairs: Collection[tuple[int, int]],
-                   valid_pairs: set[tuple[int, int]],
+                   valid_pairs: Collection[tuple[int, int]]
+                   | dict[int, list[int]],
                    cfg: MinerConfig,
+                   hits: list[tuple[int, int]] | None = None,
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
     """Anchor an OAR into its relevant HARs and BARs.
 
@@ -524,17 +557,29 @@ def specialization(oar: Rule, body: BodyIndex,
     candidate's head groundings iff c is outside x's set, so |g| is the
     number of sets less the number that hold c.
 
-    Support comes first, HARs before BARs. A pass over the target's train
-    pairs `rt_pairs` counts each anchor's HAR support. Every pair that
-    supports BAR (c, t) supports HAR c, so an anchor is live iff its HAR
-    passes `supp_f` and `hc_f`, and tail values are enumerated only for
-    the pairs of live anchors; with none, the body's groundings are never
-    grouped. The dearer thresholds follow: |g| and `sc_f`, then the
-    validation support and `overfit_keep`. Returns (rules with measures,
-    False): exactly the candidates that pass `is_relevant` and
-    `overfit_keep`, each built only if kept; with zero thresholds, every
-    candidate (each has supp >= 1). The order of `rt_pairs` decides only
-    the order of the rules, not which are kept. The second item is
+    Support comes first, HARs before BARs. The hits, the pairs of the
+    target's train pairs `rt_pairs` in the OAR's head groundings, are
+    `hits` if given (`_open_measures` finds them while measuring the OAR)
+    and are found here otherwise; they count each anchor's HAR support.
+    `supp_f` and `hc_f` only get easier as the support grows, so they are
+    one test against the least passing support, found once per call
+    (`_least_passing`). Every pair that supports BAR (c, t) supports HAR
+    c, so an anchor is live iff its HAR passes, and tail values are
+    enumerated only for the hits of live anchors; with none, the body's
+    groundings are never grouped. The passing candidates are then taken
+    in groups that share a tail value: the live HARs straight from the
+    anchor counts, then the BARs of each tail value, in ascending order.
+    Each group reads its `common_count` entry once, and its candidates
+    meet the dearer thresholds: |g| and `sc_f`, then the validation
+    support and `overfit_keep`. `valid_pairs` are the target's validation
+    pairs (x, c), or a dict of their xs per anchor c (`_by_anchor`), as a
+    caller that specializes many OARs for one target passes them.
+
+    Returns (rules with measures, False): exactly the candidates that pass
+    `is_relevant` and `overfit_keep`, each built only if kept; with zero
+    thresholds, every candidate (each has supp >= 1). The order of
+    `rt_pairs` decides only the order of the rules, not which are kept,
+    and raising a threshold keeps a sublist, in order. The second item is
     constant; bench/layers.py unpacks a pair.
 
     A kept rule is the OAR with Y replaced by const(c) and the dangling
@@ -544,79 +589,88 @@ def specialization(oar: Rule, body: BodyIndex,
     OAR's head lacks Y or the OAR is not straight. Both are checked once,
     before the first kept rule, and raise `instantiate`'s errors.
 
-    Kept rules share their bodies. A HAR is `oar.with_head(head)`, so
-    every HAR holds the OAR's body tuple. The body of the BARs of tail
-    value t is built once, as `Rule(...)` of the OAR with only the
-    dangling term bound, the first time one of them is kept, and each of
-    them is that rule's `with_head(head)`. A head binds only Y, so no rule
-    is renumbered but those per-tail ones; an OAR whose head holds a
-    variable other than X and Y raises `with_head`'s ValueError.
+    Kept rules share their bodies and heads. A HAR is
+    `oar.with_head(head)`, so every HAR holds the OAR's body tuple. A tail
+    value's group builds its body once, as `Rule(...)` of the OAR with
+    only the dangling term bound, when it keeps its first rule, and each
+    of its rules is that rule's `with_head(head)`. The head of anchor c is
+    the OAR's head with Y bound to c, built once per call for every kept
+    rule of c: a head binds only Y, so no rule is renumbered but the
+    per-tail ones, and an OAR whose head holds a variable other than X and
+    Y raises `with_head`'s ValueError.
     """
-    n_rt = len(rt_pairs)
-
-    def passes(n: int) -> bool:
-        return n > cfg.supp_f and n / n_rt > cfg.hc_f
-
     xs = body.pos[VAR_X]
-    common_x = body.common(xs)
-    # an instance (x, y) that some grounding of x avoids supports the HAR
-    # on anchor y
-    hits = [(x, y) for x, y in rt_pairs if y not in common_x.get(x, (y,))]
-    har = Counter(y for _, y in hits)
-    supp = Counter({(c, None): n for c, n in har.items() if passes(n)})
-    if not supp:
+    if hits is None:
+        hits = _hits(body.common(xs), rt_pairs)
+    if not hits:
+        return [], False
+    n_rt = len(rt_pairs)
+    least = _least_passing(n_rt, cfg)
+    live = [(c, n) for c, n in Counter(y for _, y in hits).items()
+            if n >= least]
+    if not live:
         return [], False
 
     tail = dangling_term(oar)
     ts = body.pos[tail]
-    # supp[(c, t)]: the HAR (c, None) of each live anchor c, and the BAR
-    # (c, t) once per instance (x, c) with a grounding of tail value t that
-    # avoids c (t != c, since a grounding binds distinct entities)
-    supp.update((y, t) for x, y in hits if (y, None) in supp
-                for t, ents in body.common_split(xs, x, ts).items()
-                if y not in ents)
-    cands = [ct for ct, n in supp.items() if passes(n)]
-    valid_by_c: dict[int, list[int]] = defaultdict(list)
-    for x, c in valid_pairs:
-        valid_by_c[c].append(x)
+    anchors = dict(live)
+    # the BAR (c, t) once per instance (x, c) of a live anchor c with a
+    # grounding of tail value t that avoids c (t != c, since a grounding
+    # binds distinct entities); then the passing ones by tail value
+    bar = Counter((t, y) for x, y in hits if y in anchors
+                  for t, ents in body.common_split(xs, x, ts).items()
+                  if y not in ents)
+    groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for (t, c), n in bar.items():
+        if n >= least:
+            groups[t].append((c, n))
+    valid_by_c = valid_pairs if isinstance(valid_pairs, dict) \
+        else _by_anchor(valid_pairs)
 
     out: list[tuple[Rule, Measures]] = []
-    # per tail value, the OAR with the dangling term bound to it (the OAR
-    # itself for a HAR): the body its kept rules share; and per head of
-    # those and anchor, the head with Y bound to the anchor
-    shared: dict[int | None, Rule] = {None: oar}
-    heads: dict[tuple[Atom, int], Atom] = {}
-    for c, t in cands:
+    # per anchor, the OAR's head with Y bound to it, which every kept rule
+    # of the anchor shares
+    heads: dict[int, Atom] = {}
+    p, s, o = oar.head
+    # the HARs (tail value None), then each tail value's BARs
+    for t, cands in chain([(None, live)],
+                          ((t, groups[t]) for t in sorted(groups))):
         # per x with a grounding of tail value t (any, for a HAR), the
         # entities all of them use: (x, c) is a head grounding iff c is
         # outside them
         sets, blocked = body.common_count(ts, t, xs)
-        n_g = len(sets) - blocked[c]
-        if not supp[(c, t)] / (cfg.eta + n_g) > cfg.sc_f:
-            continue
-        valid = sum(c not in sets.get(x, (c,)) for x in valid_by_c.get(c, ()))
-        m = _measures(supp[(c, t)], n_g, valid, n_rt, cfg)
-        if not overfit_keep(m, cfg):
-            continue
-        if not out:
-            if VAR_Y not in oar.head.terms:
-                raise ValueError("bindings must name variables of the rule")
-            if not is_straight(oar):
-                raise StraightnessError(
-                    "instantiation violates straightness")
-        rule = shared.get(t)
-        if rule is None:
-            atoms = [Atom(p, const(t) if s == tail else s,
-                          const(t) if o == tail else o)
-                     for p, s, o in oar.atoms]
-            rule = shared[t] = Rule(atoms[0], tuple(atoms[1:]))
-        head = heads.get((rule.head, c))
-        if head is None:
-            p, s, o = rule.head
-            anchor = const(c)
-            head = heads[(rule.head, c)] = Atom(
-                p, anchor if s == VAR_Y else s, anchor if o == VAR_Y else o)
-        out.append((rule.with_head(head), m))
+        n_sets = len(sets)
+        # the body the group's kept rules share: the OAR's for the HARs,
+        # else the OAR with the dangling term bound to t, built when the
+        # group keeps its first rule
+        rule = oar if t is None else None
+        for c, n in cands:
+            n_g = n_sets - blocked.get(c, 0)
+            if not n / (cfg.eta + n_g) > cfg.sc_f:
+                continue
+            valid = sum(c not in sets.get(x, (c,))
+                        for x in valid_by_c.get(c, ()))
+            m = _measures(n, n_g, valid, n_rt, cfg)
+            if not overfit_keep(m, cfg):
+                continue
+            if not out:
+                if VAR_Y not in oar.head.terms:
+                    raise ValueError("bindings must name variables of the "
+                                     "rule")
+                if not is_straight(oar):
+                    raise StraightnessError(
+                        "instantiation violates straightness")
+            if rule is None:
+                atoms = [Atom(q, const(t) if a == tail else a,
+                              const(t) if b == tail else b)
+                         for q, a, b in oar.atoms]
+                rule = Rule(atoms[0], tuple(atoms[1:]))
+            head = heads.get(c)
+            if head is None:
+                anchor = const(c)
+                head = heads[c] = Atom(p, anchor if s == VAR_Y else s,
+                                       anchor if o == VAR_Y else o)
+            out.append((rule.with_head(head), m))
     return out, False
 
 
@@ -635,7 +689,8 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 
 class _Target:
     """One target's share of `learn_all`'s traversal: its train and
-    validation pairs, what it mined so far and its result."""
+    validation pairs, the latter also grouped by anchor once for all its
+    specializations, what it mined so far and its result."""
 
     def __init__(self, store: TripleStore, rt: int):
         self.rt = rt
@@ -643,6 +698,7 @@ class _Target:
         if not self.rt_pairs:
             raise _empty_target(store, rt)
         self.valid_pairs = store.instances_of(rt, "valid")
+        self.valid_by_c = _by_anchor(self.valid_pairs)
         self.result = LearnResult(target=rt, rules=[])
         self.oar_keys = 0   # how many of its walk keys are OAR keys
         # only when collecting, by build_all: the target's rules by key,
@@ -664,9 +720,10 @@ class _Target:
         return self.rules[key] if self.rules else walk_rule(self.rt, key)
 
     def mine(self, key: tuple[int, ...], rule: Rule, m: Measures,
-             body: BodyIndex | None, cfg: MinerConfig) -> None:
+             body: BodyIndex | None, hits, cfg: MinerConfig) -> None:
         """Mine a kept rule: filter a CAR, specialize an OAR from the
-        grounding pass that measured it (`body`)."""
+        grounding pass that measured it (`body`) and the hits its
+        measuring found (`_open_measures`)."""
         if not key:
             return
         if body is None:
@@ -674,7 +731,7 @@ class _Target:
                 self.mined.append((rule, m))
             return
         specs, _ = specialization(rule, body, self.rt_pairs,
-                                  self.valid_pairs, cfg=cfg)
+                                  self.valid_by_c, cfg=cfg, hits=hits)
         if not specs:
             self.result.u_oars += 1
             return
@@ -811,15 +868,15 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
         for (bit, t), rule in zip(active, rules):
             t.visited += 1
             if body is None:
-                m = evaluate(rule, store, t.rt_pairs, cfg, t.valid_pairs,
-                             parent)
+                m, hits = evaluate(rule, store, t.rt_pairs, cfg,
+                                   t.valid_pairs, parent), None
             else:
-                m = _open_measures(body, store, t.rt_pairs, t.valid_pairs,
-                                   cfg)
+                m, hits = _open_measures(body, store, t.rt_pairs,
+                                         t.valid_pairs, cfg)
             if m.supp >= cfg.supp_h:
                 t.kept += 1
                 kept |= bit
-                t.mine(key, rule, m, body, cfg)
+                t.mine(key, rule, m, body, hits, cfg)
             charge(t)
         if kept and trie.children(key):
             pending[key] = [None if body is None else body.groundings,

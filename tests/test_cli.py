@@ -73,6 +73,26 @@ def test_load_config_sections_and_overrides(tmp_path):
     assert cfg.target_mode == "random"
 
 
+def test_load_config_reads_a_file_opening_with_a_byte_order_mark(tmp_path):
+    ds = tmp_path / "d"
+    cfg_path = write_config(tmp_path, ds, tmp_path / "o")
+    want = load_config(cfg_path)
+    cfg_path.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes())
+    assert load_config(cfg_path) == want
+
+
+def test_stats_reads_a_record_opening_with_a_byte_order_mark(tmp_path,
+                                                             capsys):
+    record = tmp_path / "run_record.txt"
+    text = b"target.r0.p_oars = 1\ntarget.r0.i_oars = 2\n"
+    record.write_bytes(text)
+    assert main(["stats", str(record)]) == 0
+    want = capsys.readouterr().out
+    record.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(["stats", str(record)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     for old, new, name in (
             ("seed = 0", "bogus = 1", "miner.bogus"),

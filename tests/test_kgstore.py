@@ -52,6 +52,32 @@ def test_load_triples_rejects_malformed_line(tmp_path):
         store.load_triples(p, "train")
 
 
+BOM = b"\xef\xbb\xbf"   # U+FEFF encoded in UTF-8: a byte-order mark
+
+
+def test_a_byte_order_mark_opening_a_split_file_is_dropped(tmp_path):
+    # as the utf-8-sig codec drops it: a split file saved with a BOM names
+    # the same entity as one saved without
+    (tmp_path / "train.txt").write_bytes(BOM + b"a\tr\tb\n")
+    (tmp_path / "test.txt").write_bytes(b"a\tr\tc\n")
+    store = TripleStore.from_directory(tmp_path)
+    assert store.entities.names() == ["a", "b", "c"]
+    assert store.relations.names() == ["r"]
+
+
+def test_u_feff_anywhere_but_at_byte_0_stays_in_the_name(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_bytes(b"a" + BOM + b"\tr\tb\n" + BOM + b"c\tr\tb\n")
+    store = TripleStore()
+    store.load_triples(p, "train")
+    assert store.entities.names() == ["a\ufeff", "b", "\ufeffc"]
+    # only one mark is dropped: a second one right after it is text
+    p.write_bytes(BOM + BOM + b"d\tr\tb\n")
+    store = TripleStore()
+    store.load_triples(p, "train")
+    assert store.entities.names() == ["\ufeffd", "b"]
+
+
 def test_load_triples_names_the_file_and_line_of_bad_utf8(tmp_path):
     p = tmp_path / "train.txt"
     p.write_bytes(b"a\tr\tb\n\xff\tr\tb\n")

@@ -978,6 +978,116 @@ def test_specialization_does_not_depend_on_pair_order():
 
 
 
+def _filtered(oar, body, rt_pairs, valid, config):
+    """The oracle: the zero-threshold specialization, filtered by the
+    public checks under `config`."""
+    every, _ = specialization(oar, body, rt_pairs, valid,
+                              zero_thresholds(config))
+    return [(r, m) for r, m in every
+            if is_relevant(m, config) and overfit_keep(m, config)]
+
+
+def _anchor_store(counts: dict[str, int]):
+    """A target rt whose train pairs (x, c) give anchor c counts[c] xs,
+    each x with one p-fact to tail value t0, and the OAR
+    rt(X,Y) <- p(X,V0) over it: anchor c's HAR and its BAR on t0 both
+    have support counts[c]."""
+    store = TripleStore()
+    rt, p = store.relations.intern("rt"), store.relations.intern("p")
+    t0 = store.entities.intern("t0")
+    i = 0
+    for c, n in counts.items():
+        anchor = store.entities.intern(c)
+        for _ in range(n):
+            x = store.entities.intern(f"x{i}")
+            store.add_triple(rt, x, anchor, "train")
+            store.add_triple(p, x, t0, "train")
+            i += 1
+    oar = R("rt(X,Y) <- p(X,V0)", store)
+    return store, oar, open_groundings(oar, store), store.instances_of(rt)
+
+
+def _anchors_kept(specs, store):
+    return Counter(store.entities.name(r.head.obj.idx) for r, _ in specs)
+
+
+def test_specialization_hc_f_at_an_exact_ratio():
+    # 10 train pairs and hc_f 0.3: a support of 3 is an hc of exactly 0.3,
+    # which fails the strict test, and 4 passes
+    assert not 3 / 10 > 0.3 and 4 / 10 > 0.3
+    store, oar, body, rt_pairs = _anchor_store({"a": 4, "b": 3, "c": 3})
+    assert len(rt_pairs) == 10
+    config = cfg(hc_f=0.3)
+    got, _ = specialization(oar, body, rt_pairs, set(), config)
+    assert got == _filtered(oar, body, rt_pairs, set(), config)
+    assert _anchors_kept(got, store) == {"a": 2}   # its HAR and its BAR
+    assert all(m.supp == 4 and m.hc == 0.4 for _, m in got)
+    # just below the ratio, support 3 passes too
+    got, _ = specialization(oar, body, rt_pairs, set(), cfg(hc_f=0.29))
+    assert _anchors_kept(got, store) == {"a": 2, "b": 2, "c": 2}
+
+
+@pytest.mark.parametrize("hc_f", [1.0, 1e300, float("inf")])
+def test_specialization_hc_f_of_one_or_more_keeps_nothing(hc_f):
+    # no support exceeds the number of train pairs, so no hc exceeds 1,
+    # not even the one anchor's that every pair supports
+    store, oar, body, rt_pairs = _anchor_store({"a": 10})
+    assert [m.hc for _, m in specialization(oar, body, rt_pairs, set(),
+                                            cfg())[0]] == [1.0, 1.0]
+    config = cfg(hc_f=hc_f)
+    assert specialization(oar, body, rt_pairs, set(), config) == ([], False)
+    assert _filtered(oar, body, rt_pairs, set(), config) == []
+
+
+def test_specialization_supp_f_of_at_least_the_pair_count_keeps_nothing():
+    store, oar, body, rt_pairs = _anchor_store({"a": 10})
+    for supp_f, kept in ((9, 2), (10, 0), (11, 0), (10 ** 9, 0)):
+        config = cfg(supp_f=supp_f)
+        got, _ = specialization(oar, body, rt_pairs, set(), config)
+        assert got == _filtered(oar, body, rt_pairs, set(), config)
+        assert len(got) == kept
+
+
+def test_specialization_of_a_target_with_one_train_pair():
+    store, oar, body, rt_pairs = _anchor_store({"a": 1})
+    assert len(rt_pairs) == 1
+    for config, kept in ((cfg(), 2), (cfg(hc_f=0.999), 2), (cfg(supp_f=1), 0),
+                         (cfg(sc_f=0.2), 0)):
+        got, _ = specialization(oar, body, rt_pairs, set(), config)
+        assert got == _filtered(oar, body, rt_pairs, set(), config)
+        assert len(got) == kept
+        for rule, m in got:
+            ref = evaluate(rule, store, rt_pairs, config)
+            assert (m.supp, m.hc, m.groundings) == (1, 1.0, ref.groundings)
+            assert m.sc == pytest.approx(ref.sc)
+
+
+def test_specialization_builds_no_body_for_a_tail_that_fails_sc_f(
+        monkeypatch):
+    # a tail value whose BARs pass supp_f and hc_f has its per-tail entry
+    # read, but a group none of whose BARs passes sc_f builds no body
+    config = cfg(supp_f=1, sc_f=0.3)
+    made = []
+    post_init = Rule.__post_init__
+    unkept = 0
+    for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
+        want = _filtered(oar, body, rt_pairs, valid, config)
+        fresh = BodyIndex(oar, body.groundings)
+        monkeypatch.setattr(Rule, "__post_init__",
+                            lambda self: made.append(self) or post_init(self))
+        got, _ = specialization(oar, fresh, rt_pairs, valid, config)
+        monkeypatch.undo()
+        assert got == want
+        kept = {_tail_value(r) for r, _ in got} - {None}
+        assert len(made) == len(kept)
+        made.clear()
+        read = set(fresh._count.get((fresh.pos[dangling_term(oar)],
+                                     fresh.pos[VAR_X]), ())) - {None}
+        assert kept <= read
+        unkept += len(read - kept)
+    assert unkept
+
+
 # ---------------------------------------------------------------------------
 # end-to-end learning
 
@@ -1495,6 +1605,18 @@ def test_rule_file_round_trip(tmp_path):
     for (_, got), (_, want) in zip(back, res.rules):
         assert got.supp == want.supp
         assert got.hc == want.hc and got.sc == want.sc
+
+
+def test_rule_file_opening_with_a_byte_order_mark_reads_the_same(tmp_path):
+    store = toy_store()
+    rules = learn(store, store.relations.get("Advises"), cfg()).rules
+    path = tmp_path / "rules.txt"
+    write_rules(path, rules, store.entities, store.relations)
+    want = read_rules(path, store.entities, store.relations)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    got = read_rules(path, store.entities, store.relations)
+    assert [r for r, _ in got] == [r for r, _ in want] == [r for r, _ in rules]
+    assert [m for _, m in got] == [m for _, m in want]
 
 
 # names a real dataset may use that do not read back bare (a constant named
