@@ -11,8 +11,8 @@ from .hierarchy import (Hierarchy, bfs_with_pruning, build_a_hierarchy,
 from .miner import (LearnResult, Measures, MinerConfig, evaluate,
                     generalization, is_relevant, learn, learn_all,
                     open_groundings, post_pruning, specialization)
-from .evaluator import (KgcSummary, PredictionRanking, Query, evaluate_kgc,
-                        hits_at, mrr, queries_for, rank, suggest)
+from .evaluator import (KgcSummary, Query, evaluate_kgc, hits_at, mrr,
+                        queries_for, rank, suggest)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -30,17 +30,6 @@ class Query:
     answer: int
 
 
-@dataclass
-class PredictionRanking:
-    """Filtered candidates in final rank order with their score vectors."""
-
-    ordered: list[tuple[int, tuple[float, ...]]]
-
-    def rank_of(self, entity: int) -> int | None:
-        return next((i for i, (e, _) in enumerate(self.ordered, start=1)
-                     if e == entity), None)
-
-
 def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]:
     """Head and tail queries for every test triple (optionally filtered)."""
     out = []
@@ -163,9 +152,10 @@ def suggest(query: Query, rules: list[tuple[Rule, Measures]],
     return dict(_suggest_all([query], rules, store)[0].get(key, {}))
 
 
-def rank(candidates: dict[int, list[float]],
-         known_truths: set[int]) -> PredictionRanking:
-    """Maximum-aggregation ranking in the filtered setting.
+def rank(candidates: dict[int, list[float]], known_truths: set[int]
+         ) -> list[tuple[int, tuple[float, ...]]]:
+    """Maximum-aggregation ranking in the filtered setting: the
+    candidates in final rank order, each with its confidence vector.
 
     Candidates in known_truths are removed. Remaining candidates are
     ordered by lexicographic comparison of descending confidence vectors;
@@ -175,7 +165,7 @@ def rank(candidates: dict[int, list[float]],
     items = [(e, tuple(sorted(v, reverse=True)))
              for e, v in candidates.items() if e not in known_truths]
     items.sort(key=lambda t: (t[1], -t[0]), reverse=True)
-    return PredictionRanking(items)
+    return items
 
 
 def mrr(ranks: list[int | None]) -> float:
@@ -230,9 +220,11 @@ def evaluate_kgc(store: TripleStore,
         known = set(truths.get((q.rel, q.known, q.slot), set()))
         known.discard(q.answer)
         ranking = rank(vectors.get((q.rel, q.slot, q.known), {}), known)
-        r = ranking.rank_of(q.answer)
+        # the answer's 1-based position, None if unsuggested
+        r = next((i for i, (e, _) in enumerate(ranking, start=1)
+                  if e == q.answer), None)
         ranks.append(r)
-        top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
+        top = [(e, v[0] if v else 0.0) for e, v in ranking[:10]]
         records.append((q, r, top))
     rat = time.monotonic() - t0
     return KgcSummary(mrr=mrr(ranks),

@@ -5,13 +5,16 @@ distinct abstract rule, and one traversal visits the keys of all targets
 breadth-first over the atom-addition hierarchy, a trie whose parent of a
 key is its prefix. Each target builds and measures each rule it reaches
 once and prunes subtrees below `supp_h`; a rule no target reaches is
-never built. An open rule's body does not depend on the target, so it is
-grounded once per run, and its groundings extend those of its kept
-A-parent by one atom. A kept closed rule is filtered for relevance; a
-kept open rule is specialized from the grounding pass that measured it,
-support first (each anchor's HAR before any of its BARs) and the dearer
-thresholds after, and post pruning drops dominated anchorings. That pass
-fills a `BodyIndex`, the grounding index that rule application
+never built. Prior pruning reads an open rule's support alone, its hit
+count among the target's train pairs; `evaluate` computes its full
+measures, which mining does not need. An open rule's body does not
+depend on the target, so it is grounded once per run, and its groundings
+extend those of its kept A-parent by one atom. A kept closed rule is
+filtered for relevance; a kept open rule is specialized from the
+grounding pass and the hits that gave its support, support first (each
+anchor's HAR before any of its BARs) and the dearer thresholds after,
+and post pruning drops dominated anchorings. That pass fills a
+`BodyIndex`, the grounding index that rule application
 (`evaluator`) reads too; the part of specialization that depends only on
 the body is built into it once, for every target. Post pruning compares
 each BAR with its one I-parent, the HAR of its anchor. Only on request
@@ -228,8 +231,9 @@ class BodyIndex:
     - grouped(j): each value at slot j -> the groundings with that value;
     - common(j): each value at slot j -> the entities used by every
       grounding with that value, so some grounding with the value avoids
-      entity e iff e lies outside them; common_total(j): the sizes of
-      those sets, summed;
+      entity e iff e lies outside them. Of an OAR's body, common(X's
+      slot) gives a target's hits (`_hits`), whose count is the support
+      prior pruning reads;
     - pairs(j, i): each value at slot j -> the values at slot i beside it;
     - common_split(j, v, k): for value v at slot j, each value at slot k
       beside it -> the entities used by every grounding with both values,
@@ -246,7 +250,6 @@ class BodyIndex:
         self.groundings: list[tuple[int, ...]] = list(groundings)
         self._grouped: dict[int, dict[int, list[tuple[int, ...]]]] = {}
         self._common: dict[int, dict[int, set[int]]] = {}
-        self._common_total: dict[int, int] = {}
         self._pairs: dict[tuple[int, int], dict[int, set[int]]] = {}
         self._split: dict[tuple[int, int], dict[int, dict[int, set[int]]]] = {}
         self._count: dict[tuple[int, int], dict[int | None, tuple]] = {}
@@ -263,13 +266,6 @@ class BodyIndex:
         out = self._common.get(j)
         if out is None:
             out = self._common[j] = _common_sets(self.groundings, j)
-        return out
-
-    def common_total(self, j: int) -> int:
-        out = self._common_total.get(j)
-        if out is None:
-            out = self._common_total[j] = sum(map(len,
-                                                  self.common(j).values()))
         return out
 
     def pairs(self, j: int, i: int) -> dict[int, set[int]]:
@@ -318,20 +314,6 @@ def _hits(common: dict[int, set[int]], pairs) -> list[tuple[int, int]]:
     return [(x, y) for x, y in pairs if x in common and y not in common[x]]
 
 
-def _open_measures(body: BodyIndex, store: TripleStore, rt_pairs,
-                   valid_pairs, cfg: MinerConfig
-                   ) -> tuple[Measures, list[tuple[int, int]]]:
-    """An OAR's measures, Y ranging over the entities outside common[x],
-    and its hits among `rt_pairs` (see _hits), which specialization
-    reads."""
-    xs = body.pos[VAR_X]
-    common = body.common(xs)
-    hits = _hits(common, rt_pairs)
-    valid = len(_hits(common, valid_pairs))
-    n_g = len(store.entities) * len(common) - body.common_total(xs)
-    return _measures(len(hits), n_g, valid, len(rt_pairs), cfg), hits
-
-
 def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
              cfg: MinerConfig,
              valid_pairs: set[tuple[int, int]] | None = None,
@@ -344,6 +326,8 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
     starts from them (see ground_body). The only open rules
     measured are OARs, whose Y, not bound by the body, ranges over every
     entity outside the grounding; any other open rule raises ValueError.
+    An OAR's support is its number of hits (see _hits), the one measure
+    `learn_all` reads of it.
     """
     valid_pairs = valid_pairs or set()
     n_rt = len(rt_pairs)
@@ -360,8 +344,13 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         raise ValueError("rule body binds neither head term")
     if free:
         # open_groundings raises KindError, a ValueError, on a non-OAR
-        return _open_measures(open_groundings(rule, store, parent),
-                              store, rt_pairs, valid_pairs, cfg)[0]
+        body = open_groundings(rule, store, parent)
+        common = body.common(body.pos[VAR_X])
+        # (x, c) is a head grounding iff c lies outside common[x]
+        n_g = len(store.entities) * len(common) - sum(map(len,
+                                                          common.values()))
+        return _measures(len(_hits(common, rt_pairs)), n_g,
+                         len(_hits(common, valid_pairs)), n_rt, cfg)
 
     body = BodyIndex(rule, ground_body(rule, store, parent=parent))
     xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
@@ -537,10 +526,8 @@ def _by_anchor(valid_pairs) -> dict[int, list[int]]:
 
 def specialization(oar: Rule, body: BodyIndex,
                    rt_pairs: Collection[tuple[int, int]],
-                   valid_pairs: Collection[tuple[int, int]]
-                   | dict[int, list[int]],
-                   cfg: MinerConfig,
-                   hits: list[tuple[int, int]] | None = None,
+                   valid_by_c: dict[int, list[int]], cfg: MinerConfig,
+                   hits: list[tuple[int, int]],
                    ) -> tuple[list[tuple[Rule, Measures]], bool]:
     """Anchor an OAR into its relevant HARs and BARs.
 
@@ -557,10 +544,10 @@ def specialization(oar: Rule, body: BodyIndex,
     candidate's head groundings iff c is outside x's set, so |g| is the
     number of sets less the number that hold c.
 
-    Support comes first, HARs before BARs. The hits, the pairs of the
-    target's train pairs `rt_pairs` in the OAR's head groundings, are
-    `hits` if given (`_open_measures` finds them while measuring the OAR)
-    and are found here otherwise; they count each anchor's HAR support.
+    Support comes first, HARs before BARs. `hits` are the pairs of the
+    target's train pairs `rt_pairs` in the OAR's head groundings
+    (`_hits`), the list whose length is the OAR's support, which prior
+    pruning read; they count each anchor's HAR support.
     `supp_f` and `hc_f` only get easier as the support grows, so they are
     one test against the least passing support, found once per call
     (`_least_passing`). Every pair that supports BAR (c, t) supports HAR
@@ -571,9 +558,9 @@ def specialization(oar: Rule, body: BodyIndex,
     anchor counts, then the BARs of each tail value, in ascending order.
     Each group reads its `common_count` entry once, and its candidates
     meet the dearer thresholds: |g| and `sc_f`, then the validation
-    support and `overfit_keep`. `valid_pairs` are the target's validation
-    pairs (x, c), or a dict of their xs per anchor c (`_by_anchor`), as a
-    caller that specializes many OARs for one target passes them.
+    support and `overfit_keep`. `valid_by_c` holds the target's
+    validation pairs (x, c) as the xs of each anchor c (`_by_anchor`),
+    grouped once per target for all its specializations.
 
     Returns (rules with measures, False): exactly the candidates that pass
     `is_relevant` and `overfit_keep`, each built only if kept; with zero
@@ -599,9 +586,6 @@ def specialization(oar: Rule, body: BodyIndex,
     per-tail ones, and an OAR whose head holds a variable other than X and
     Y raises `with_head`'s ValueError.
     """
-    xs = body.pos[VAR_X]
-    if hits is None:
-        hits = _hits(body.common(xs), rt_pairs)
     if not hits:
         return [], False
     n_rt = len(rt_pairs)
@@ -612,7 +596,7 @@ def specialization(oar: Rule, body: BodyIndex,
         return [], False
 
     tail = dangling_term(oar)
-    ts = body.pos[tail]
+    xs, ts = body.pos[VAR_X], body.pos[tail]
     anchors = dict(live)
     # the BAR (c, t) once per instance (x, c) of a live anchor c with a
     # grounding of tail value t that avoids c (t != c, since a grounding
@@ -624,8 +608,6 @@ def specialization(oar: Rule, body: BodyIndex,
     for (t, c), n in bar.items():
         if n >= least:
             groups[t].append((c, n))
-    valid_by_c = valid_pairs if isinstance(valid_pairs, dict) \
-        else _by_anchor(valid_pairs)
 
     out: list[tuple[Rule, Measures]] = []
     # per anchor, the OAR's head with Y bound to it, which every kept rule
@@ -719,17 +701,11 @@ class _Target:
     def rule(self, key: tuple[int, ...]) -> Rule:
         return self.rules[key] if self.rules else walk_rule(self.rt, key)
 
-    def mine(self, key: tuple[int, ...], rule: Rule, m: Measures,
-             body: BodyIndex | None, hits, cfg: MinerConfig) -> None:
-        """Mine a kept rule: filter a CAR, specialize an OAR from the
-        grounding pass that measured it (`body`) and the hits its
-        measuring found (`_open_measures`)."""
-        if not key:
-            return
-        if body is None:
-            if is_relevant(m, cfg) and overfit_keep(m, cfg):
-                self.mined.append((rule, m))
-            return
+    def mine(self, rule: Rule, body: BodyIndex, hits,
+             cfg: MinerConfig) -> None:
+        """Mine a kept OAR: specialize it from its grounding pass (`body`)
+        and the hits prior pruning counted as its support, then post-prune
+        its anchorings."""
         specs, _ = specialization(rule, body, self.rt_pairs,
                                   self.valid_by_c, cfg=cfg, hits=hits)
         if not specs:
@@ -779,14 +755,18 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
     their A-hierarchies, tries over walk keys, and builds and measures
     each abstract rule a target reaches once per target: a target visits a
     key iff it sampled it and kept its parent, and keeps it iff supp >=
-    `supp_h` (0 prunes nothing). A rule no target reaches is never built.
-    An OAR's body does not depend on the target (`walk_rule` uses it only
-    in the head), so each body is grounded once per run, by extending the
-    groundings of its A-parent, and every target that visits the key
-    measures and mines it from that one index. A parent's groundings are
-    dropped once its children are visited, and a key no target kept keeps
-    none. The neighbour-position maps of walk sampling are built once per
-    run too.
+    `supp_h` (0 prunes nothing). A closed rule is measured by `evaluate`.
+    An OAR is measured by its support alone: its hits, the target's train
+    pairs in its head groundings (`_hits`), which its specialization
+    reads; `evaluate` would give the same supp, with the hc, sc, |g| and
+    validation support that nothing here reads. A rule no target reaches
+    is never built. An OAR's body does not depend on the target
+    (`walk_rule` uses it only in the head), so each body is grounded once
+    per run, by extending the groundings of its A-parent, and every target
+    that visits the key counts its hits and mines it from that one index.
+    A parent's groundings are dropped once its children are visited, and
+    a key no target kept keeps none. The neighbour-position maps of walk
+    sampling are built once per run too.
 
     A target mines each kept rule as it visits it: a closed rule is
     filtered, an OAR specialized over the target's train pairs as stored,
@@ -801,9 +781,9 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
     The run's time is split over the targets with no gap or overlap, so
     their `gen_seconds` and `spec_seconds` add up to its wall time. A
     target's `gen_seconds` is its walk sampling, and its `spec_seconds`
-    its measuring, specialization and post pruning, plus the grounding of
-    each body whose key it is the first target, in `targets` order, to
-    visit."""
+    its measuring, specialization and post pruning, plus the grounding
+    and the common(X's slot) map of each body whose key it is the first
+    target, in `targets` order, to visit."""
     clock = time.monotonic()
 
     def lap() -> float:
@@ -863,20 +843,25 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
         body = None
         if _is_oar_key(key):
             body = open_groundings(rules[0], store, parent)
+            common = body.common(body.pos[VAR_X])
             charge(active[0][1])
         kept = 0
         for (bit, t), rule in zip(active, rules):
             t.visited += 1
             if body is None:
-                m, hits = evaluate(rule, store, t.rt_pairs, cfg,
-                                   t.valid_pairs, parent), None
-            else:
-                m, hits = _open_measures(body, store, t.rt_pairs,
-                                         t.valid_pairs, cfg)
-            if m.supp >= cfg.supp_h:
+                m = evaluate(rule, store, t.rt_pairs, cfg, t.valid_pairs,
+                             parent)
+                supp = m.supp
+            else:   # prior pruning reads an OAR's support alone
+                hits = _hits(common, t.rt_pairs)
+                supp = len(hits)
+            if supp >= cfg.supp_h:
                 t.kept += 1
                 kept |= bit
-                t.mine(key, rule, m, body, hits, cfg)
+                if body is not None:
+                    t.mine(rule, body, hits, cfg)
+                elif key and is_relevant(m, cfg) and overfit_keep(m, cfg):
+                    t.mined.append((rule, m))
             charge(t)
         if kept and trie.children(key):
             pending[key] = [None if body is None else body.groundings,

@@ -33,9 +33,10 @@ from rulehier.evaluator import Query, queries_for, rank
 from rulehier.hierarchy import (Hierarchy, bfs_with_pruning,
                                 build_a_hierarchy, build_i_hierarchy)
 from rulehier.kgstore import TripleStore
-from rulehier.miner import (EmptyTargetError, Measures, evaluate,
-                            generalization, is_relevant, open_groundings,
-                            overfit_keep, post_pruning, specialization)
+from rulehier.miner import (EmptyTargetError, Measures, _by_anchor, _hits,
+                            evaluate, generalization, is_relevant,
+                            open_groundings, overfit_keep, post_pruning,
+                            specialization)
 from rulehier.rules import (X, Y, Atom, Rule, StraightnessError, Term, VAR_X,
                             VAR_Y, body_length, const, constants, is_straight,
                             kind_of, parse_rule, var, walk_rule)
@@ -695,9 +696,15 @@ def evaluate_kgc_oracle(store: TripleStore, rules_by_rel: dict) -> list:
         vectors = suggest_oracle(q, rules_by_rel.get(q.rel, []), store)
         known = truths.get((q.rel, q.known, q.slot), set()) - {q.answer}
         ranking = rank(vectors, known)
-        top = [(e, v[0] if v else 0.0) for e, v in ranking.ordered[:10]]
-        records.append((q, ranking.rank_of(q.answer), top))
+        top = [(e, v[0] if v else 0.0) for e, v in ranking[:10]]
+        records.append((q, rank_of(ranking, q.answer), top))
     return records
+
+
+def rank_of(ranking, entity: int) -> int | None:
+    """The 1-based position of `entity` in `rank`'s list, or None."""
+    return next((i for i, (e, _) in enumerate(ranking, start=1)
+                 if e == entity), None)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +714,15 @@ def zero_thresholds(cfg):
     """cfg with every relevance and overfitting threshold at zero: under
     it `specialization` returns every candidate."""
     return replace(cfg, supp_f=0, hc_f=0.0, sc_f=0.0, overfit_threshold=0.0)
+
+
+def specialize(oar: Rule, body, rt_pairs, valid_pairs, cfg):
+    """`specialization` of an OAR over a target's train and validation
+    pairs, given as `learn_all` gives them: the OAR's hits among
+    `rt_pairs`, and the validation pairs grouped by anchor."""
+    hits = _hits(body.common(body.pos[VAR_X]), rt_pairs)
+    return specialization(oar, body, rt_pairs, _by_anchor(valid_pairs),
+                          cfg=cfg, hits=hits)
 
 
 def learn_oracle(store: TripleStore, rt: int, cfg
@@ -739,9 +755,8 @@ def learn_oracle(store: TripleStore, rt: int, cfg
                 mined[rule] = m
         if rule not in oars:
             continue
-        specs, _ = specialization(
-            rule, open_groundings(rule, store),
-            rt_pairs, valid_pairs, zero_thresholds(cfg))
+        specs, _ = specialize(rule, open_groundings(rule, store), rt_pairs,
+                              valid_pairs, zero_thresholds(cfg))
         specs = [(r, sm) for r, sm in specs
                  if is_relevant(sm, cfg) and overfit_keep(sm, cfg)]
         if not specs:

@@ -14,14 +14,15 @@ from rulehier.evaluator import evaluate_kgc
 from rulehier.hierarchy import build_a_hierarchy, build_i_hierarchy, union
 from rulehier.kgstore import Interner
 from rulehier.miner import (MinerConfig, evaluate, is_relevant, learn,
-                            open_groundings, specialization, write_rules)
+                            open_groundings, write_rules)
 from rulehier.rules import kind_of, parse_rule
 from rulehier.subsumption import (oi_subsumes, sa_subsumes,
                                   sa_subsumes_complete, theta_subsumes)
 
 from helpers import (R, edge_pairs, generalization_closure, is_proper,
                      learn_oracle, random_generalization, random_kg,
-                     random_rule, toy_store, walk_rules, zero_thresholds)
+                     random_rule, specialize, toy_store, walk_rules,
+                     zero_thresholds)
 
 
 def _report(n: int, ok: bool, desc: str) -> None:
@@ -143,9 +144,9 @@ def test_criterion_4_support_monotonicity():
         for oar in abstract:
             if not oar.body or kind_of(oar) != "OAR":
                 continue
-            specs, _ = specialization(oar, open_groundings(oar, store),
-                                      rt_pairs, set(),
-                                      zero_thresholds(config))
+            specs, _ = specialize(oar, open_groundings(oar, store),
+                                  rt_pairs, set(),
+                                  zero_thresholds(config))
             measures = dict(specs)
             phi_i = build_i_hierarchy(list(measures))
             for parent, child in edge_pairs(phi_i):
@@ -190,9 +191,9 @@ def test_criterion_5_prior_pruning_safety():
             if aug.p_oars < 1:
                 unsafe_prunes += 1
             for oar in low:
-                specs, _ = specialization(oar, open_groundings(oar, store),
-                                          rt_pairs, set(),
-                                          zero_thresholds(config_aug))
+                specs, _ = specialize(oar, open_groundings(oar, store),
+                                      rt_pairs, set(),
+                                      zero_thresholds(config_aug))
                 if any(is_relevant(m, config_aug) for _, m in specs):
                     unsafe_prunes += 1
     ok = mismatches == 0 and unsafe_prunes == 0 and kgs_with_pruning > 0

@@ -11,7 +11,7 @@ from rulehier.miner import Measures, MinerConfig, learn
 from rulehier.rules import Rule
 
 from helpers import (N_PREDS, R, evaluate_kgc_oracle, random_kg, random_rule,
-                     repeat_a_variable, suggest_oracle, toy_store)
+                     rank_of, repeat_a_variable, suggest_oracle, toy_store)
 
 
 def triangle_with_test():
@@ -85,31 +85,31 @@ def test_suggest_merges_vectors_per_candidate():
 
 def test_rank_recursive_tie_break():
     ranking = rank({1: [0.9, 0.4], 2: [0.9, 0.5]}, set())
-    assert [e for e, _ in ranking.ordered] == [2, 1]
-    assert ranking.rank_of(2) == 1
-    assert ranking.rank_of(1) == 2
+    assert [e for e, _ in ranking] == [2, 1]
+    assert rank_of(ranking, 2) == 1
+    assert rank_of(ranking, 1) == 2
 
 
 def test_rank_longer_vector_wins_on_equal_prefix():
     ranking = rank({1: [0.9], 2: [0.1, 0.9]}, set())
-    assert [e for e, _ in ranking.ordered] == [2, 1]
+    assert [e for e, _ in ranking] == [2, 1]
 
 
 def test_rank_identical_vectors_fall_back_to_entity_id():
     ranking = rank({7: [0.5], 3: [0.5]}, set())
-    assert [e for e, _ in ranking.ordered] == [3, 7]
+    assert [e for e, _ in ranking] == [3, 7]
 
 
 def test_rank_sorts_vectors_descending_before_compare():
     # max aggregation: the best rule counts first regardless of insert order
     ranking = rank({1: [0.2, 0.9], 2: [0.8, 0.3]}, set())
-    assert [e for e, _ in ranking.ordered] == [1, 2]
+    assert [e for e, _ in ranking] == [1, 2]
 
 
 def test_rank_filters_known_truths():
     ranking = rank({1: [0.9], 2: [0.5]}, known_truths={1})
-    assert ranking.rank_of(1) is None
-    assert ranking.rank_of(2) == 1
+    assert rank_of(ranking, 1) is None
+    assert rank_of(ranking, 2) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ from rulehier.hierarchy import (A_EDGE, Hierarchy, I_EDGE, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union, write_dot)
 from rulehier.kgstore import Interner
-from rulehier.miner import (MinerConfig, is_relevant, open_groundings,
-                            specialization)
+from rulehier.miner import MinerConfig, is_relevant, open_groundings
 from rulehier.rules import Rule, format_rule, kind_of, parse_rule
 from rulehier.subsumption import a_subsumes, i_subsumes, sa_subsumes
 
 from helpers import (R, edge_pairs, edges_climb, generalization_closure,
-                     is_proper, random_kg, random_rule, toy_store, walk_rules,
-                     zero_thresholds)
+                     is_proper, random_kg, random_rule, specialize, toy_store,
+                     walk_rules, zero_thresholds)
 
 
 def _family():
@@ -114,7 +113,7 @@ def _rule_sets():
             yield abstract
             for oar in abstract:
                 if oar.body and kind_of(oar) == "OAR":
-                    specs, _ = specialization(
+                    specs, _ = specialize(
                         oar, open_groundings(oar, store), rt_pairs,
                         store.instances_of(rt, "valid"),
                         zero_thresholds(cfg))

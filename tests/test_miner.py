@@ -18,7 +18,7 @@ from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
                             ground_body, is_relevant, learn, learn_all,
                             open_groundings, overfit_keep, post_pruning,
-                            read_rules, specialization, write_rules)
+                            read_rules, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate,
                             is_straight, kind_of, parse_rule, walk_rule)
@@ -28,7 +28,7 @@ from helpers import (N_PREDS, R, anchoring, edges_climb,
                      generalization_oracle, ground_body_oracle,
                      is_bound_first, learn_oracle, random_kg, random_rule,
                      repeat_a_variable, same_groundings, sample_walk_oracle,
-                     toy_store, walk_rules, zero_thresholds)
+                     specialize, toy_store, walk_rules, zero_thresholds)
 
 
 def cfg(**kw):
@@ -158,7 +158,7 @@ def _grounding_cases(rng):
             rules = walk_rules(store, rt, config) if rt_pairs else []
             oars = [r for r in rules if r.body and kind_of(r) == "OAR"]
             for oar in oars[::3]:
-                specs = sorted((r for r, _ in specialization(
+                specs = sorted((r for r, _ in specialize(
                     oar, open_groundings(oar, store), rt_pairs, set(),
                     config)[0]), key=Rule.sort_key)
                 har = next((r for r in specs if kind_of(r) == "HAR"), None)
@@ -290,7 +290,6 @@ def test_body_index_maps_equal_brute_force_over_the_oracle_groundings():
             assert dict(body.grouped(j)) == grouped[j]
             assert body.common(j) == common[j]
             assert body.common(j) is body.common(j)   # built once
-            assert body.common_total(j) == sum(map(len, common[j].values()))
             for i in range(len(order)):
                 assert dict(body.pairs(j, i)) == pairs[(j, i)]
                 # the same sets from the (j, i) value pairs' groundings
@@ -759,8 +758,8 @@ def test_specialization_toy():
     rt = store.relations.get("Advises")
     rt_pairs = store.instances_of(rt)
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
-    specs, flag = specialization(oar, open_groundings(oar, store), rt_pairs,
-                                 set(), cfg())
+    specs, flag = specialize(oar, open_groundings(oar, store), rt_pairs,
+                             set(), cfg())
     assert flag is False
     by_rule = {format_rule(r, store.entities, store.relations): m
                for r, m in specs}
@@ -803,8 +802,8 @@ def test_specialization_measures_match_evaluate():
             if not rt_pairs:
                 continue
             for oar in oars_of(store, rt, config):
-                specs, _ = specialization(oar, open_groundings(oar, store),
-                                          rt_pairs, valid_pairs, config)
+                specs, _ = specialize(oar, open_groundings(oar, store),
+                                      rt_pairs, valid_pairs, config)
                 for rule, m in specs:
                     ref = evaluate(rule, store, rt_pairs, config, valid_pairs)
                     assert (m.supp, m.groundings, m.valid_supp) == \
@@ -823,7 +822,7 @@ def test_specialization_builds_what_instantiate_builds():
     kinds = Counter()
     for oar, args in _specialized_corpus(config):
         tail = dangling_term(oar)
-        specs, _ = specialization(oar, *args, zero_thresholds(config))
+        specs, _ = specialize(oar, *args, zero_thresholds(config))
         assert len({r for r, _ in specs}) == len(specs)
         for rule, _ in specs:
             bind = anchoring(oar, rule)
@@ -855,7 +854,7 @@ def test_kept_rules_share_one_body_per_tail_value():
     # and the BARs of one (OAR, tail value) one body tuple between them
     shared = bars = 0
     for oar, args in _specialized_corpus(cfg()):
-        specs, _ = specialization(oar, *args, cfg())
+        specs, _ = specialize(oar, *args, cfg())
         bodies: dict = {}
         for rule, _ in specs:
             fresh = Rule(rule.head, tuple(rule.body))
@@ -891,9 +890,9 @@ def test_specialization_equals_filtering_every_candidate():
     kept = [0] * len(configs)
     anchors = [Counter() for _ in configs]
     for oar, args in _specialized_corpus(cfg()):
-        every, _ = specialization(oar, *args, cfg())
+        every, _ = specialize(oar, *args, cfg())
         for i, config in enumerate(configs):
-            got, _ = specialization(oar, *args, config)
+            got, _ = specialize(oar, *args, config)
             assert got == [(r, m) for r, m in every if is_relevant(m, config)
                            and overfit_keep(m, config)]
             compared[i] += len(every)
@@ -918,10 +917,10 @@ def test_specialization_enumerates_tails_of_live_anchors_only():
     split = counted = dead_anchors = 0
     config = cfg(supp_f=1, hc_f=0.08)
     for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
-        every, _ = specialization(oar, body, rt_pairs, valid, cfg())
+        every, _ = specialize(oar, body, rt_pairs, valid, cfg())
         live, dead = _anchors(every, config)
         fresh = BodyIndex(oar, body.groundings)
-        specialization(oar, fresh, rt_pairs, valid, config)
+        specialize(oar, fresh, rt_pairs, valid, config)
         j, k = fresh.pos[VAR_X], fresh.pos[dangling_term(oar)]
         common_x = fresh.common(j)
         assert set(fresh._split.get((j, k), ())) == {
@@ -944,17 +943,17 @@ def test_specialization_with_no_live_anchor_groups_nothing():
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
     body = open_groundings(oar, store)
     rt_pairs = store.instances_of(rt)
-    assert specialization(oar, body, rt_pairs, set(), cfg(supp_f=1)) \
+    assert specialize(oar, body, rt_pairs, set(), cfg(supp_f=1)) \
         == ([], False)
     assert body._grouped == {}
-    assert specialization(oar, body, rt_pairs, set(), cfg())[0]
+    assert specialize(oar, body, rt_pairs, set(), cfg())[0]
 
 
 def test_specialization_candidates_have_support():
     # so a config with zero thresholds keeps every candidate
     candidates = 0
     for oar, args in _specialized_corpus(cfg()):
-        every, _ = specialization(oar, *args, cfg())
+        every, _ = specialize(oar, *args, cfg())
         assert all(m.supp >= 1 for _, m in every)
         candidates += len(every)
     assert candidates > 0
@@ -968,7 +967,7 @@ def test_specialization_does_not_depend_on_pair_order():
         for oar, (body, rt_pairs, valid) in _specialized_corpus(cfg()):
             shuffled = sorted(rt_pairs)
             random.Random(len(rt_pairs)).shuffle(shuffled)
-            got = [sorted(specialization(oar, body, pairs, valid, config)[0],
+            got = [sorted(specialize(oar, body, pairs, valid, config)[0],
                           key=lambda rm: rm[0].sort_key())
                    for pairs in (rt_pairs, sorted(rt_pairs),
                                  sorted(rt_pairs, reverse=True), shuffled)]
@@ -981,8 +980,8 @@ def test_specialization_does_not_depend_on_pair_order():
 def _filtered(oar, body, rt_pairs, valid, config):
     """The oracle: the zero-threshold specialization, filtered by the
     public checks under `config`."""
-    every, _ = specialization(oar, body, rt_pairs, valid,
-                              zero_thresholds(config))
+    every, _ = specialize(oar, body, rt_pairs, valid,
+                          zero_thresholds(config))
     return [(r, m) for r, m in every
             if is_relevant(m, config) and overfit_keep(m, config)]
 
@@ -1018,12 +1017,12 @@ def test_specialization_hc_f_at_an_exact_ratio():
     store, oar, body, rt_pairs = _anchor_store({"a": 4, "b": 3, "c": 3})
     assert len(rt_pairs) == 10
     config = cfg(hc_f=0.3)
-    got, _ = specialization(oar, body, rt_pairs, set(), config)
+    got, _ = specialize(oar, body, rt_pairs, set(), config)
     assert got == _filtered(oar, body, rt_pairs, set(), config)
     assert _anchors_kept(got, store) == {"a": 2}   # its HAR and its BAR
     assert all(m.supp == 4 and m.hc == 0.4 for _, m in got)
     # just below the ratio, support 3 passes too
-    got, _ = specialization(oar, body, rt_pairs, set(), cfg(hc_f=0.29))
+    got, _ = specialize(oar, body, rt_pairs, set(), cfg(hc_f=0.29))
     assert _anchors_kept(got, store) == {"a": 2, "b": 2, "c": 2}
 
 
@@ -1032,10 +1031,10 @@ def test_specialization_hc_f_of_one_or_more_keeps_nothing(hc_f):
     # no support exceeds the number of train pairs, so no hc exceeds 1,
     # not even the one anchor's that every pair supports
     store, oar, body, rt_pairs = _anchor_store({"a": 10})
-    assert [m.hc for _, m in specialization(oar, body, rt_pairs, set(),
-                                            cfg())[0]] == [1.0, 1.0]
+    assert [m.hc for _, m in specialize(oar, body, rt_pairs, set(),
+                                        cfg())[0]] == [1.0, 1.0]
     config = cfg(hc_f=hc_f)
-    assert specialization(oar, body, rt_pairs, set(), config) == ([], False)
+    assert specialize(oar, body, rt_pairs, set(), config) == ([], False)
     assert _filtered(oar, body, rt_pairs, set(), config) == []
 
 
@@ -1043,7 +1042,7 @@ def test_specialization_supp_f_of_at_least_the_pair_count_keeps_nothing():
     store, oar, body, rt_pairs = _anchor_store({"a": 10})
     for supp_f, kept in ((9, 2), (10, 0), (11, 0), (10 ** 9, 0)):
         config = cfg(supp_f=supp_f)
-        got, _ = specialization(oar, body, rt_pairs, set(), config)
+        got, _ = specialize(oar, body, rt_pairs, set(), config)
         assert got == _filtered(oar, body, rt_pairs, set(), config)
         assert len(got) == kept
 
@@ -1053,7 +1052,7 @@ def test_specialization_of_a_target_with_one_train_pair():
     assert len(rt_pairs) == 1
     for config, kept in ((cfg(), 2), (cfg(hc_f=0.999), 2), (cfg(supp_f=1), 0),
                          (cfg(sc_f=0.2), 0)):
-        got, _ = specialization(oar, body, rt_pairs, set(), config)
+        got, _ = specialize(oar, body, rt_pairs, set(), config)
         assert got == _filtered(oar, body, rt_pairs, set(), config)
         assert len(got) == kept
         for rule, m in got:
@@ -1075,7 +1074,7 @@ def test_specialization_builds_no_body_for_a_tail_that_fails_sc_f(
         fresh = BodyIndex(oar, body.groundings)
         monkeypatch.setattr(Rule, "__post_init__",
                             lambda self: made.append(self) or post_init(self))
-        got, _ = specialization(oar, fresh, rt_pairs, valid, config)
+        got, _ = specialize(oar, fresh, rt_pairs, valid, config)
         monkeypatch.undo()
         assert got == want
         kept = {_tail_value(r) for r, _ in got} - {None}
@@ -1166,7 +1165,7 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     # built, per OAR
     made, headed, oars, built = [], [], [], []
     post_init, with_head = Rule.__post_init__, Rule.with_head
-    specialize = miner_mod.specialization
+    original = miner_mod.specialization
     monkeypatch.setattr(Rule, "__post_init__",
                         lambda self: made.append(self) or post_init(self))
     monkeypatch.setattr(Rule, "with_head", lambda self, head: headed.append(
@@ -1175,7 +1174,7 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     def specializing(oar, *a, **kw):
         oars.append(oar)
         start = len(made), len(headed)
-        out = specialize(oar, *a, **kw)
+        out = original(oar, *a, **kw)
         built.append((len(made) - start[0], len(headed) - start[1]))
         return out
     monkeypatch.setattr(miner_mod, "specialization", specializing)
@@ -1184,8 +1183,8 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     rt_pairs = store.instances_of(0)
     candidates = relevant = 0
     for oar, (bodies, rules) in zip(oars, built):
-        specs, _ = specialization(oar, open_groundings(oar, store),
-                                  rt_pairs, set(), zero_thresholds(config))
+        specs, _ = specialize(oar, open_groundings(oar, store),
+                              rt_pairs, set(), zero_thresholds(config))
         kept = [r for r, m in specs if is_relevant(m, config)]
         assert rules == len(kept)
         assert bodies == len({r.body for r in kept if r.body != oar.body})
@@ -1208,6 +1207,33 @@ def test_learn_prunes_through_prior_pruning(monkeypatch):
     # supp_h 0 prunes nothing, through the same one traversal
     assert learn(store, rt, cfg(supp_h=0)).p_oars == 0
     assert len(calls) == 1
+
+
+def test_prior_pruning_keeps_an_oar_whose_support_is_supp_h():
+    # an OAR of support s is kept and specialized at supp_h s; at s + 1 it
+    # is a P-OAR, and none of its anchorings is mined. Its support is its
+    # hit count, less than the root's: x3 and x4 have no p-fact, and x5's
+    # one grounding uses its anchor t0
+    store = TripleStore()
+    rt, p = store.relations.intern("rt"), store.relations.intern("p")
+    ent = store.entities.intern
+    for x, c, t in (("x0", "a", "t0"), ("x1", "a", "t0"), ("x2", "a", "t0"),
+                    ("x3", "b", None), ("x4", "b", None),
+                    ("x5", "t0", "t0")):
+        store.add_triple(rt, ent(x), ent(c), "train")
+        if t is not None:
+            store.add_triple(p, ent(x), ent(t), "train")
+    oar = R("rt(X,Y) <- p(X,V0)", store)
+    s = evaluate(oar, store, store.instances_of(rt), cfg()).supp
+    assert s == 3
+    anchorings = {R("rt(X,a) <- p(X,V0)", store),
+                  R("rt(X,a) <- p(X,t0)", store)}
+    kept = learn(store, rt, cfg(max_len=1, supp_h=s))
+    assert (kept.p_oars, kept.i_oars, kept.u_oars) == (0, 1, 0)
+    assert anchorings <= {r for r, _ in kept.rules}
+    pruned = learn(store, rt, cfg(max_len=1, supp_h=s + 1))
+    assert (pruned.p_oars, pruned.i_oars, pruned.u_oars) == (1, 0, 0)
+    assert not any(kind_of(r) in ("HAR", "BAR") for r, _ in pruned.rules)
 
 
 @pytest.mark.parametrize("prune", [True, False])   # supp_h 8, or 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rulehier.kgstore import Interner, ParseError, TripleStore
-from rulehier.miner import MinerConfig, open_groundings, specialization
+from rulehier.miner import MinerConfig, open_groundings
 from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             VAR_X, VAR_Y, body_length, const, constants,
                             dangling_term, format_rule, instantiate,
@@ -13,7 +13,8 @@ from rulehier.rules import (Atom, KindError, Rule, StraightnessError, Term,
                             skolem, skolemize, var, walk_rule)
 
 from helpers import (Path, R, anchoring, deduction_level, generalize,
-                     is_connected, random_rule, toy_store, zero_thresholds)
+                     is_connected, random_rule, specialize, toy_store,
+                     zero_thresholds)
 
 
 def _interners():
@@ -316,8 +317,8 @@ def test_specialization_anchors_y_and_the_dangling_term():
     rt = store.relations.get("Advises")
     oar = R("Advises(X,Y) <- Is_A(X,V0)", store)
     rt_pairs = store.instances_of(rt)
-    specs, _ = specialization(oar, open_groundings(oar, store), rt_pairs,
-                              set(), zero_thresholds(MinerConfig()))
+    specs, _ = specialize(oar, open_groundings(oar, store), rt_pairs,
+                          set(), zero_thresholds(MinerConfig()))
     assert [set(anchoring(oar, r)) for r, _ in specs] == [
         {VAR_Y}, {VAR_Y, var(0)}]
     assert [r for r, _ in specs] == [
@@ -344,9 +345,9 @@ def test_specialization_raises_what_instantiate_raises(text, r1_obj, error):
     rt_pairs = store.instances_of(rt)
     args = (oar, open_groundings(oar, store), rt_pairs, set())
     with pytest.raises(error):
-        specialization(*args, zero_thresholds(MinerConfig()))
+        specialize(*args, zero_thresholds(MinerConfig()))
     # the same OAR with no kept candidate builds nothing and raises nothing
-    assert specialization(*args, MinerConfig(supp_f=1)) == ([], False)
+    assert specialize(*args, MinerConfig(supp_f=1)) == ([], False)
 
 
 def test_specialization_rejects_non_oars():
@@ -360,8 +361,8 @@ def test_specialization_rejects_non_oars():
                  "r0(X,c0) <- r1(X,V0)"):
         rule = parse_rule(text, ents, rels)
         with pytest.raises(KindError):
-            specialization(rule, open_groundings(rule, store), set(), set(),
-                           config)
+            specialize(rule, open_groundings(rule, store), set(), set(),
+                       config)
 
 
 def test_instantiate_har_and_bar():
