@@ -5,7 +5,8 @@ relation, and shows how the mined rules sit in a subsumption hierarchy.
 Run with:  python3 demos/academic_toy.py
 """
 
-from rulehier import MinerConfig, TripleStore, learn
+from rulehier import MinerConfig, TripleStore, learn_all
+from rulehier.miner import learned_hierarchy
 from rulehier.rules import format_rule, kind_of, parse_rule
 from rulehier.subsumption import (i_subsumes, oi_subsumes, sa_subsumes,
                                   theta_subsumes)
@@ -34,7 +35,8 @@ def main():
     cfg = MinerConfig(max_len=2, supp_f=0, hc_f=0.0, sc_f=0.0,
                       overfit_threshold=0.0, walks_per_instance=10, seed=0)
     rt = store.relations.get("Advises")
-    result = learn(store, rt, cfg, collect_hierarchy=True)
+    results = learn_all(store, [rt], cfg)
+    result = results[rt]
 
     print("\n== mined rules for Advises ==")
     for rule, m in result.rules:
@@ -44,7 +46,7 @@ def main():
     print(f"  informative open rules: {result.i_oars}")
 
     print("\n== hierarchy edges (parent => child) ==")
-    for edge in sorted(result.hierarchy.edges,
+    for edge in sorted(learned_hierarchy(store, results, cfg).edges,
                        key=lambda e: (e.parent.sort_key(),
                                       e.child.sort_key())):
         p = format_rule(edge.parent, store.entities, store.relations)

@@ -24,7 +24,8 @@ from . import hierarchy as hmod
 from .evaluator import evaluate_kgc
 from .kgstore import (SPLITS, Interner, ParseError, SplitConfig, TripleStore,
                       decode_line, resplit)
-from .miner import MinerConfig, check_types, learn_all, read_rules, write_rules
+from .miner import (MinerConfig, check_types, learn_all, learned_hierarchy,
+                    read_rules, write_rules)
 # the commands mine through learn_all; bench/layers.py probes this name
 from .miner import learn  # noqa: F401
 from .rules import format_rule, parse_rule
@@ -210,9 +211,9 @@ def _write_run_record(path, cfg: RunConfig, names: list[str],
         for rt, res in sorted(results.items()):
             name = names[rt]
             fh.write(f"target.{name}.rules = {len(res.rules)}\n")
-            for key in ("p_oars", "i_oars", "u_oars", "abstract_rules",
-                        "post_pruned"):
+            for key in ("p_oars", "i_oars", "u_oars", "abstract_rules"):
                 fh.write(f"target.{name}.{key} = {getattr(res, key)}\n")
+            fh.write(f"target.{name}.post_pruned = {len(res.post_pruned)}\n")
             fh.write(f"target.{name}.gen_seconds = {res.gen_seconds:.3f}\n")
             fh.write(f"target.{name}.spec_seconds = {res.spec_seconds:.3f}\n")
 
@@ -223,8 +224,7 @@ def cmd_learn(args) -> int:
     targets = select_targets(store, cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = learn_all(store, targets, cfg.miner,
-                        collect_hierarchy=bool(args.emit_hierarchy))
+    results = learn_all(store, targets, cfg.miner)
     names = _file_names(store.relations)
     paths = {rt: out_dir / f"rules_{names[rt]}.txt" for rt in results}
     # eval reads every rule file in the directory: an earlier run's would
@@ -235,8 +235,8 @@ def cmd_learn(args) -> int:
         write_rules(paths[rt], res.rules, store.entities, store.relations)
     _write_run_record(out_dir / "run_record.txt", cfg, names, results)
     if args.emit_hierarchy:
-        merged = hmod.union(*(res.hierarchy for res in results.values()))
-        hmod.write_dot(merged, args.emit_hierarchy,
+        hmod.write_dot(learned_hierarchy(store, results, cfg.miner),
+                       args.emit_hierarchy,
                        lambda r: format_rule(r, store.entities,
                                              store.relations))
     total = sum(len(r.rules) for r in results.values())

@@ -17,9 +17,9 @@ and post pruning drops dominated anchorings. That pass fills a
 `BodyIndex`, the grounding index that rule application
 (`evaluator`) reads too; the part of specialization that depends only on
 the body is built into it once, for every target. Post pruning compares
-each BAR with its one I-parent, the HAR of its anchor. Only on request
-are both hierarchies recorded, as their rules are made, with no
-subsumption check.
+each BAR with its one I-parent, the HAR of its anchor. Mining builds no
+hierarchy: `learned_hierarchy` builds a run's afterwards, with the
+builders.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ import random
 import re
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import itemgetter
 from typing import Collection
 
-from .hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
-                        bfs_with_pruning)
-# learn calls neither; bench/layers.py probes these names at this module
-from .hierarchy import build_a_hierarchy, build_i_hierarchy  # noqa: F401
+from . import hierarchy as hmod
+from .hierarchy import bfs_with_pruning, build_a_hierarchy, build_i_hierarchy
 from .kgstore import ParseError, TripleStore, decode_line
 from .rules import (X, Y, Atom, KindError, Rule, StraightnessError, Term,
                     VAR_X, VAR_Y, const, constants, dangling_term,
@@ -112,7 +110,8 @@ class MinerConfig:
 class LearnResult:
     """One target's mined rules, sorted by descending sc and then by
     `Rule.sort_key`, so independent of the order of its train pairs; its
-    OAR counts, how many BARs post pruning dropped, and stage timings."""
+    OAR counts, the BARs post pruning dropped, sorted like the rules, and
+    stage timings."""
 
     target: int
     rules: list[tuple[Rule, Measures]]
@@ -122,8 +121,7 @@ class LearnResult:
     gen_seconds: float = 0.0
     spec_seconds: float = 0.0
     abstract_rules: int = 0
-    post_pruned: int = 0
-    hierarchy: Hierarchy | None = None
+    post_pruned: list[tuple[Rule, Measures]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +350,9 @@ def evaluate(rule: Rule, store: TripleStore, rt_pairs: set[tuple[int, int]],
         return _measures(len(_hits(common, rt_pairs)), n_g,
                          len(_hits(common, valid_pairs)), n_rt, cfg)
 
-    body = BodyIndex(rule, ground_body(rule, store, parent=parent))
-    xi, yi = body.pos.get(hx), body.pos.get(hy)   # None for a constant
+    xi, yi = (order.index(t) if t.is_var else None for t in (hx, hy))
     g = {(hx.idx if xi is None else b[xi], hy.idx if yi is None else b[yi])
-         for b in body.groundings}
+         for b in ground_body(rule, store, parent=parent)}
     return _measures(len(g & rt_pairs), len(g), len(g & valid_pairs), n_rt,
                      cfg)
 
@@ -657,7 +654,7 @@ def specialization(oar: Rule, body: BodyIndex,
 
 
 # learn prunes without it; tests/helpers.py and bench/layers.py use this name
-def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
+def post_pruning(phi_i: hmod.Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
     """Drop every rule strictly dominated in sc by a subsuming parent."""
     survivors = set(phi_i.nodes)
     for edge in phi_i.edges:
@@ -668,6 +665,11 @@ def post_pruning(phi_i: Hierarchy, sc: dict[Rule, float]) -> set[Rule]:
 
 # ---------------------------------------------------------------------------
 # Algorithm: end-to-end learning, every target in one traversal
+
+def _by_sc(rm: tuple[Rule, Measures]) -> tuple:
+    """Descending sc, then `Rule.sort_key`: the order of a result's rules."""
+    return -rm[1].sc, rm[0].sort_key()
+
 
 class _Target:
     """One target's share of `learn_all`'s traversal: its train and
@@ -683,23 +685,8 @@ class _Target:
         self.valid_by_c = _by_anchor(self.valid_pairs)
         self.result = LearnResult(target=rt, rules=[])
         self.oar_keys = 0   # how many of its walk keys are OAR keys
-        # only when collecting, by build_all: the target's rules by key,
-        # and the nodes and edges of its A- and I-hierarchies
-        self.rules: dict[tuple[int, ...], Rule] = {}
-        self.nodes: set[Rule] = set()
-        self.edges: set[SubsumptionEdge] = set()
         self.mined: list[tuple[Rule, Measures]] = []
         self.visited = self.kept = 0
-
-    def build_all(self, keys: list[tuple[int, ...]]) -> None:
-        """Build the rule of every walk key and record the A-hierarchy."""
-        rules = self.rules = {key: walk_rule(self.rt, key) for key in keys}
-        self.nodes.update(rules.values())
-        self.edges.update(SubsumptionEdge(rules[key[:-3]], r, A_EDGE)
-                          for key, r in rules.items() if key)
-
-    def rule(self, key: tuple[int, ...]) -> Rule:
-        return self.rules[key] if self.rules else walk_rule(self.rt, key)
 
     def mine(self, rule: Rule, body: BodyIndex, hits,
              cfg: MinerConfig) -> None:
@@ -717,36 +704,29 @@ class _Target:
             # the body; a BAR's one I-parent is the HAR of its anchor, its
             # head over that body, which drops it iff kept with a higher sc
             hars = {r.head.obj: m for r, m in specs if r.body == rule.body}
-            if self.rules:
-                self.nodes.update(r for r, _ in specs)
-                self.edges.update(
-                    SubsumptionEdge(rule.with_head(r.head), r, I_EDGE)
-                    for r, _ in specs
-                    if r.body != rule.body and r.head.obj in hars)
-            n = len(specs)
-            specs = [(r, m) for r, m in specs
-                     if not hars.get(r.head.obj, m).sc > m.sc]
-            self.result.post_pruned += n - len(specs)
-        self.mined.extend(specs)
+            for r, m in specs:
+                if hars.get(r.head.obj, m).sc > m.sc:
+                    self.result.post_pruned.append((r, m))
+                else:
+                    self.mined.append((r, m))
+        else:
+            self.mined.extend(specs)
 
     def finish(self) -> LearnResult:
         result = self.result
         result.p_oars = self.oar_keys - result.i_oars - result.u_oars
-        result.rules = sorted(self.mined,
-                              key=lambda rm: (-rm[1].sc, rm[0].sort_key()))
-        if self.rules:
-            result.hierarchy = Hierarchy(self.nodes, self.edges)
+        result.rules = sorted(self.mined, key=_by_sc)
+        result.post_pruned.sort(key=_by_sc)
         return result
 
 
-def learn(store: TripleStore, rt: int, cfg: MinerConfig,
-          collect_hierarchy: bool = False) -> LearnResult:
+def learn(store: TripleStore, rt: int, cfg: MinerConfig) -> LearnResult:
     """Mine one target: `learn_all` over it alone."""
-    return learn_all(store, [rt], cfg, collect_hierarchy)[rt]
+    return learn_all(store, [rt], cfg)[rt]
 
 
-def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
-              collect_hierarchy: bool = False) -> dict[int, LearnResult]:
+def learn_all(store: TripleStore, targets: Collection[int],
+              cfg: MinerConfig) -> dict[int, LearnResult]:
     """Mine every target in one traversal; each target's result, in the
     order of `targets`, is the one it would get alone.
 
@@ -773,10 +753,9 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
     in no set order: its kept anchorings do not depend on it, and the
     rules are sorted at the end. No mined rule repeats: a HAR keeps its
     OAR's body, a BAR's OAR is its one body constant lifted, and CARs,
-    HARs and BARs differ in their number of constants. Only with
-    `collect_hierarchy` is every abstract rule built and a `Hierarchy`
-    made: a target's A-hierarchy united with every I-hierarchy of its
-    post pruning.
+    HARs and BARs differ in their number of constants. Mining builds no
+    hierarchy and checks no subsumption; `learned_hierarchy` builds the
+    run's from its results.
 
     The run's time is split over the targets with no gap or overlap, so
     their `gen_seconds` and `spec_seconds` add up to its wall time. A
@@ -808,8 +787,6 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
         t.result.gen_seconds = lap()
         t.result.abstract_rules = len(keys)
         t.oar_keys = sum(map(_is_oar_key, keys))
-        if collect_hierarchy:
-            t.build_all(keys)
         for key in keys:
             tags[key] = tags.get(key, 0) | 1 << i
         charge(t)
@@ -839,7 +816,7 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
             low = bits & -bits
             active.append((low, states[low.bit_length() - 1]))
             bits ^= low
-        rules = [t.rule(key) for _, t in active]
+        rules = [walk_rule(t.rt, key) for _, t in active]
         body = None
         if _is_oar_key(key):
             body = open_groundings(rules[0], store, parent)
@@ -878,6 +855,24 @@ def learn_all(store: TripleStore, targets: Collection[int], cfg: MinerConfig,
                   res.i_oars, res.u_oars, len(res.rules), res.gen_seconds,
                   res.spec_seconds)
     return {t.rt: t.result for t in states}
+
+
+def learned_hierarchy(store: TripleStore, results: dict[int, LearnResult],
+                      cfg: MinerConfig) -> hmod.Hierarchy:
+    """The rule hierarchy of `results`, which `learn_all(store, targets,
+    cfg)` returned, found by the builders: the A-hierarchy of the abstract
+    rules of every walk key each target samples, also the ones prior
+    pruning skipped, and with post pruning on, the I-hierarchy of the
+    rules each target mined and the BARs post pruning dropped. The walks
+    are sampled again, with the run's seed, so they give the run's keys."""
+    where: dict[int, dict[int, list[int]]] = {}   # see _sample_walk
+    h = build_a_hierarchy(walk_rule(rt, key) for rt in results
+                          for key in generalization(store, rt, cfg, where))
+    if not cfg.enable_post_pruning:
+        return h
+    return hmod.union(h, build_i_hierarchy(
+        r for res in results.values()
+        for r, _ in chain(res.rules, res.post_pruned)))
 
 
 # ---------------------------------------------------------------------------

@@ -700,8 +700,9 @@ def test_learn_emit_hierarchy(tmp_path, monkeypatch):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert "style=solid" in text
-    # one merge over the three targets' hierarchies
-    assert [len(hs) for hs in calls] == [3]
+    # post pruning is on: one union, of the three targets' A-hierarchy
+    # with their I-hierarchy
+    assert [len(hs) for hs in calls] == [2]
 
 
 def test_learn_emit_hierarchy_under_pruning_equals_the_builders(tmp_path,
@@ -741,6 +742,58 @@ def test_learn_emit_hierarchy_under_pruning_equals_the_builders(tmp_path,
         r, store.entities, store.relations))
     assert dot.read_text() == want.read_text()
     assert "style=dashed" in want.read_text()
+
+
+def test_learn_emit_hierarchy_without_post_pruning_is_the_a_hierarchy(
+        tmp_path):
+    # post pruning off: only solid edges, the builders' A-hierarchy over
+    # each target's walk rules; on, the same graph gives dashed ones too
+    store = random_kg(random.Random(17), n_entities=14, n_relations=3,
+                      n_train=70, n_valid=25)
+    ds = write_dataset(tmp_path, store)
+    cfg = write_config(tmp_path, ds, tmp_path / "out")
+    sets, dots = ["supp_f=1", "supp_h=8"], {}
+    for post in ("on", "off"):
+        sets[2:] = [f"enable_post_pruning={post}"]
+        dots[post] = tmp_path / f"{post}.dot"
+        assert main(["learn", "--config", str(cfg), *(
+            arg for item in sets for arg in ("--set", item)),
+            "--emit-hierarchy", str(dots[post])]) == 0
+    run = load_config(cfg, sets)   # post pruning off
+    store = TripleStore.from_directory(run.dataset_dir)
+    oracle = hierarchy.union(
+        *(hierarchy.build_a_hierarchy(walk_rules(store, rt, run.miner))
+          for rt in select_targets(store, run)))
+    want = tmp_path / "oracle.dot"
+    hierarchy.write_dot(oracle, want, lambda r: format_rule(
+        r, store.entities, store.relations))
+    assert dots["off"].read_text() == want.read_text()
+    assert "style=dashed" not in want.read_text()
+    assert "style=dashed" in dots["on"].read_text()
+
+
+def test_learn_emit_hierarchy_does_not_change_what_it_mines(tmp_path):
+    store = random_kg(random.Random(17), n_entities=14, n_relations=3,
+                      n_train=70, n_valid=25)
+    ds = write_dataset(tmp_path, store)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, ds, out)
+    runs = {}
+    for emit in ([], ["--emit-hierarchy", str(tmp_path / "h.dot")]):
+        assert main(["learn", "--config", str(cfg), "--set", "supp_f=1",
+                     "--set", "supp_h=8", *emit]) == 0
+        record = (out / "run_record.txt").read_text(encoding="utf-8")
+        runs[bool(emit)] = (
+            {p.name: p.read_bytes() for p in out.glob("rules_*.txt")},
+            [line for line in record.splitlines()
+             if "_seconds = " not in line])
+    assert runs[True] == runs[False]
+    rules, counts = runs[False]
+    assert len(rules) == 3 and any(rules.values())
+    # prior pruning skips rules and post pruning drops some
+    for key in ("p_oars", "post_pruned"):
+        assert any(re.fullmatch(rf"target\.\w+\.{key} = [1-9]\d*", line)
+                   for line in counts)
 
 
 def test_learn_set_override_changes_output(tmp_path):

@@ -17,8 +17,8 @@ from rulehier.kgstore import Interner, ParseError, TripleStore
 from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
                             ground_body, is_relevant, learn, learn_all,
-                            open_groundings, overfit_keep, post_pruning,
-                            read_rules, write_rules)
+                            learned_hierarchy, open_groundings, overfit_keep,
+                            post_pruning, read_rules, write_rules)
 from rulehier.rules import (Atom, Rule, Term, VAR_X, VAR_Y, constants,
                             dangling_term, format_rule, instantiate,
                             is_straight, kind_of, parse_rule, walk_rule)
@@ -1239,12 +1239,13 @@ def test_prior_pruning_keeps_an_oar_whose_support_is_supp_h():
 @pytest.mark.parametrize("prune", [True, False])   # supp_h 8, or 0
 @pytest.mark.parametrize("post", [True, False])
 def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
-    # learn prunes without post_pruning, so the oracle's calls count drops
+    # learn prunes without post_pruning, so the oracle's calls give the
+    # rules it drops
     dropped = []
 
     def counted(phi_i, sc):
         keep = post_pruning(phi_i, sc)
-        dropped.append(len(phi_i.nodes) - len(keep))
+        dropped.append(phi_i.nodes - keep)
         return keep
     monkeypatch.setattr(helpers, "post_pruning", counted)
     rng = random.Random(17)
@@ -1263,13 +1264,19 @@ def test_learn_equals_the_three_pass_reference(monkeypatch, prune, post):
             rules, counts = learn_oracle(store, rt, config)
             assert res.rules == rules
             assert (res.p_oars, res.i_oars, res.u_oars) == counts
-            assert res.post_pruned == sum(dropped[start:])
+            assert {r for r, _ in res.post_pruned} == set().union(
+                *dropped[start:])
+            assert len(res.post_pruned) == sum(map(len, dropped[start:]))
+            # sorted like the rules
+            assert res.post_pruned == sorted(
+                res.post_pruned, key=lambda rm: (-rm[1].sc,
+                                                 rm[0].sort_key()))
             pruned += res.p_oars
             specialized += res.i_oars
     assert specialized > 0
     assert (pruned > 0) == prune
     # so a wrong I-edge changes the rules compared above
-    assert (sum(dropped) > 0) == post
+    assert any(dropped) == post
 
 
 def test_learn_builds_only_the_rules_it_visits(monkeypatch):
@@ -1294,16 +1301,15 @@ def test_learn_builds_only_the_rules_it_visits(monkeypatch):
             config = cfg(supp_f=1, supp_h=8)
             keys = generalization(store, rt, config)
             rules = [walk(rt, key) for key in keys]
-            for collect in (False, True):
-                built.clear()
-                visited.clear()
-                res = learn(store, rt, config, collect_hierarchy=collect)
-                # each visited rule is built once; collecting builds all
-                assert built == (keys if collect else visited)
-                assert res.abstract_rules == len(rules)
-                assert res.p_oars == sum(
-                    kind_of(r) == "OAR" for key, r in zip(keys, rules)
-                    if r.body and key not in kept[-1])
+            built.clear()
+            visited.clear()
+            res = learn(store, rt, config)
+            # each visited rule is built once
+            assert built == visited
+            assert res.abstract_rules == len(rules)
+            assert res.p_oars == sum(
+                kind_of(r) == "OAR" for key, r in zip(keys, rules)
+                if r.body and key not in kept[-1])
             unbuilt += len(keys) - len(visited)
     assert unbuilt > 0
 
@@ -1371,33 +1377,28 @@ def test_learn_empty_target():
         learn(store, 99, cfg())
 
 
-def test_learn_collects_hierarchy(monkeypatch):
-    calls = []
-    monkeypatch.setattr(miner_mod, "Hierarchy",
-                        lambda *a: calls.append(a) or Hierarchy(*a))
+def test_learned_hierarchy():
     store = toy_store()
     rt = store.relations.get("Advises")
-    res = learn(store, rt, cfg(), collect_hierarchy=True)
-    assert res.hierarchy is not None
-    assert R("Advises(X,Y) <-", store) in res.hierarchy.nodes
-    kinds = {e.kind for e in res.hierarchy.edges}
+    results = learn_all(store, [rt], cfg())
+    assert results[rt].i_oars > 0
+    h = learned_hierarchy(store, results, cfg())
+    assert R("Advises(X,Y) <-", store) in h.nodes
+    kinds = {e.kind for e in h.edges}
     assert "A" in kinds and "I" in kinds
-    assert edges_climb(res.hierarchy)
-    # the A-hierarchy's and every I-hierarchy's nodes and edges, in one
-    # Hierarchy per collecting target
-    assert len(calls) == 1 and res.i_oars > 0
-    calls.clear()
-    store = random_kg(random.Random(29), n_entities=14, n_relations=4,
-                      n_train=90)
-    results = learn_all(store, _targets(store), cfg(),
-                        collect_hierarchy=True)
-    assert len(calls) == len(results) >= 3
+    assert edges_climb(h)
 
 
-def test_learn_all_builds_no_hierarchy_unless_collecting(monkeypatch):
+def test_learn_all_builds_no_hierarchy(monkeypatch):
+    # mining builds no Hierarchy and runs no subsumption decider
     def forbidden(*a):
-        raise AssertionError("learn built a Hierarchy")
-    monkeypatch.setattr(miner_mod, "Hierarchy", forbidden)
+        raise AssertionError("learn built a hierarchy")
+    for module, name in ((hierarchy_mod, "Hierarchy"),
+                         (miner_mod, "build_a_hierarchy"),
+                         (miner_mod, "build_i_hierarchy"),
+                         (hierarchy_mod, "a_subsumes"),
+                         (hierarchy_mod, "i_subsumes")):
+        monkeypatch.setattr(module, name, forbidden)
     rng = random.Random(17)
     specialized = 0
     for store in [random_kg(rng, n_entities=14, n_relations=3, n_train=70,
@@ -1405,22 +1406,16 @@ def test_learn_all_builds_no_hierarchy_unless_collecting(monkeypatch):
         for post in (True, False):
             results = learn_all(store, _targets(store),
                                 cfg(supp_f=1, enable_post_pruning=post))
-            assert all(res.hierarchy is None for res in results.values())
             specialized += sum(res.i_oars for res in results.values())
     assert specialized > 0
 
 
-def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
-    # learn records the edges it creates and checks no subsumption; the
-    # builders, run on the abstract rules and on each OAR's kept
-    # specializations, find exactly the recorded nodes and edges
-    def forbidden(*a):
-        raise AssertionError("learn checked a subsumption")
-    for module, name in ((miner_mod, "build_a_hierarchy"),
-                         (miner_mod, "build_i_hierarchy"),
-                         (hierarchy_mod, "a_subsumes"),
-                         (hierarchy_mod, "i_subsumes")):
-        monkeypatch.setattr(module, name, forbidden)
+def test_learned_hierarchy_is_the_builders_over_what_learn_visits(
+        monkeypatch):
+    # the builders, run on the abstract rules and on each OAR's kept
+    # specializations, find exactly the nodes and edges of
+    # learned_hierarchy, which reads only the walk keys and each target's
+    # mined and post-pruned rules
     specs_of = []   # per learn call, the specs of each specialized OAR
     specialize = miner_mod.specialization
 
@@ -1438,17 +1433,17 @@ def test_learn_records_the_hierarchy_the_builders_find(monkeypatch):
         for rt in range(3):
             if store.instances_of(rt):
                 specs_of.append([])
-                learned.append((store, rt, learn(store, rt, config,
-                                                 collect_hierarchy=True)))
+                learned.append((store, rt, learn_all(store, [rt], config)))
     monkeypatch.undo()
     # prior pruning skips rules, and the hierarchy still holds every one
-    assert sum(res.p_oars for _, _, res in learned) > 0
+    assert sum(res[rt].p_oars for _, rt, res in learned) > 0
     kinds = Counter()
-    for (store, rt, res), specs in zip(learned, specs_of):
+    for (store, rt, results), specs in zip(learned, specs_of):
+        h = learned_hierarchy(store, results, config)
         oracle = union(build_a_hierarchy(walk_rules(store, rt, config)),
                        *(build_i_hierarchy([r for r, _ in s]) for s in specs))
-        assert res.hierarchy.nodes == oracle.nodes
-        assert res.hierarchy.edges == oracle.edges
+        assert h.nodes == oracle.nodes
+        assert h.edges == oracle.edges
         kinds.update(e.kind for e in oracle.edges)
     assert kinds[A_EDGE] > 0 and kinds[I_EDGE] > 0
 
@@ -1469,26 +1464,26 @@ def test_learn_all_gives_each_target_what_it_mines_alone(prune, post):
                         n_valid=25) for _ in range(3)] + [hub_kg(rng)]
     config = cfg(supp_f=1, supp_h=8 if prune else 0, overfit_threshold=0.1,
                  enable_post_pruning=post)
-    pruned = specialized = 0
+    pruned = specialized = dropped = 0
     for store in stores:
         targets = _targets(store)
         assert len(targets) >= 3
-        together = learn_all(store, targets, config, collect_hierarchy=True)
+        together = learn_all(store, targets, config)
         assert list(together) == targets
         for rt in targets:
-            res, alone = together[rt], learn(store, rt, config,
-                                             collect_hierarchy=True)
+            res, alone = together[rt], learn(store, rt, config)
             rules, counts = learn_oracle(store, rt, config)
             assert res.rules == alone.rules == rules
             assert (res.p_oars, res.i_oars, res.u_oars) \
                 == (alone.p_oars, alone.i_oars, alone.u_oars) == counts
             assert res.abstract_rules == alone.abstract_rules
-            assert res.hierarchy.nodes == alone.hierarchy.nodes
-            assert res.hierarchy.edges == alone.hierarchy.edges
+            assert res.post_pruned == alone.post_pruned
             pruned += res.p_oars
             specialized += res.i_oars
+            dropped += len(res.post_pruned)
     assert specialized > 0
     assert (pruned > 0) == prune
+    assert (dropped > 0) == post
 
 
 def test_learn_all_grounds_each_body_once(monkeypatch):

@@ -9,9 +9,10 @@ Until the package measures its own stages (ROADMAP item 1), these stay as
 the probes find them:
 
 - every name in `layers.PROBES`, among them some that nothing in the
-  package calls any more: `miner.post_pruning`,
-  `miner.build_a_hierarchy`, `miner.build_i_hierarchy`,
-  `miner.instantiate`, `evaluator.suggest` and `cli.learn`;
+  package calls any more: `miner.post_pruning`, `miner.instantiate`,
+  `evaluator.suggest` and `cli.learn`. `miner.build_a_hierarchy` and
+  `miner.build_i_hierarchy` have a caller, `learned_hierarchy`, which
+  only `learn --emit-hierarchy` runs, so the benchmark never does;
 - `specialization`'s `cfg`, passed by keyword, and its `(rules, False)`
   return, which the hook unpacks;
 - `overfit_keep`'s third argument, which the hook passes;
