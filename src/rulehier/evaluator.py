@@ -4,9 +4,13 @@ aggregation ranking with recursive tie-breaking, filtered MRR and Hits@k.
 Rules are applied per distinct body: each body is grounded once into a
 `miner.BodyIndex`, the index specialization reads, and every rule of the
 body answers from it, appending its sc straight to the confidence vector
-of each candidate it suggests. The rules of a body that read one map of
-the index for one (relation, slot) share the list of that map's entries
-for the queried known entities.
+of each candidate it suggests. A body's rules answer in head groups, one
+per head relation and head shape (the head with its constants masked,
+so r(X,a) and r(X,b) are one shape): a group reads its maps of the index
+once, and its rules differ only in their head constants and sc, which
+each branch loops over inside. So all HARs r(X,c) of one body take one
+pass over the queried entities' entries for head queries, and one per
+anchor for tail queries.
 """
 
 from __future__ import annotations
@@ -41,115 +45,139 @@ def queries_for(store: TripleStore, rels: set[int] | None = None) -> list[Query]
     return out
 
 
-def _answers(rule: Rule, sc: float, body: BodyIndex, consts: set[int],
-             wanted: dict[tuple[int, str], set[int]],
-             vectors: dict[tuple, dict[int, list[float]]],
-             shared: dict[tuple, list]) -> None:
-    """Append `sc` to the vector of each entity `rule` suggests per wanted
-    (rel, slot, known), read from its body's index, whose groundings avoid
+def _answers(group: list[tuple[Rule, Measures]], body: BodyIndex,
+             consts: set[int],
+             vectors: dict[tuple[int, str], dict[int, dict]]) -> None:
+    """Append each rule's sc to the vector of each entity the rule
+    suggests per query key (rel, slot, known), for one head group: the
+    rules over one body whose heads have one relation and one shape, the
+    head with its constants masked, with their measures.
+    `vectors[(rel, slot)]` holds each queried known's candidate vectors.
+    Answers are read from the body's index, whose groundings avoid
     `consts`, the body's constants. A grounding counts unless it uses a
-    head-only constant; the rule suggests open value o for known k iff a
+    head-only constant; a rule suggests open value o for known k iff a
     counted grounding binds the known term to k (a known constant must
     equal k) and the open term to o. A known variable the body leaves
     unbound takes any k that is no rule constant and lies outside the
     entities the grounding uses; an open variable the body leaves unbound
     answers only when it is the known variable itself.
 
-    When the body binds the known term, `shared` holds, per (rel, slot,
-    known slot, open slot), the (vector, common[k] or pairs[k]) entry of
-    each queried k the body binds there; it is built for the body's first
-    such rule and read by the rest.
+    The shape decides the branch and the slots it reads, so each branch
+    loops over the group's rules inside: the HARs and BARs r(X,c) of one
+    body take one pass over the entries of common(X's slot) for the
+    queried k of head queries, and one pass over that map per anchor c
+    for the tail query on c.
     """
-    rel = rule.head.pred
-    hs, ho = rule.head.subj, rule.head.obj
-    for slot, known, open_term in (("head", hs, ho), ("tail", ho, hs)):
-        ks = wanted.get((rel, slot))
-        if not ks:
+    first = group[0][0].head
+    rel = first.pred
+    # Atom fields: 1 is the subject, 2 the object
+    for slot, kn, op in (("head", 1, 2), ("tail", 2, 1)):
+        by_known = vectors.get((rel, slot))
+        if by_known is None:
             continue
+        # the group's known and open terms, constants of the first rule
+        known, open_term = first[kn], first[op]
         j, i = body.pos.get(known), body.pos.get(open_term)
         if j is not None:
             if i is None and open_term.is_var:
                 continue   # the body leaves the open term unbound
-            entries = shared.get((rel, slot, j, i))
-            if entries is None:
-                by_k = body.common(j) if i is None else body.pairs(j, i)
-                entries = shared[(rel, slot, j, i)] = [
-                    (vectors[(rel, slot, k)], by_k[k])
-                    for k in ks & by_k.keys()]
+            # per queried k the body binds at j: its vector, and
+            # common[k] or pairs[k]
+            by_k = body.common(j) if i is None else body.pairs(j, i)
+            entries = [(by_known[k], by_k[k])
+                       for k in by_known.keys() & by_k.keys()]
             if i is None:
                 # a counted grounding of k avoids c iff c is outside
                 # common[k]
-                c = open_term.idx
+                anchors = [(r.head[op].idx, m.sc) for r, m in group]
                 for vec, ents in entries:
-                    if c not in ents:
-                        vec[c].append(sc)
+                    for c, sc in anchors:
+                        if c not in ents:
+                            vec[c].append(sc)
             else:
+                scs = [m.sc for _, m in group]
                 for vec, cands in entries:
                     for o in cands:
-                        vec[o].append(sc)
+                        vec[o].extend(scs)
         elif i is not None:
             # the values at i of the groundings that avoid k: an unbound
             # known variable binds k, and a known constant k is the only
             # head-only constant
             common = body.common(i)
-            for k in (ks - consts if known.is_var
-                      else ks & {known.idx}):
-                vec = vectors[(rel, slot, k)]
-                for o, ents in common.items():
-                    if k not in ents:
-                        vec[o].append(sc)
+            for r, m in group:
+                known, sc = r.head[kn], m.sc
+                if known.is_var:
+                    ks = by_known.keys() - consts
+                elif known.idx in by_known:
+                    ks = (known.idx,)
+                else:
+                    continue
+                for k in ks:
+                    vec = by_known[k]
+                    for o, ents in common.items():
+                        if k not in ents:
+                            vec[o].append(sc)
         elif not open_term.is_var or open_term == known:
             # the body binds neither head term (a ground head, say): scan
-            head_only = {t.idx for t in rule.head.terms
-                         if not t.is_var} - consts
-            counted = [g for g in body.groundings
-                       if head_only.isdisjoint(g)]
-            if not counted:
-                continue
-            o = None if open_term.is_var else open_term.idx
-            if not known.is_var:
-                if known.idx in ks:
-                    vectors[(rel, slot, known.idx)][o].append(sc)
-                continue
-            common = set(counted[0]).intersection(*counted[1:])
-            for k in ks - head_only - consts - common:
-                vectors[(rel, slot, k)][k if o is None else o].append(sc)
+            for r, m in group:
+                known, open_term, sc = r.head[kn], r.head[op], m.sc
+                head_only = {t.idx for t in (known, open_term)
+                             if not t.is_var} - consts
+                counted = [g for g in body.groundings
+                           if head_only.isdisjoint(g)]
+                if not counted:
+                    continue
+                o = None if open_term.is_var else open_term.idx
+                if not known.is_var:
+                    if known.idx in by_known:
+                        by_known[known.idx][o].append(sc)
+                    continue
+                common = set(counted[0]).intersection(*counted[1:])
+                for k in by_known.keys() - head_only - consts - common:
+                    by_known[k][k if o is None else o].append(sc)
 
 
 def _suggest_all(queries: list[Query], rules: list[tuple[Rule, Measures]],
                  store: TripleStore
-                 ) -> tuple[dict[tuple, dict[int, list[float]]], dict]:
-    """Candidate entity -> sc vector per query key, and pass counts. Each
-    body of a queried relation's rules is grounded once. A rule answers
-    the queries of its head relation.
+                 ) -> tuple[dict[tuple[int, str], dict[int, dict]], dict]:
+    """Per (rel, slot) of the queries, each queried known's candidate
+    entity -> sc vector, and pass counts. Each body of a queried
+    relation's rules is grounded once, and its rules answer the queries
+    of their head relations in head groups (see `_answers`), one call per
+    group.
     """
-    wanted: dict[tuple[int, str], set[int]] = defaultdict(set)
+    vectors: dict[tuple[int, str], dict[int, dict]] = {}
     for q in queries:
-        wanted[(q.rel, q.slot)].add(q.known)
-    rels = {rel for rel, _ in wanted}
-    by_body: dict[tuple, list[tuple[Rule, Measures]]] = defaultdict(list)
-    for rule, m in rules:
-        if rule.head.pred in rels:
-            by_body[rule.body].append((rule, m))
+        by_known = vectors.setdefault((q.rel, q.slot), {})
+        if q.known not in by_known:
+            by_known[q.known] = defaultdict(list)
+    rels = {rel for rel, _ in vectors}
+    # per body, its first rule and its head groups, each keyed by the
+    # relation and the head terms with constants masked as None
+    by_body: dict[tuple, tuple[Rule, dict]] = {}
+    for rm in rules:
+        rule = rm[0]
+        p, s, o = rule.head
+        if p in rels:
+            _, groups = by_body.get(rule.body) or by_body.setdefault(
+                rule.body, (rule, defaultdict(list)))
+            groups[(p, s if s.is_var else None,
+                    o if o.is_var else None)].append(rm)
     stats = {"bodies_grounded": len(by_body), "groundings": 0}
-    vectors: dict[tuple, dict[int, list[float]]] = defaultdict(
-        lambda: defaultdict(list))
-    for group in by_body.values():
-        first = group[0][0]
+    for first, groups in by_body.values():
         consts = {t.idx for a in first.body for t in a.terms if not t.is_var}
         body = BodyIndex(first, ground_body(first, store, exclude=consts))
         stats["groundings"] += len(body.groundings)
-        shared: dict[tuple, list] = {}
-        for rule, m in group:
-            _answers(rule, m.sc, body, consts, wanted, vectors, shared)
+        for group in groups.values():
+            _answers(group, body, consts, vectors)
     return vectors, stats
 
 
 def suggest(query: Query, rules: list[tuple[Rule, Measures]],
             store: TripleStore) -> dict[int, list[float]]:
     """Candidate entity -> vector of sc values of the suggesting rules."""
-    key = (query.rel, query.slot, query.known)
-    return dict(_suggest_all([query], rules, store)[0].get(key, {}))
+    vectors = _suggest_all([query], rules, store)[0]
+    return dict(vectors[(query.rel, query.slot)][query.known])
 
 
 def rank(candidates: dict[int, list[float]], known_truths: set[int]
@@ -219,7 +247,7 @@ def evaluate_kgc(store: TripleStore,
     for q in queries:
         known = set(truths.get((q.rel, q.known, q.slot), set()))
         known.discard(q.answer)
-        ranking = rank(vectors.get((q.rel, q.slot, q.known), {}), known)
+        ranking = rank(vectors[(q.rel, q.slot)][q.known], known)
         # the answer's 1-based position, None if unsuggested
         r = next((i for i, (e, _) in enumerate(ranking, start=1)
                   if e == q.answer), None)

@@ -40,7 +40,8 @@ from .hierarchy import bfs_with_pruning, build_a_hierarchy, build_i_hierarchy
 from .kgstore import ParseError, TripleStore, decode_line
 from .rules import (X, Y, Atom, KindError, Rule, StraightnessError, Term,
                     VAR_X, VAR_Y, const, constants, dangling_term,
-                    format_rule, is_straight, kind_of, parse_rule, walk_rule)
+                    format_rule, holds_fresh, is_straight, kind_of,
+                    parse_rule, walk_rule)
 # specialization builds its rules directly; bench/layers.py probes this name
 from .rules import instantiate  # noqa: F401
 
@@ -580,8 +581,11 @@ def specialization(oar: Rule, body: BodyIndex,
     of its rules is that rule's `with_head(head)`. The head of anchor c is
     the OAR's head with Y bound to c, built once per call for every kept
     rule of c: a head binds only Y, so no rule is renumbered but the
-    per-tail ones, and an OAR whose head holds a variable other than X and
-    Y raises `with_head`'s ValueError.
+    per-tail ones. Every head derives from the OAR's, so `with_head`'s
+    check that neither head holds a variable other than X and Y is made
+    once, on the OAR's head, before the first kept rule; such an OAR
+    raises its ValueError, and each rule is built unchecked
+    (`Rule._with_head`).
     """
     if not hits:
         return [], False
@@ -639,6 +643,9 @@ def specialization(oar: Rule, body: BodyIndex,
                 if not is_straight(oar):
                     raise StraightnessError(
                         "instantiation violates straightness")
+                # every kept rule's heads derive from the OAR's head
+                if holds_fresh(oar.head):
+                    raise ValueError("a head holds a body variable")
             if rule is None:
                 atoms = [Atom(q, const(t) if a == tail else a,
                               const(t) if b == tail else b)
@@ -649,7 +656,7 @@ def specialization(oar: Rule, body: BodyIndex,
                 anchor = const(c)
                 head = heads[c] = Atom(p, anchor if s == VAR_Y else s,
                                        anchor if o == VAR_Y else o)
-            out.append((rule.with_head(head), m))
+            out.append((rule._with_head(head), m))
     return out, False
 
 
@@ -880,15 +887,19 @@ def learned_hierarchy(store: TripleStore, results: dict[int, LearnResult],
 
 def write_rules(path, items: list[tuple[Rule, Measures]], entities,
                 relations) -> None:
-    """Write one rule per line with its supp, hc, sc and kind. Each
-    distinct atom and each distinct body is formatted once per file, and
-    each body is classified once per head shape: of the head, `kind_of`
-    reads which terms are variables, and whether the body holds a
-    constant one."""
+    """Write one rule per line with its supp, hc, sc and kind, the layout
+    `read_rules` reads. Each distinct atom and each distinct body is
+    formatted once per file, and each body is classified once per head
+    shape: of the head, `kind_of` reads which terms are variables, and
+    whether the body holds a constant one. Each distinct (supp, hc, sc,
+    kind) column text is formatted once per file too: the measures are
+    an int and two floats, whose equal values `repr` writes alike (no
+    measure is -0.0)."""
     atoms: dict = {}
     bodies: dict = {}
     # per body, its constants and each head shape's kind
     kinds: dict[tuple[Atom, ...], tuple[set[Term], dict]] = {}
+    columns: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for rule, m in items:
             text = format_rule(rule, entities, relations, atoms, bodies)
@@ -901,23 +912,33 @@ def write_rules(path, items: list[tuple[Rule, Measures]], entities,
             kind = by_head.get(shape)
             if kind is None:
                 kind = by_head[shape] = kind_of(rule)
-            fh.write(f"{text} | "
-                     f"supp={m.supp} | hc={m.hc!r} | sc={m.sc!r} | "
-                     f"kind={kind}\n")
+            key = (m.supp, m.hc, m.sc, kind)
+            cols = columns.get(key)
+            if cols is None:
+                cols = columns[key] = (f" | supp={m.supp} | hc={m.hc!r} | "
+                                       f"sc={m.sc!r} | kind={kind}\n")
+            fh.write(text + cols)
 
 
 def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
     """Read a rule file back: the rule and its supp, hc and sc per line,
     each line the rule text and then exactly the columns `write_rules`
-    writes (`_RULE_LINE_RE`). Each distinct atom text is parsed once per
+    writes. A line is split at its last " | supp=": no column text holds
+    that, so it is the only split at which the columns (`_COLUMNS_RE`)
+    can match, and a line reads as the full-line pattern
+    `(.*) | supp=<columns>` would read it. Each distinct column text is
+    matched once per file, its (supp, hc, sc) memoized, and each line
+    gets its own `Measures`. Each distinct atom text is parsed once per
     file, and so is each distinct body text after a head that holds no
     variable but X and Y: a later line with that body and such a head is
     the first one's body under its own head (`parse_rule`'s `bodies`). A
     malformed line, or one that is not UTF-8, raises ParseError naming
-    `path:lineno`."""
+    `path:lineno`. Lines are streamed, split at line feeds alone (a name
+    may hold any other line break), and CRLF line ends read as LF ones."""
     out = []
     atoms: dict = {}
     bodies: dict = {}
+    columns: dict[str, tuple[int, float, float]] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = decode_line(raw, path, lineno)
@@ -925,28 +946,32 @@ def read_rules(path, entities, relations) -> list[tuple[Rule, Measures]]:
                 continue
             try:
                 out.append(_read_rule_line(line, entities, relations, atoms,
-                                           bodies))
+                                           bodies, columns))
             except ParseError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
     return out
 
 
-# the columns `write_rules` writes after the rule text, which alone may
-# hold " | ": supp in ASCII digits, hc and sc as `repr` writes a finite,
-# non-negative float, and one of the six kinds
+# the columns `write_rules` writes after the rule text and " | supp=", which
+# the rule text alone may hold: supp in ASCII digits, hc and sc as `repr`
+# writes a finite, non-negative float, and one of the six kinds
 _FLOAT = r"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
-_RULE_LINE_RE = re.compile(
-    rf"(.*) \| supp=([0-9]+) \| hc=({_FLOAT}) \| sc=({_FLOAT}) \| "
+_COLUMNS_RE = re.compile(
+    rf"([0-9]+) \| hc=({_FLOAT}) \| sc=({_FLOAT}) \| "
     r"kind=(?:CAR|OAR|HAR|BAR|INSR|OPEN)")
 
 
 def _read_rule_line(line: str, entities, relations, atoms: dict,
-                    bodies: dict) -> tuple[Rule, Measures]:
-    m = _RULE_LINE_RE.fullmatch(line)
-    # an exponent past a float's range reads as inf
-    if m is None or math.inf in (hc := float(m[3]), sc := float(m[4])):
-        raise ParseError("expected <rule> | supp=<n> | hc=<x> | sc=<x> | "
-                         "kind=<kind>")
-    return (parse_rule(m[1], entities, relations, intern=False, atoms=atoms,
+                    bodies: dict, columns: dict) -> tuple[Rule, Measures]:
+    text, sep, cols = line.rpartition(" | supp=")
+    m = columns.get(cols) if sep else None
+    if m is None:
+        c = _COLUMNS_RE.fullmatch(cols) if sep else None
+        # an exponent past a float's range reads as inf
+        if c is None or math.inf in (hc := float(c[2]), sc := float(c[3])):
+            raise ParseError("expected <rule> | supp=<n> | hc=<x> | sc=<x> | "
+                             "kind=<kind>")
+        m = columns[cols] = (int(c[1]), hc, sc)
+    return (parse_rule(text, entities, relations, intern=False, atoms=atoms,
                        bodies=bodies),
-            Measures(int(m[2]), hc, sc))
+            Measures(*m))

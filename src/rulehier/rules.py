@@ -69,7 +69,7 @@ class Atom(NamedTuple):
         return (self.subj, self.obj)
 
 
-def _holds_fresh(atom: Atom) -> bool:
+def holds_fresh(atom: Atom) -> bool:
     """Whether an atom holds a variable other than X and Y."""
     return (atom.subj.is_var and atom.subj.idx >= _FIRST_FRESH) \
         or (atom.obj.is_var and atom.obj.idx >= _FIRST_FRESH)
@@ -116,8 +116,14 @@ class Rule:
         only X, Y and constants: then the body's fresh variables are
         numbered by their first occurrence in the body alone, under either
         head. Raises ValueError if one holds any other variable."""
-        if _holds_fresh(head) or _holds_fresh(self.head):
+        if holds_fresh(head) or holds_fresh(self.head):
             raise ValueError("a head holds a body variable")
+        return self._with_head(head)
+
+    def _with_head(self, head: Atom) -> Rule:
+        """`with_head` without its checks, for a caller that has checked
+        both heads already: `parse_rule`'s shared bodies, and
+        `specialization`, whose heads all derive from one OAR head."""
         rule = object.__new__(Rule)
         object.__setattr__(rule, "head", head)
         object.__setattr__(rule, "body", self.body)
@@ -374,8 +380,9 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
         elif (shared := bodies.get(key)) is not None:
             key = None
             head = _parse_atom(head_text, entities, relations, intern, memo)
-            if not _holds_fresh(head):
-                return shared.with_head(head)
+            # the shared rule's head was checked when it was recorded
+            if not holds_fresh(head):
+                return shared._with_head(head)
     quoted = None
     if '"' in text:
         # set each quoted name aside, so that no character of it is read
@@ -397,7 +404,7 @@ def parse_rule(text: str, entities: Interner, relations: Interner,
                                     memo, pos, quoted))
             pos += len(chunk) + 2
     rule = Rule(head, tuple(body))
-    if key is not None and not _holds_fresh(rule.head):
+    if key is not None and not holds_fresh(rule.head):
         bodies[key] = rule
     return rule
 

@@ -388,3 +388,59 @@ def test_the_rules_of_one_body_each_add_their_sc_to_a_shared_query_key():
     summary = evaluate_kgc(store, {t: rules})
     assert summary.stats["bodies_grounded"] == 1
     assert summary.records == evaluate_kgc_oracle(store, {t: rules})
+
+
+def test_head_groups_of_one_body_answer_like_the_oracle(monkeypatch):
+    # one body, r(X,V0), carries HARs of two head relations, an OAR and a
+    # ground-head rule; another, with a body constant, BARs of both
+    # relations; a third CARs of both, and the inverse of one. Anchor a is
+    # also the known entity of tail queries of both relations, and of a
+    # head query whose groundings use a. Each head group (body, relation,
+    # head with its constants masked) is applied in one call.
+    store = TripleStore()
+    r, q, s, t = (store.relations.intern(x) for x in "rqst")
+    a, b, c, d, e, f = (store.entities.intern(x) for x in "abcdef")
+    for p, subj, obj in ((r, a, c), (r, b, c), (r, c, d), (r, d, a),
+                         (r, e, b), (r, a, f), (q, c, e), (q, d, e),
+                         (q, c, f), (q, a, b), (s, b, d), (t, e, c)):
+        store.add_triple(p, subj, obj, "train")
+    for p, subj, obj in ((s, a, b), (s, d, a), (t, c, a), (t, b, d),
+                         (s, a, f)):
+        store.add_triple(p, subj, obj, "test")
+    rules = {s: [], t: []}
+    for text, sc in (("s(X,a) <- r(X,V0)", 0.5),
+                     ("t(X,a) <- r(X,V0)", 0.3),
+                     ("s(X,b) <- r(X,V0)", 0.4),
+                     ("t(X,c) <- r(X,V0)", 0.2),
+                     ("s(X,Y) <- r(X,V0)", 0.1),
+                     ("s(a,b) <- r(X,V0)", 0.35),
+                     ("s(X,a) <- r(X,V0), q(V0,e)", 0.6),
+                     ("t(X,b) <- r(X,V0), q(V0,e)", 0.25),
+                     ("s(X,d) <- r(X,V0), q(V0,e)", 0.15),
+                     ("s(X,Y) <- r(X,V0), q(V0,Y)", 0.45),
+                     ("s(Y,X) <- r(X,V0), q(V0,Y)", 0.05),
+                     ("t(X,Y) <- r(X,V0), q(V0,Y)", 0.55)):
+        rule = R(text, store)
+        rules[rule.head.pred].append((rule, Measures(sc=sc)))
+    sizes = []
+    answers = evaluator._answers
+
+    def spy(group, *args):
+        sizes.append(len(group))
+        return answers(group, *args)
+
+    monkeypatch.setattr(evaluator, "_answers", spy)
+    summary = evaluate_kgc(store, rules)
+    monkeypatch.undo()
+    assert summary.records == evaluate_kgc_oracle(store, rules)
+    # r(X,V0): s HARs, t HARs, the OAR, the ground head; the BAR body: s
+    # BARs, the t BAR; the CAR body: each CAR and the inverse
+    assert sorted(sizes) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    assert summary.stats["bodies_grounded"] == 3
+    by_query = {(x.rel, x.known, x.slot): top
+                for x, _, top in summary.records}
+    # the tail queries on the anchor a, of both relations, are answered
+    assert by_query[(s, a, "tail")] and by_query[(t, a, "tail")]
+    # X = a binds groundings that use a, so no s HAR anchored at a
+    # answers s(a,?) with its 0.5
+    assert all(sc != 0.5 for _, sc in by_query[(s, a, "head")])

@@ -13,7 +13,7 @@ import rulehier.miner as miner_mod
 from rulehier.hierarchy import (A_EDGE, I_EDGE, Hierarchy, SubsumptionEdge,
                                 bfs_with_pruning, build_a_hierarchy,
                                 build_i_hierarchy, union)
-from rulehier.kgstore import Interner, ParseError, TripleStore
+from rulehier.kgstore import Interner, ParseError, TripleStore, decode_line
 from rulehier.miner import (BodyIndex, EmptyTargetError, Measures,
                             MinerConfig, body_vars, evaluate, generalization,
                             ground_body, is_relevant, learn, learn_all,
@@ -1154,9 +1154,10 @@ def test_learn_overfit_filter_drops_unvalidated_rules():
 
 
 def test_learn_instantiates_only_relevant_specializations(monkeypatch):
-    # specialization builds each kept rule through Rule.with_head, and the
-    # shared body of each tail value through one Rule: neither is built
-    # for a candidate that fails the thresholds
+    # specialization builds each kept rule through Rule._with_head, the
+    # unchecked part of with_head, and the shared body of each tail value
+    # through one Rule: neither is built for a candidate that fails the
+    # thresholds
     rng = random.Random(5)
     store = random_kg(rng, n_entities=14, n_relations=3, n_train=70)
     # candidates fail supp_f before the rule loop, and sc_f in it
@@ -1164,11 +1165,11 @@ def test_learn_instantiates_only_relevant_specializations(monkeypatch):
     # the rules and bodies built during learn, and those specialization
     # built, per OAR
     made, headed, oars, built = [], [], [], []
-    post_init, with_head = Rule.__post_init__, Rule.with_head
+    post_init, with_head = Rule.__post_init__, Rule._with_head
     original = miner_mod.specialization
     monkeypatch.setattr(Rule, "__post_init__",
                         lambda self: made.append(self) or post_init(self))
-    monkeypatch.setattr(Rule, "with_head", lambda self, head: headed.append(
+    monkeypatch.setattr(Rule, "_with_head", lambda self, head: headed.append(
         head) or with_head(self, head))
 
     def specializing(oar, *a, **kw):
@@ -1854,3 +1855,125 @@ def test_read_rules_shares_a_body_only_where_parsing_agrees(tmp_path):
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "
                                          f"missing '<-'"):
         read_rules(path, store.entities, store.relations)
+
+
+# the line layout as one full-line pattern with a greedy rule part: the
+# oracle of the tests below, which read each line alone, with no memo
+_FLOAT = r"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+_LINE_RE = re.compile(
+    rf"(.*) \| supp=([0-9]+) \| hc=({_FLOAT}) \| sc=({_FLOAT}) \| "
+    r"kind=(?:CAR|OAR|HAR|BAR|INSR|OPEN)")
+
+
+def _read_alone(path, store) -> list:
+    """`read_rules` of `path`, each line matched and parsed on its own."""
+    out = []
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n")[:-1],
+                                 start=1):
+        line = decode_line(raw, path, lineno)
+        if not line:
+            continue
+        m = _LINE_RE.fullmatch(line)
+        try:
+            if m is None or float("inf") in (float(m[3]), float(m[4])):
+                raise ParseError("bad columns")
+            out.append((parse_rule(m[1], store.entities, store.relations,
+                                   intern=False),
+                        Measures(int(m[2]), float(m[3]), float(m[4]))))
+        except ParseError:
+            return [lineno]
+    return out
+
+
+def _read_with_memos(path, store) -> list:
+    """`read_rules` of `path`, or [n] if it raises naming line n."""
+    try:
+        return read_rules(path, store.entities, store.relations)
+    except ParseError as e:
+        m = re.match(rf"{re.escape(str(path))}:([0-9]+): ", str(e))
+        assert m, str(e)
+        return [int(m[1])]
+
+
+# column texts, the part after " | supp=": good ones, among them two that
+# differ only in kind, and bad ones, one of them a good one with a kind
+# appended and one with an exponent past a float's range
+_COLUMNS = ["2 | hc=0.5 | sc=0.25 | kind=HAR",
+            "2 | hc=0.5 | sc=0.25 | kind=BAR",
+            "12 | hc=1e-05 | sc=0.3333333333333333 | kind=BAR",
+            "0 | hc=0.0 | sc=0.0 | kind=CAR",
+            "2 | hc=0.5 | sc=0.25 | kind=HARBAR",
+            "2 | hc=0.5 | sc=1e+999 | kind=HAR",
+            "2 | sc=0.5 | hc=0.25 | kind=HAR"]
+# entity names that hold the column separator, and so make a rule text
+# that holds " | supp="
+_COLUMN_NAMES = [f"a | supp={c}" for c in _COLUMNS[:2]] + ["b | supp=",
+                                                           " | supp=3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(), st.sampled_from(_COLUMN_NAMES)),
+                min_size=2, max_size=4, unique=True),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 99)),
+                min_size=1, max_size=24))
+def test_read_rules_equals_reading_each_line_alone(names, lines):
+    # random files whose lines repeat column texts and rule texts: the
+    # reader's column, atom and body memos must give what one line read
+    # alone gives, and a bad line must be named as the first bad one
+    store, rules = _anchored_rules(names, ["p", "q", "r"])
+    texts = [format_rule(r, store.entities, store.relations) for r in rules]
+    good = len(_COLUMNS) - 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rules.txt"
+        # mostly good columns, so that most files read to their end
+        path.write_text("".join(
+            f"{texts[t % len(texts)]} | supp="
+            f"{_COLUMNS[c % good if c < 90 else c % len(_COLUMNS)]}\n"
+            for t, c in lines), encoding="utf-8")
+        got, want = _read_with_memos(path, store), _read_alone(path, store)
+    assert got == want
+    assert [rm[0].atoms for rm in got if isinstance(rm, tuple)] == \
+        [rm[0].atoms for rm in want if isinstance(rm, tuple)]
+
+
+def test_read_rules_names_a_bad_line_after_an_identical_good_column(
+        tmp_path):
+    # the column memo must not let a line past what its own text holds: a
+    # bad column, a bad rule text or a non-UTF-8 byte, each after lines
+    # whose column text is the same good one or starts with it
+    store = toy_store()
+    path = tmp_path / "rules.txt"
+    good = GOOD_LINE.encode()
+    for bad in (good + b" | kind=HAR",
+                good.replace(b"kind=HAR", b"kind=HAR "),
+                good.replace(b"Is_A", b"Knows"),
+                good.replace(b"Is_A", b"Is_\xff"),
+                good.replace(b"kind=HAR", b"kind=HA\xff")):
+        path.write_bytes(b"\n".join([good, good, bad, good]) + b"\n")
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(path))}:3: "):
+            read_rules(path, store.entities, store.relations)
+
+
+def test_read_rules_reads_columns_that_differ_only_in_kind(tmp_path):
+    store = toy_store()
+    path = tmp_path / "rules.txt"
+    path.write_text(f"{GOOD_LINE}\n{GOOD_LINE[:-3]}BAR\n{GOOD_LINE}\n",
+                    encoding="utf-8")
+    back = read_rules(path, store.entities, store.relations)
+    assert [(m.supp, m.hc, m.sc) for _, m in back] == [(2, 0.5, 0.25)] * 3
+    assert len({r for r, _ in back}) == 1
+    # each line gets its own Measures, though their column text is one
+    assert len({id(m) for _, m in back}) == 3
+
+
+def test_rule_file_with_crlf_line_ends_reads_the_same(tmp_path):
+    store = toy_store()
+    rules = learn(store, store.relations.get("Advises"), cfg()).rules
+    path = tmp_path / "rules.txt"
+    write_rules(path, rules, store.entities, store.relations)
+    want = read_rules(path, store.entities, store.relations)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    got = read_rules(path, store.entities, store.relations)
+    assert got == want and [r for r, _ in got] == [r for r, _ in rules]
+    assert [r.atoms for r, _ in got] == [r.atoms for r, _ in want]

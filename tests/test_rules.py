@@ -350,6 +350,30 @@ def test_specialization_raises_what_instantiate_raises(text, r1_obj, error):
     assert specialize(*args, MinerConfig(supp_f=1)) == ([], False)
 
 
+def test_specialization_of_an_oar_whose_head_holds_a_body_variable_raises():
+    # specialization checks the OAR's head once, not both heads of every
+    # kept rule as with_head does: an OAR whose head holds V0, from which
+    # every kept rule's head derives, still raises with_head's ValueError
+    # as soon as a candidate is kept, and nothing with none kept
+    store = TripleStore()
+    a, b, d = (store.entities.intern(e) for e in "abd")
+    rt, r1 = store.relations.intern("rt"), store.relations.intern("r1")
+    store.add_triple(rt, a, b, "train")
+    store.add_triple(r1, a, d, "train")
+    oar = R("rt(V0,Y) <- r1(X,V0)", store)
+    assert kind_of(oar) == "OAR" and is_straight(oar)
+    # either head holding it makes with_head raise
+    for rule, head in ((oar, Atom(rt, var(0), const(b))),
+                       (Rule(Atom(rt, VAR_X, const(b)), oar.body),
+                        oar.head)):
+        with pytest.raises(ValueError, match="body variable"):
+            rule.with_head(head)
+    args = (oar, open_groundings(oar, store), store.instances_of(rt), set())
+    with pytest.raises(ValueError, match="body variable"):
+        specialize(*args, zero_thresholds(MinerConfig()))
+    assert specialize(*args, MinerConfig(supp_f=1)) == ([], False)
+
+
 def test_specialization_rejects_non_oars():
     # specialization reads the index that open_groundings builds, and
     # open_groundings accepts only an OAR
